@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt ci bench bench-entropy bench-compare bench-scale bench-read bench-lossless fuzz-short chaos loadtest
+.PHONY: all build test race vet fmt ci bench perf bench-lossless fuzz-short chaos loadtest
 
 all: build
 
@@ -26,26 +26,11 @@ ci:
 bench:
 	$(GO) test -run xxx -bench 'CompressBatch|DecompressBatch' -benchmem .
 
-# Entropy-stage benchmark: per-stage MB/s, ns/value and compression ratio
-# per method. bench-entropy refreshes the committed report; bench-compare
-# diffs a fresh run against it.
-bench-entropy:
-	$(GO) run ./cmd/mdzbench -entropy -json BENCH_entropy.json
-
-bench-compare:
-	$(GO) run ./cmd/mdzbench -entropy -compare BENCH_entropy.json
-
-# Multi-worker scaling benchmark: Writer compress MB/s over the
-# Workers x Shards grid, baseline vs pipelined/amortized knobs. Refreshes
-# the committed report; CI diffs against it warn-only.
-bench-scale:
-	$(GO) run ./cmd/mdzbench -scale -json BENCH_scale.json
-
-# Fast-read-path benchmark: ReadRange of a tail window vs serial prefix
-# decode on an indexed stream, plus full decode over the pipeline x workers
-# grid. Refreshes the committed report; CI diffs against it warn-only.
-bench-read:
-	$(GO) run ./cmd/mdzbench -read -json BENCH_read.json
+# The performance benchmark: all four workloads (in-situ encode, archive
+# read, daemon), end-to-end and per-layer metrics. See
+# internal/bench/perf/README.md for single workloads, -compare and -ab.
+perf:
+	bash internal/bench/perf/run.sh
 
 # Short fuzz pass over every differential and parser fuzzer in the tree.
 # CI invokes this with FUZZTIME=10s; the default is a slightly longer local

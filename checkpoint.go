@@ -8,7 +8,6 @@ import (
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
 	"github.com/mdz/mdz/internal/core"
-	"github.com/mdz/mdz/internal/kmeans"
 	"github.com/mdz/mdz/internal/lossless"
 )
 
@@ -354,18 +353,7 @@ func (c *Compressor) ImportState(st *CheckpointState) error {
 	}
 	for axis := range c.enc {
 		ax := &st.Axes[axis]
-		enc, err := core.NewEncoder(core.Params{
-			ErrorBound:         ax.ErrorBound,
-			QuantScale:         ax.QuantScale,
-			Method:             c.cfg.Method,
-			Sequence:           c.cfg.Sequence,
-			AdaptInterval:      c.cfg.AdaptInterval,
-			ADPRetrialInterval: c.cfg.ADPRetrialInterval,
-			KMeans:             kmeans.Options{Seed: int64(axis) + 1},
-			Shards:             c.cfg.Shards,
-			FormatVersion:      c.cfg.FormatVersion,
-			Pool:               c.pool,
-		})
+		enc, err := core.NewEncoder(c.axisParams(axis, ax.ErrorBound, ax.QuantScale))
 		if err != nil {
 			return err
 		}

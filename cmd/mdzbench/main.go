@@ -9,27 +9,8 @@
 //	mdzbench -exp fig13 -datascale 0.5 # smaller datasets
 //	mdzbench -exp tab5 -csv           # machine-readable output
 //
-// The entropy-stage benchmark (per-stage MB/s, ns/value and compression
-// ratio per method) has its own mode:
-//
-//	mdzbench -entropy                          # human-readable table
-//	mdzbench -entropy -json BENCH_entropy.json # also write the JSON report
-//	mdzbench -entropy -compare BENCH_entropy.json # diff against a report
-//
-// The multi-worker scaling benchmark (Writer compress MB/s over the
-// Workers x Shards grid, baseline vs pipelined/amortized knobs):
-//
-//	mdzbench -scale                         # human-readable table
-//	mdzbench -scale -json BENCH_scale.json  # also write the JSON report
-//	mdzbench -scale -compare BENCH_scale.json # warn-only diff against a report
-//
-// The fast-read-path benchmark (ReadRange of a tail window vs serial prefix
-// decode on an indexed stream, plus full decode over the pipeline x workers
-// grid):
-//
-//	mdzbench -read                          # human-readable table
-//	mdzbench -read -json BENCH_read.json    # also write the JSON report
-//	mdzbench -read -compare BENCH_read.json # warn-only diff against a report
+// Throughput and per-layer timing live in the performance harness
+// (internal/bench/perf, run with `bash internal/bench/perf/run.sh`).
 package main
 
 import (
@@ -49,56 +30,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "dataset generation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	outDir := flag.String("out", "", "also write <exp>.csv files into this directory")
-	entropy := flag.Bool("entropy", false, "run the entropy-stage benchmark")
-	scaleBench := flag.Bool("scale", false, "run the multi-worker scaling benchmark (Workers x Shards grid)")
-	readBench := flag.Bool("read", false, "run the fast-read-path benchmark (ranged access + pipeline x workers grid)")
-	jsonPath := flag.String("json", "", "with -entropy/-scale/-read: write the machine-readable report to this path")
-	compare := flag.String("compare", "", "with -entropy/-scale/-read: diff the run against a committed report")
-	format := flag.String("format", "all", "with -entropy: wire-format versions to measure (v2, v3 or all)")
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*entropy, *scaleBench, *readBench} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "mdzbench: -entropy, -scale and -read are mutually exclusive")
-		os.Exit(2)
-	}
-	if *readBench {
-		if err := runRead(*jsonPath, *compare, bench.Config{Scale: *scale, Seed: *seed}); err != nil {
-			fmt.Fprintln(os.Stderr, "mdzbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleBench {
-		if err := runScale(*jsonPath, *compare, bench.Config{Scale: *scale, Seed: *seed}); err != nil {
-			fmt.Fprintln(os.Stderr, "mdzbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *entropy {
-		var formats []int
-		switch *format {
-		case "v2":
-			formats = []int{2}
-		case "v3":
-			formats = []int{3}
-		case "all", "":
-		default:
-			fmt.Fprintf(os.Stderr, "mdzbench: -format must be v2, v3 or all, got %q\n", *format)
-			os.Exit(2)
-		}
-		if err := runEntropy(*jsonPath, *compare, bench.Config{Scale: *scale, Seed: *seed}, formats...); err != nil {
-			fmt.Fprintln(os.Stderr, "mdzbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, id := range bench.Experiments() {
 			fmt.Printf("%-6s %s\n", id, bench.Title(id))

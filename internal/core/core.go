@@ -807,43 +807,6 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 	return e.p.Backend.Compress(payload)
 }
 
-// interleave reorders a snapshot-major bs×n code matrix to particle-major
-// (Seq-2).
-func interleave(bins []int, bs, n int) []int {
-	out := make([]int, len(bins))
-	interleaveInto(out, bins, bs, n)
-	return out
-}
-
-// interleaveInto is interleave with a caller-provided destination.
-func interleaveInto(out, bins []int, bs, n int) {
-	idx := 0
-	for i := 0; i < n; i++ {
-		for t := 0; t < bs; t++ {
-			out[idx] = bins[t*n+i]
-			idx++
-		}
-	}
-}
-
-// deinterleave inverts interleave.
-func deinterleave(bins []int, bs, n int) []int {
-	out := make([]int, len(bins))
-	deinterleaveInto(out, bins, bs, n)
-	return out
-}
-
-// deinterleaveInto is deinterleave with a caller-provided destination.
-func deinterleaveInto(out, bins []int, bs, n int) {
-	idx := 0
-	for i := 0; i < n; i++ {
-		for t := 0; t < bs; t++ {
-			out[t*n+i] = bins[idx]
-			idx++
-		}
-	}
-}
-
 // Decoder decompresses blocks produced by an Encoder. Blocks must be fed in
 // encode order (the MT reference is carried across batches).
 type Decoder struct {

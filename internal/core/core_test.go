@@ -272,27 +272,6 @@ func TestSeq2BeatsSeq1OnStableData(t *testing.T) {
 	}
 }
 
-func TestInterleaveRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		bs, n := 1+rng.Intn(10), 1+rng.Intn(50)
-		bins := make([]int, bs*n)
-		for i := range bins {
-			bins[i] = rng.Intn(1000)
-		}
-		got := deinterleave(interleave(bins, bs, n), bs, n)
-		for i := range bins {
-			if got[i] != bins[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestOutlierHeavyData(t *testing.T) {
 	// Data with huge jumps everywhere: nearly all values out of scope.
 	rng := rand.New(rand.NewSource(11))

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func decodeWireFrames(t *testing.T, data []byte) []mdz.Frame {
 	r := bytes.NewReader(data)
 	var out []mdz.Frame
 	for {
-		f, err := readWireFrame(r)
+		f, err := readWireFrame(r, nil)
 		if err == io.EOF {
 			return out
 		}
@@ -129,6 +130,21 @@ func (tc *testClient) sessionInfo(id string) info {
 		tc.t.Fatal(err)
 	}
 	return in
+}
+
+// waitCompressed blocks until the session's pump has compressed and
+// flushed n snapshots of the given atom count: a 202 acknowledges that
+// frames are accepted, not that they are already in the container.
+func (tc *testClient) waitCompressed(id string, n, atoms int) {
+	tc.t.Helper()
+	want := int64(n * atoms * 3 * 8)
+	deadline := time.Now().Add(5 * time.Second)
+	for tc.sessionInfo(id).RawBytes < want {
+		if time.Now().After(deadline) {
+			tc.t.Fatalf("session %s: %d snapshots not compressed within 5s", id, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // runSession pushes a trajectory through one full session lifecycle and
@@ -265,6 +281,92 @@ func TestDaemonDrainRestart(t *testing.T) {
 	srv3.Close()
 }
 
+// TestDaemonDrainRestartFullConfig: every SessionConfig field survives a
+// drain and restart. The resumed session must keep its fixed shard count,
+// bound mode, parallelism knobs and seek index, so its container equals an
+// uninterrupted library run with the same Config, seek table included.
+func TestDaemonDrainRestartFullConfig(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "mdzd.state")
+	traj := makeTraj(20, 100, 43)
+	cfg := `{"tenant":"full","error_bound":1e-3,"absolute_bound":true,"method":"ADP",` +
+		`"buffer_size":3,"checkpoint_interval":2,"format_version":3,"workers":2,"shards":4,` +
+		`"adp_sample_shards":1,"pipeline_depth":2,"seek_index":true}`
+	libCfg := mdz.Config{
+		ErrorBound: 1e-3, Mode: mdz.Absolute, Method: mdz.ADP,
+		BufferSize: 3, CheckpointInterval: 2, FormatVersion: 3, Workers: 2, Shards: 4,
+		ADPSampleShards: 1, PipelineDepth: 2, SeekIndex: true,
+	}
+
+	srv1, tc1 := newTestEnv(t, Options{StatePath: state})
+	id := tc1.create(cfg)
+	tc1.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[:11]), http.StatusAccepted)
+	if err := srv1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+
+	srv2, tc2 := newTestEnv(t, Options{StatePath: state})
+	defer srv2.Close()
+	tc2.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[11:]), http.StatusAccepted)
+	tc2.do(http.MethodPost, "/v1/sessions/"+id+"/close", nil, http.StatusOK)
+	got := tc2.do(http.MethodGet, "/v1/sessions/"+id+"/stream", nil, http.StatusOK)
+
+	if want := libraryContainer(t, libCfg, traj); !bytes.Equal(got, want) {
+		t.Fatalf("post-restart container diverges from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	_, err := mdz.RetrofitSeekIndex(bytes.NewReader(got), io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "already carries a seek table") {
+		t.Fatalf("post-restart container carries no seek table (retrofit: %v)", err)
+	}
+}
+
+// TestDaemonForgedIngestHeader: a record header claiming a huge atom count
+// is charged to the budget before anything is allocated for it, so a
+// 4-byte body costs a 507 (budgeted server) or a 400 (the body never
+// arrives), never an allocation sized by the claim. After the first
+// record, every record must carry the session's atom count.
+func TestDaemonForgedIngestHeader(t *testing.T) {
+	forged := []byte{0xff, 0xff, 0xff, 0x00} // 2^24-1 atoms ≈ 400 MB claimed
+	for _, c := range []struct {
+		name string
+		opts Options
+		want int
+	}{
+		{"unbudgeted", Options{}, http.StatusBadRequest},
+		{"global", Options{MemGlobal: 64 << 20}, http.StatusInsufficientStorage},
+		{"per-session", Options{MemPerSession: 64 << 20}, http.StatusInsufficientStorage},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv, tc := newTestEnv(t, c.opts)
+			id := tc.create(`{"error_bound":1e-3}`)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+id+"/frames", bytes.NewReader(forged)))
+			runtime.ReadMemStats(&after)
+			if rec.Code != c.want {
+				t.Fatalf("forged header: status %d, want %d: %s", rec.Code, c.want, rec.Body.Bytes())
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Fatalf("forged 4-byte body allocated %d bytes", alloc)
+			}
+			if used := srv.MemoryUsed(); used != 0 {
+				t.Fatalf("refused ingest left %d budgeted bytes", used)
+			}
+			// The refused record fixed nothing: real records still go in.
+			tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, makeTraj(2, 50, 1)), http.StatusAccepted)
+		})
+	}
+
+	t.Run("atom-count-mismatch", func(t *testing.T) {
+		_, tc := newTestEnv(t, Options{})
+		id := tc.create(`{"error_bound":1e-3}`)
+		tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, makeTraj(2, 50, 1)), http.StatusAccepted)
+		tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, makeTraj(2, 60, 1)), http.StatusBadRequest)
+		tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, makeTraj(2, 50, 2)), http.StatusAccepted)
+	})
+}
+
 // TestDaemonDrainRestartClosedSession: a session already closed at drain
 // time keeps its finished container across the restart.
 func TestDaemonDrainRestartClosedSession(t *testing.T) {
@@ -297,6 +399,7 @@ func TestDaemonRangedRead(t *testing.T) {
 	traj := makeTraj(15, 80, 3)
 	id := tc.create(`{"error_bound":1e-3,"buffer_size":3}`)
 	tc.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj), http.StatusAccepted)
+	tc.waitCompressed(id, 15, 80)
 
 	// Live session: 15 frames in blocks of 3 are all flushed; the stream
 	// has no trailer yet, which a ranged read must tolerate.

@@ -182,12 +182,7 @@ func (srv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		srv.httpError(w, fmt.Errorf("%w: %v", errWireFormat, err))
 		return
 	}
-	cfg, err := sc.toConfig()
-	if err != nil {
-		srv.httpError(w, fmt.Errorf("%w: %v", errWireFormat, err))
-		return
-	}
-	s, err := srv.newSession(sc.Tenant, cfg)
+	s, err := srv.newSession(sc)
 	if err != nil {
 		srv.httpError(w, err)
 		return
@@ -243,26 +238,26 @@ func (srv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	accepted := 0
 	var acceptedBytes int64
 	for {
-		frames := make([]mdz.Frame, 0, ingestBatchFrames)
+		b := ingestBatch{frames: make([]mdz.Frame, 0, ingestBatchFrames), tx: srv.mem.Begin()}
+		charge := func(n int) error { return s.reserve(&b, n) }
 		var batchBytes int64
 		var rerr error
-		for len(frames) < ingestBatchFrames {
-			f, err := readWireFrame(br)
+		for len(b.frames) < ingestBatchFrames {
+			f, err := readWireFrame(br, charge)
 			if err != nil {
 				rerr = err
 				break
 			}
-			frames = append(frames, f)
+			b.frames = append(b.frames, f)
 			batchBytes += wireFrameBytes(f.N())
 		}
-		if len(frames) > 0 {
-			if err := s.enqueue(frames); err != nil {
-				srv.httpError(w, fmt.Errorf("after %d accepted frames: %w", accepted, err))
-				return
-			}
-			accepted += len(frames)
-			acceptedBytes += batchBytes
+		n := len(b.frames)
+		if err := s.enqueue(b); err != nil {
+			srv.httpError(w, fmt.Errorf("after %d accepted frames: %w", accepted, err))
+			return
 		}
+		accepted += n
+		acceptedBytes += batchBytes
 		if rerr == io.EOF {
 			break
 		}

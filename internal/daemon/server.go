@@ -166,9 +166,8 @@ func sanitizeTenant(t string) string {
 	return b.String()
 }
 
-// newSession registers a new live session. The Config must already be
-// validated (newSession runs NewWriter, which re-validates).
-func (srv *Server) newSession(tenant string, cfg mdz.Config) (*session, error) {
+// newSession registers a new live session.
+func (srv *Server) newSession(sc SessionConfig) (*session, error) {
 	srv.mu.Lock()
 	if srv.draining {
 		srv.mu.Unlock()
@@ -183,7 +182,7 @@ func (srv *Server) newSession(tenant string, cfg mdz.Config) (*session, error) {
 	id := fmt.Sprintf("s%08x", srv.nextID)
 	srv.mu.Unlock()
 
-	s, err := srv.buildSession(id, tenant, cfg, nil, nil)
+	s, err := srv.buildSession(id, sc, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -192,17 +191,22 @@ func (srv *Server) newSession(tenant string, cfg mdz.Config) (*session, error) {
 	srv.mu.Unlock()
 	srv.tel.active.Add(1)
 	srv.tel.opened.Inc()
-	srv.tenantCounter(tenant, "sessions").Inc()
+	srv.tenantCounter(sc.Tenant, "sessions").Inc()
 	return s, nil
 }
 
 // buildSession wires one session's goroutine, budget transaction and
 // Writer — fresh (st == nil) or resumed from drained state over the given
-// container prefix.
-func (srv *Server) buildSession(id, tenant string, cfg mdz.Config, prefix []byte, st *mdz.WriterState) (*session, error) {
+// container prefix. Both paths build the Writer's Config from sc alone, so
+// a resumed session runs with exactly the settings it was created with.
+func (srv *Server) buildSession(id string, sc SessionConfig, prefix []byte, st *mdz.WriterState) (*session, error) {
+	cfg, err := sc.toConfig()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errWireFormat, err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &session{
-		id: id, tenant: tenant, srv: srv,
+		id: id, tenant: sc.Tenant, sc: sc, srv: srv,
 		ctx: ctx, cancel: cancel,
 		ingest:   make(chan ingestBatch, srv.opts.QueueDepth),
 		done:     make(chan struct{}),
@@ -212,7 +216,6 @@ func (srv *Server) buildSession(id, tenant string, cfg mdz.Config, prefix []byte
 	s.containerTx = srv.mem.Begin()
 	cfg.Context = ctx
 	cfg.MaxDecodeBytes = srv.opts.MaxDecodeBytes
-	s.cfg = cfg
 	if len(prefix) > 0 {
 		if err := s.containerTx.Reserve(int64(len(prefix))); err != nil {
 			cancel()
@@ -223,7 +226,6 @@ func (srv *Server) buildSession(id, tenant string, cfg mdz.Config, prefix []byte
 		s.buf.Write(prefix)
 	}
 	var w *mdz.Writer
-	var err error
 	if st != nil {
 		w, err = mdz.ResumeWriter(sink{s}, cfg, st)
 	} else {

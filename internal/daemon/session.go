@@ -40,7 +40,7 @@ type ingestBatch struct {
 type session struct {
 	id     string
 	tenant string
-	cfg    mdz.Config
+	sc     SessionConfig // the creation body; drain persists it verbatim
 	srv    *Server
 
 	// ctx is cancelled on destroy/failure; it is also the compressor's
@@ -58,6 +58,7 @@ type session struct {
 	state    string
 	err      error // sticky first failure
 	frames   int64 // snapshots accepted (acknowledged to the client)
+	atoms    int   // atom count every record must carry; 0 until a batch is accepted
 	rawBytes int64 // uncompressed size of the snapshots compressed so far
 	reserved int64 // bytes charged against the per-session cap
 	enq      sync.WaitGroup
@@ -102,37 +103,79 @@ func (s *session) touch() {
 	s.mu.Unlock()
 }
 
-// enqueue hands a batch to the pump, blocking when the queue is full —
-// that stall propagates up the HTTP request as backpressure. The batch is
-// charged against both budgets first; on any refusal nothing is retained.
-// A nil return means the snapshots are accepted: they will be compressed
-// even if the session is closed immediately after.
-func (s *session) enqueue(frames []mdz.Frame) error {
-	size := int64(0)
-	for _, f := range frames {
-		size += wireFrameBytes(f.N())
-	}
+// reserve charges one wire record of n atoms against both budgets, on
+// behalf of batch b, before the record's body is read: a forged atom count
+// costs a refusal, not an allocation. A record whose count differs from
+// the session's (or, before the session has one, from the batch's first
+// record) is malformed.
+func (s *session) reserve(b *ingestBatch, n int) error {
+	size := wireFrameBytes(n)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.state != stateActive {
-		s.mu.Unlock()
 		return errSessionClosed
 	}
 	if err := s.err; err != nil {
-		s.mu.Unlock()
 		return err
 	}
+	want := s.atoms
+	if want == 0 && len(b.frames) > 0 {
+		want = b.frames[0].N()
+	}
+	if want != 0 && n != want {
+		return errAtoms(n, want)
+	}
 	if limit := s.srv.opts.MemPerSession; limit > 0 && s.reserved+size > limit {
-		s.mu.Unlock()
 		return fmt.Errorf("ingest of %d bytes over the %d-byte session cap: %w", size, limit, budget.ErrExceeded)
 	}
-	tx := s.srv.mem.Begin()
-	if err := tx.Reserve(size); err != nil {
-		s.mu.Unlock()
-		tx.Close()
+	if err := b.tx.Reserve(size); err != nil {
 		return err
 	}
 	s.reserved += size
-	s.frames += int64(len(frames))
+	b.size += size
+	return nil
+}
+
+func errAtoms(n, want int) error {
+	return fmt.Errorf("%w: record of %d atoms in a session of %d", errWireFormat, n, want)
+}
+
+// unreserve returns a batch's charges without queueing it.
+func (s *session) unreserve(b ingestBatch) {
+	b.tx.Close()
+	s.mu.Lock()
+	s.reserved -= b.size
+	s.mu.Unlock()
+}
+
+// enqueue hands a batch, already charged record by record through
+// reserve, to the pump, blocking when the queue is full — that stall
+// propagates up the HTTP request as backpressure. On any refusal the
+// charges are returned and nothing is retained. A nil return means the
+// snapshots are accepted: they will be compressed even if the session is
+// closed immediately after. The first accepted batch fixes the session's
+// atom count.
+func (s *session) enqueue(b ingestBatch) error {
+	if len(b.frames) == 0 {
+		s.unreserve(b) // a charged record that failed to arrive
+		return nil
+	}
+	n := b.frames[0].N()
+	s.mu.Lock()
+	err := s.err
+	switch {
+	case s.state != stateActive:
+		err = errSessionClosed
+	case err == nil && s.atoms != 0 && n != s.atoms:
+		err = errAtoms(n, s.atoms) // a concurrent request fixed it first
+	}
+	if err != nil {
+		s.mu.Unlock()
+		s.unreserve(b)
+		return err
+	}
+	s.atoms = n
+	s.frames += int64(len(b.frames))
 	s.lastUsed = time.Now()
 	// Registering with enq under the same mu as the state check is what
 	// lets stopIngest close the channel safely: once it flips the state
@@ -142,13 +185,12 @@ func (s *session) enqueue(frames []mdz.Frame) error {
 	defer s.enq.Done()
 
 	select {
-	case s.ingest <- ingestBatch{frames: frames, tx: tx, size: size}:
+	case s.ingest <- b:
 		return nil
 	case <-s.ctx.Done():
-		tx.Close()
+		s.unreserve(b)
 		s.mu.Lock()
-		s.reserved -= size
-		s.frames -= int64(len(frames))
+		s.frames -= int64(len(b.frames))
 		err := s.err
 		s.mu.Unlock()
 		if err == nil {

@@ -19,23 +19,19 @@ import (
 // on top of newer ones.
 const (
 	drainMagic   = "MDZD"
-	drainVersion = 1
+	drainVersion = 2 // v2 persists the whole SessionConfig
 )
 
-// drainMeta is the JSON metadata section of one persisted session.
+// drainMeta is the JSON metadata section of one persisted session. Config
+// is the session's creation body, stored whole so restore rebuilds the
+// Writer through the same toConfig as creation.
 type drainMeta struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	State    string `json:"state"`
-	Frames   int64  `json:"frames"`
-	RawBytes int64  `json:"raw_bytes"`
-
-	ErrorBound         float64 `json:"error_bound"`
-	Mode               int     `json:"mode"`
-	Method             int     `json:"method"`
-	BufferSize         int     `json:"buffer_size"`
-	CheckpointInterval int     `json:"checkpoint_interval"`
-	FormatVersion      int     `json:"format_version"`
+	ID       string        `json:"id"`
+	State    string        `json:"state"`
+	Frames   int64         `json:"frames"`
+	Atoms    int           `json:"atoms"`
+	RawBytes int64         `json:"raw_bytes"`
+	Config   SessionConfig `json:"config"`
 }
 
 // Drain stops ingest on every live session — every accepted frame is
@@ -111,14 +107,9 @@ func (s *session) export() ([]byte, error) {
 
 	s.mu.Lock()
 	meta := drainMeta{
-		ID: s.id, Tenant: s.tenant, State: s.state,
-		Frames: s.frames, RawBytes: s.rawBytes,
-		ErrorBound:         s.cfg.ErrorBound,
-		Mode:               int(s.cfg.Mode),
-		Method:             int(s.cfg.Method),
-		BufferSize:         s.cfg.BufferSize,
-		CheckpointInterval: s.cfg.CheckpointInterval,
-		FormatVersion:      s.cfg.FormatVersion,
+		ID: s.id, State: s.state,
+		Frames: s.frames, Atoms: s.atoms, RawBytes: s.rawBytes,
+		Config: s.sc,
 	}
 	container := append([]byte(nil), s.buf.Bytes()...)
 	s.mu.Unlock()
@@ -185,20 +176,13 @@ func (srv *Server) restore(path string) (int, error) {
 				return restored, fmt.Errorf("session %s: writer state: %w", meta.ID, err)
 			}
 		}
-		cfg := mdz.Config{
-			ErrorBound:         meta.ErrorBound,
-			Mode:               mdz.BoundMode(meta.Mode),
-			Method:             mdz.Method(meta.Method),
-			BufferSize:         meta.BufferSize,
-			CheckpointInterval: meta.CheckpointInterval,
-			FormatVersion:      meta.FormatVersion,
-		}
-		s, err := srv.buildSession(meta.ID, meta.Tenant, cfg, container, wst)
+		s, err := srv.buildSession(meta.ID, meta.Config, container, wst)
 		if err != nil {
 			return restored, fmt.Errorf("session %s: %w", meta.ID, err)
 		}
 		s.mu.Lock()
 		s.frames = meta.Frames
+		s.atoms = meta.Atoms
 		s.rawBytes = meta.RawBytes
 		if meta.State == stateClosed {
 			s.state = stateClosed

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	mdz "github.com/mdz/mdz"
 )
@@ -27,10 +28,18 @@ func wireFrameBytes(n int) int64 { return 4 + 3*8*int64(n) }
 // errWireFormat tags malformed request payloads (client error, not server).
 var errWireFormat = errors.New("malformed frame record")
 
-// readWireFrame reads one snapshot record. io.EOF is returned untouched
-// when the source ends cleanly before a record starts; a record cut partway
-// through reports errWireFormat.
-func readWireFrame(r io.Reader) (mdz.Frame, error) {
+// wireChunkValues bounds how many values of a record body are read, and
+// allocated for, ahead of the bytes that carry them. A record therefore
+// allocates in proportion to the bytes that actually arrive, not to the
+// count its header claims.
+const wireChunkValues = 8192
+
+// readWireFrame reads one snapshot record. charge, when non-nil, receives
+// the record's atom count after the header and before anything is
+// allocated for the body; its error aborts the read. io.EOF is returned
+// untouched when the source ends cleanly before a record starts; a record
+// cut partway through reports errWireFormat.
+func readWireFrame(r io.Reader, charge func(n int) error) (mdz.Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -38,19 +47,29 @@ func readWireFrame(r io.Reader) (mdz.Frame, error) {
 		}
 		return mdz.Frame{}, fmt.Errorf("%w: record cut inside the atom count", errWireFormat)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n == 0 || n > maxWireAtoms {
 		return mdz.Frame{}, fmt.Errorf("%w: atom count %d out of range [1, %d]", errWireFormat, n, maxWireAtoms)
 	}
-	buf := make([]byte, 8*int(n))
+	if charge != nil {
+		if err := charge(n); err != nil {
+			return mdz.Frame{}, err
+		}
+	}
+	buf := make([]byte, 8*min(n, wireChunkValues))
 	axes := [3][]float64{}
 	for a := range axes {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return mdz.Frame{}, fmt.Errorf("%w: record cut inside axis %d", errWireFormat, a)
-		}
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		vals := make([]float64, 0, min(n, wireChunkValues))
+		for len(vals) < n {
+			k := min(n-len(vals), wireChunkValues)
+			if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+				return mdz.Frame{}, fmt.Errorf("%w: record cut inside axis %d", errWireFormat, a)
+			}
+			base := len(vals)
+			vals = slices.Grow(vals, k)[:base+k]
+			for i := range k {
+				vals[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+			}
 		}
 		axes[a] = vals
 	}

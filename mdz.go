@@ -224,12 +224,6 @@ type Config struct {
 	// "budget.rejections". The cap is per concurrent operation set, not per
 	// block: parallel shards draw from one shared ceiling.
 	MaxDecodeBytes int64
-	// Parallel is superseded by Workers and retained for compatibility:
-	// axis-level parallelism is now governed by the worker pool, which
-	// defaults to GOMAXPROCS. Output bytes are unaffected either way.
-	//
-	// Deprecated: set Workers instead; this field is ignored.
-	Parallel bool
 }
 
 // workers resolves the effective worker count.
@@ -328,9 +322,17 @@ func (c *Compressor) params(axis int, firstBatch [][]float64) (core.Params, erro
 		}
 		eb = quant.AbsBound(c.cfg.ErrorBound, lo, hi)
 	}
+	return c.axisParams(axis, eb, c.cfg.QuantScale), nil
+}
+
+// axisParams is the one mapping from Config to an axis encoder's core
+// parameters. The absolute bound and quantization scale are arguments
+// because a fresh run derives them from the first batch while a resumed
+// one takes them from the checkpoint.
+func (c *Compressor) axisParams(axis int, eb float64, quantScale int) core.Params {
 	return core.Params{
 		ErrorBound:         eb,
-		QuantScale:         c.cfg.QuantScale,
+		QuantScale:         quantScale,
 		Method:             c.cfg.Method,
 		Sequence:           c.cfg.Sequence,
 		AdaptInterval:      c.cfg.AdaptInterval,
@@ -342,7 +344,7 @@ func (c *Compressor) params(axis int, firstBatch [][]float64) (core.Params, erro
 		Tel:                core.EncoderInstruments(c.reg, axisName(axis)),
 		FormatVersion:      c.cfg.FormatVersion,
 		FaultHook:          c.faultHook,
-	}, nil
+	}
 }
 
 // setFaultHook installs the shard-level fault-injection seam on the axis
@@ -522,14 +524,7 @@ type DecompressorOptions struct {
 // NewDecompressor returns a Decompressor with default settings (a worker
 // pool sized to GOMAXPROCS; use NewDecompressorWith to configure it).
 func NewDecompressor() *Decompressor {
-	return NewDecompressorWorkers(0)
-}
-
-// NewDecompressorWorkers returns a Decompressor whose axis- and shard-level
-// parallelism is bounded by workers (0 = GOMAXPROCS, 1 = serial). The
-// reconstructed frames are identical for any worker count.
-func NewDecompressorWorkers(workers int) *Decompressor {
-	return NewDecompressorWith(DecompressorOptions{Workers: workers})
+	return NewDecompressorWith(DecompressorOptions{})
 }
 
 // NewDecompressorWith returns a Decompressor configured by opts.

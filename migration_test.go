@@ -304,6 +304,42 @@ func TestCheckpointStateCrossProcessV3(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsTelemetry: a resumed Writer's encoders are built from the
+// same parameters as a fresh Writer's, instruments included, so every batch
+// compressed after the migration still advances the stage counters.
+func TestResumeKeepsTelemetry(t *testing.T) {
+	const bs = 4
+	frames := makeFrames(6*bs, 120, 5)
+	cfg := Config{ErrorBound: 1e-3, BufferSize: bs, CheckpointInterval: 2, Telemetry: true}
+	var out bytes.Buffer
+	w1, err := NewWriter(&out, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames[:2*bs] {
+		if err := w1.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w2, _ := migrateWriter(t, w1, &out, cfg)
+	prev := w2.Telemetry().Counters["compress.quant.values"]
+	for b := 2; b < 6; b++ {
+		for _, f := range frames[b*bs : (b+1)*bs] {
+			if err := w2.WriteFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := w2.Telemetry().Counters["compress.quant.values"]
+		if got <= prev {
+			t.Fatalf("batch %d after resume: compress.quant.values %d, was %d before it", b, got, prev)
+		}
+		prev = got
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriterStateGuards covers the refusal paths of the migration API.
 func TestWriterStateGuards(t *testing.T) {
 	if _, err := ResumeWriter(&bytes.Buffer{}, Config{ErrorBound: 1e-3}, nil); err == nil {

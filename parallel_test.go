@@ -79,7 +79,7 @@ func TestShardRoundTripGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := NewDecompressorWorkers(workers)
+				d := NewDecompressorWith(DecompressorOptions{Workers: workers})
 				var got []Frame
 				for _, b := range Batch(frames, 10) {
 					blk, err := c.CompressBatch(b)

@@ -52,26 +52,14 @@ go run ./cmd/mdzload -spawn -sessions 24 -frames 16 -atoms 100 -c 8 -verify 1
 # fuzzer catches regressions without slowing the gate meaningfully.
 make fuzz-short FUZZTIME=10s
 
-# Performance gate: diff a fresh entropy-stage run against the committed
-# report. Throughput deltas print as warnings only — shared-runner noise
-# makes hard wall-clock gates flaky — but a compression-ratio regression
-# beyond 2% (or a benchmark that fails to run at all) fails the gate:
-# ratios are deterministic, so a drop is a real encoder change.
-go run ./cmd/mdzbench -entropy -compare BENCH_entropy.json
+# The performance harness is a nested module that the root `go test ./...`
+# never compiles; its own tests (a few seconds) keep it building against
+# the library it drives. Compression ratios are pinned by the golden hashes
+# in TestKernelByteInvariance (v2 and v3) and TestADPSampleShardsAcceptance,
+# so no wall-clock run gates CI.
+(cd internal/bench/perf && go test ./...)
 
-# Scaling gate, warn-only: diff a fresh Workers x Shards scaling run against
-# the committed report. Every delta here is wall-clock on the current host
-# (the committed report records its own GOMAXPROCS), so regressions print
-# WARNING lines instead of failing the gate; the compression-ratio guard on
-# the amortized-ADP knob lives in the deterministic test suite instead
-# (TestADPSampleShardsAcceptance).
-go run ./cmd/mdzbench -scale -compare BENCH_scale.json
-
-# Read-path gate, warn-only for the same wall-clock reason: diff a fresh
-# ranged-access + pipelined-decode run against the committed report. The
-# byte-identity guard on the parallel Reader is deterministic and lives in
-# the test suite (TestPipelinedReaderDifferential), re-run here under the
-# race detector because ordered delivery across read-ahead and decode
-# workers is exactly the kind of coordination races hide in.
-go run ./cmd/mdzbench -read -compare BENCH_read.json
+# Pipelined-Reader byte identity under the race detector: ordered delivery
+# across read-ahead and decode workers is exactly the kind of coordination
+# races hide in.
 go test -race -count=2 -run 'TestPipelined|TestSeekIndexedStream|TestReadRangeWindows' .

@@ -512,7 +512,8 @@ func TestSeekAvoidsPrefixDecode(t *testing.T) {
 }
 
 // TestResumeWriterSeekIndex: resuming an indexing Writer carries the table;
-// resuming with SeekIndex on from a non-indexing export is rejected.
+// resuming with a SeekIndex setting that differs from the export's is
+// rejected either way.
 func TestResumeWriterSeekIndex(t *testing.T) {
 	frames := makeFrames(30, 80, 41)
 	cfg := Config{ErrorBound: 1e-3, BufferSize: 5, CheckpointInterval: 2, SeekIndex: true}
@@ -582,6 +583,10 @@ func TestResumeWriterSeekIndex(t *testing.T) {
 	}
 	if _, err := ResumeWriter(&pb, cfg, pst); !errors.Is(err, ErrStateDesync) {
 		t.Fatalf("resume with late SeekIndex: %v, want ErrStateDesync", err)
+	}
+	// So is dropping it: the resumed stream would lose its table.
+	if _, err := ResumeWriter(&whole, plainCfg, st2); !errors.Is(err, ErrStateDesync) {
+		t.Fatalf("resume without SeekIndex from an indexing export: %v, want ErrStateDesync", err)
 	}
 }
 

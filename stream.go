@@ -503,11 +503,13 @@ func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 		return nil, fmt.Errorf("%w: checkpoint format v%d does not match Config.FormatVersion v%d",
 			ErrStateDesync, normalizeFormat(st.Checkpoint.Format), normalizeFormat(cfg.FormatVersion))
 	}
-	if cfg.SeekIndex && !st.SeekIndex && st.Seq > 0 {
-		// The already-written frames were never indexed; a table built from
-		// here on would silently omit them. (The scan rebuild or `mdzc
-		// -index` can retrofit the finished stream instead.)
-		return nil, fmt.Errorf("%w: SeekIndex enabled but the exported writer was not indexing", ErrStateDesync)
+	if cfg.SeekIndex != st.SeekIndex {
+		// Turning the index on would build a table that omits the frames
+		// already written (the scan rebuild or `mdzc -index` can retrofit
+		// the finished stream instead); turning it off would silently drop
+		// the table the stream was promised.
+		return nil, fmt.Errorf("%w: Config.SeekIndex=%v but the exported writer had SeekIndex=%v",
+			ErrStateDesync, cfg.SeekIndex, st.SeekIndex)
 	}
 	w, err := NewWriter(dst, cfg)
 	if err != nil {
@@ -735,13 +737,6 @@ func newStreamReaderTel(reg *telemetry.Registry) streamReaderTel {
 // (GOMAXPROCS).
 func NewReader(r io.Reader) *Reader {
 	return NewReaderWith(r, ReaderOptions{})
-}
-
-// NewReaderWorkers returns a Reader whose decompression parallelism is
-// bounded by workers (0 = GOMAXPROCS, 1 = serial); decoded frames are
-// identical for any worker count.
-func NewReaderWorkers(r io.Reader, workers int) *Reader {
-	return NewReaderWith(r, ReaderOptions{Workers: workers})
 }
 
 // NewReaderWith returns a Reader configured by opts.

@@ -235,7 +235,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 			stream := buf.Bytes()
 			metas := parseV2Frames(t, stream)
 
-			clean, err := NewReaderWorkers(bytes.NewReader(stream), 2).ReadAll()
+			clean, err := NewReaderWith(bytes.NewReader(stream), ReaderOptions{Workers: 2}).ReadAll()
 			if err != nil {
 				t.Fatalf("%v/%d: clean decode: %v", method, shards, err)
 			}
@@ -249,7 +249,7 @@ func TestStreamFaultMatrix(t *testing.T) {
 					corrupt := tc.mutate(append([]byte(nil), stream...), metas)
 
 					// Strict mode: typed failure, never a panic.
-					_, serr := NewReaderWorkers(bytes.NewReader(corrupt), 2).ReadAll()
+					_, serr := NewReaderWith(bytes.NewReader(corrupt), ReaderOptions{Workers: 2}).ReadAll()
 					if serr == nil {
 						t.Fatal("strict reader accepted corrupt stream")
 					}

@@ -100,7 +100,7 @@ func BenchmarkDecompressBatch(b *testing.B) {
 		}
 		for _, workers := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				d := NewDecompressorWorkers(workers)
+				d := NewDecompressorWith(DecompressorOptions{Workers: workers})
 				if _, err := d.DecompressBatch(blk); err != nil {
 					b.Fatal(err)
 				}
