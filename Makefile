@@ -41,13 +41,11 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointUnmarshal$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzV3Differential$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzErrorBound$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderDifferential$$' -fuzztime $(FUZZTIME) ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/huffman
-	$(GO) test -run '^$$' -fuzz '^FuzzDualRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) ./internal/lossless
-	$(GO) test -run '^$$' -fuzz '^FuzzLZV3RoundTrip$$' -fuzztime $(FUZZTIME) ./internal/lossless
 
 # Fault-containment sweep, longer than the CI gate: the crash-consistency
 # matrix at every output byte (MDZ_CHAOS_SWEEP), plus the stream fault

@@ -34,26 +34,14 @@ type CheckpointState struct {
 	Batch int
 	// Axes holds the X, Y, Z axis states.
 	Axes [3]AxisState
-	// Format is the wire-format version of the stream the checkpoint
-	// belongs to (0 or 2 for v2, 3 for v3). It selects the payload
-	// encoding of the checkpoint itself: v3 checkpoints pack their
-	// reference snapshots with the v3 LZ backend.
-	Format int
 }
 
-const (
-	checkpointVersion   = 1
-	checkpointVersionV3 = 2
-)
+const checkpointVersion = 1
 
 // checkpointBackend compresses the reference snapshots inside checkpoint
 // payloads. The reference values are quantized reconstructions, so their
-// byte patterns repeat and LZ shrinks them well. v3 checkpoints use the
-// dual-lane v3 backend, matching the rest of the stream.
-var (
-	checkpointBackend   = lossless.LZ{}
-	checkpointBackendV3 = lossless.LZ{V3: true}
-)
+// byte patterns repeat and LZ shrinks them well.
+var checkpointBackend = lossless.LZ{}
 
 // MarshalBinary encodes the checkpoint into the self-contained payload
 // format carried by checkpoint blocks.
@@ -61,11 +49,7 @@ func (st *CheckpointState) MarshalBinary() ([]byte, error) {
 	if st.Batch < 0 {
 		return nil, fmt.Errorf("mdz: negative checkpoint batch index %d", st.Batch)
 	}
-	ver, backend := byte(checkpointVersion), checkpointBackend
-	if st.Format == 3 {
-		ver, backend = checkpointVersionV3, checkpointBackendV3
-	}
-	out := []byte{ver}
+	out := []byte{checkpointVersion}
 	out = bitstream.AppendUvarint(out, uint64(st.Batch))
 	for axis := range st.Axes {
 		ax := &st.Axes[axis]
@@ -76,7 +60,7 @@ func (st *CheckpointState) MarshalBinary() ([]byte, error) {
 		out = bitstream.AppendFloat64(out, ax.LevelOrigin)
 		out = append(out, byte(ax.Method))
 		refBytes := bitstream.AppendFloat64s(nil, ax.Ref)
-		packed, err := backend.Compress(refBytes)
+		packed, err := checkpointBackend.Compress(refBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -99,14 +83,8 @@ func (st *CheckpointState) UnmarshalBinary(data []byte) error {
 func (st *CheckpointState) unmarshalTx(data []byte, tx *budget.Tx) error {
 	br := bitstream.NewByteReader(data)
 	ver, err := br.ReadByte()
-	if err != nil || (ver != checkpointVersion && ver != checkpointVersionV3) {
+	if err != nil || ver != checkpointVersion {
 		return fmt.Errorf("%w: unsupported checkpoint version", ErrCorruptBlock)
-	}
-	backend := checkpointBackend
-	st.Format = 2
-	if ver == checkpointVersionV3 {
-		backend = checkpointBackendV3
-		st.Format = 3
 	}
 	batch, err := br.ReadUvarint()
 	if err != nil || batch > 1<<40 {
@@ -152,7 +130,7 @@ func (st *CheckpointState) unmarshalTx(data []byte, tx *budget.Tx) error {
 		if err != nil {
 			return mapBlockErr(err)
 		}
-		refBytes, err := lossless.DecompressTx(backend, packed, tx)
+		refBytes, err := lossless.DecompressTx(checkpointBackend, packed, tx)
 		if err != nil {
 			if errors.Is(err, ErrBudgetExceeded) {
 				return err
@@ -319,7 +297,7 @@ func (st *WriterState) UnmarshalBinary(data []byte) error {
 // one compressed batch; it is what Writer embeds in checkpoint blocks. The
 // returned state shares nothing with the compressor.
 func (c *Compressor) ExportState() (*CheckpointState, error) {
-	st := &CheckpointState{Format: c.cfg.FormatVersion}
+	st := &CheckpointState{}
 	for axis, e := range c.enc {
 		if e == nil {
 			return nil, errors.New("mdz: ExportState before the first batch")

@@ -6,7 +6,6 @@
 //	mdzc -c traj.xyz  -o traj.mdz            # XYZ text trajectories work too
 //	mdzc -c traj.mdzd -o traj.mdz -eps 1e-4 -bs 50 -method MT
 //	mdzc -c traj.mdzd -o traj.mdz -checkpoint 8  # recoverable framed stream
-//	mdzc -c traj.mdzd -o traj.mdz -format 3  # v3 wire format (dual-lane entropy coding)
 //	mdzc -d traj.mdz -o restored.mdzd        # decompress (or -o restored.xyz)
 //	mdzc -d traj.mdz -o restored.mdzd -salvage   # recover what a corrupt stream still holds
 //	mdzc -d traj.mdz -o window.mdzd -range 100:200   # decode only snapshots [100, 200)
@@ -18,6 +17,7 @@ package main
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +31,18 @@ import (
 
 const fileMagic = "MDZC"
 
+// oneShotMagic leads a one-shot Compress payload. It is the only payload
+// magic mdzc branches on: every other payload goes to the stream Reader,
+// which alone knows (and names, when refusing) the framed-stream magics.
+const oneShotMagic = "MDZF"
+
+// isOneShot reports whether a container payload must be decoded with
+// Decompress rather than the stream Reader. Payloads too short to carry a
+// magic stay on the one-shot path, which rejects them.
+func isOneShot(stream []byte) bool {
+	return len(stream) < 4 || string(stream[:4]) == oneShotMagic
+}
+
 // cliFlags is the parsed command line, kept as a struct so flag-combination
 // validation is testable apart from flag.Parse and os.Exit.
 type cliFlags struct {
@@ -38,7 +50,7 @@ type cliFlags struct {
 	index                            string
 	out, method                      string
 	eps                              float64
-	bs, checkpoint, format           int
+	bs, checkpoint                   int
 	workers, shards, pipeline        int
 	salvage                          bool
 	seekIndex                        bool
@@ -91,12 +103,6 @@ func validateFlags(f *cliFlags) error {
 	}
 	if f.checkpoint != 0 && f.compress == "" {
 		return fmt.Errorf("-checkpoint only applies to compression; pair it with -c")
-	}
-	if f.format != 0 && f.format != 2 && f.format != 3 {
-		return fmt.Errorf("-format must be 2 or 3, got %d", f.format)
-	}
-	if f.format == 3 && f.compress == "" {
-		return fmt.Errorf("-format only applies to compression (readers auto-detect); pair it with -c")
 	}
 	if f.fsck != "" && f.out != "" {
 		return fmt.Errorf("-fsck verifies in place and writes no output; drop -o")
@@ -157,7 +163,6 @@ func main() {
 	flag.IntVar(&f.bs, "bs", 10, "buffer size (snapshots per batch)")
 	flag.StringVar(&f.method, "method", "ADP", "compression method: ADP, VQ, VQT, MT")
 	flag.IntVar(&f.checkpoint, "checkpoint", 0, "with -c: write a recoverable framed stream with a checkpoint every N blocks (0 = one-shot format)")
-	flag.IntVar(&f.format, "format", 2, "with -c: wire-format version to write (2 = default, 3 = dual-lane entropy coding; not readable by pre-v3 builds)")
 	flag.IntVar(&f.workers, "workers", 0, "goroutines for parallel kernels (0 = GOMAXPROCS, 1 = serial); output bytes never depend on it")
 	flag.IntVar(&f.shards, "shards", 0, "with -c: contiguous particle shards per axis batch (0 = auto); part of the output format, so a fixed value pins output bytes across machines")
 	flag.IntVar(&f.pipeline, "pipeline", 0, "with -c -checkpoint: overlap compressing the next batch with framing and writing the previous; with -d: overlap frame fetch with parallel decode, keeping up to N frames in flight (0 = synchronous; bytes identical either way)")
@@ -171,34 +176,41 @@ func main() {
 	flag.StringVar(&f.memprofile, "memprofile", "", "write a heap profile to this path on exit")
 	flag.StringVar(&f.statsJSON, "stats-json", "", "write a machine-readable run report (stage timings, ADP decisions, scope rates) to this path, or - for stdout")
 	flag.Parse()
+	os.Exit(run(&f, os.Stderr))
+}
 
-	if err := validateFlags(&f); err != nil {
-		fmt.Fprintln(os.Stderr, "mdzc:", err)
-		os.Exit(2)
+// run executes a parsed command line, reporting failures on stderr, and
+// returns the process exit code: 2 for a usage error, 1 for a failed
+// command, 0 on success.
+func run(f *cliFlags, stderr io.Writer) int {
+	if err := validateFlags(f); err != nil {
+		fmt.Fprintln(stderr, "mdzc:", err)
+		return 2
 	}
 	o := &obs{metricsAddr: f.metricsAddr, cpuprofile: f.cpuprofile, memprofile: f.memprofile, statsJSON: f.statsJSON}
 	if err := o.start(); err != nil {
-		fmt.Fprintln(os.Stderr, "mdzc:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mdzc:", err)
+		return 1
 	}
 	var err error
 	switch {
 	case f.compress != "":
-		err = doCompress(&f, o)
+		err = doCompress(f, o)
 	case f.decompress != "":
-		err = doDecompress(&f, o)
+		err = doDecompress(f, o)
 	case f.info != "":
-		err = doInfo(&f, o)
+		err = doInfo(f, o)
 	case f.fsck != "":
-		err = doFsck(&f, o)
+		err = doFsck(f, o)
 	case f.index != "":
-		err = doIndex(&f, o)
+		err = doIndex(f, o)
 	}
 	o.finish()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdzc:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mdzc:", err)
+		return 1
 	}
+	return 0
 }
 
 func doCompress(f *cliFlags, o *obs) error {
@@ -219,7 +231,7 @@ func doCompress(f *cliFlags, o *obs) error {
 		frames[i] = mdz.Frame{X: f.X, Y: f.Y, Z: f.Z}
 	}
 	cfg := mdz.Config{
-		ErrorBound: f.eps, Method: m, BufferSize: f.bs, FormatVersion: f.format,
+		ErrorBound: f.eps, Method: m, BufferSize: f.bs,
 		Workers: f.workers, Shards: f.shards, Telemetry: o.enabled(),
 	}
 	var stream []byte
@@ -323,37 +335,34 @@ func parseContainer(path string) (meta [3]string, stream []byte, err error) {
 	return meta, buf[:n], nil
 }
 
-// decodeStream sniffs the payload magic and decodes it with the matching
-// reader: one-shot "MDZF" via Decompress, framed "MDZW"/"MDZ2"/"MDZ3"
-// streams via the stream Reader. Salvage mode (framed streams only)
-// recovers what it can and returns the reader's accounting alongside the
-// frames.
+// decodeStream decodes a container payload: a one-shot payload via
+// Decompress, anything else via the stream Reader, which detects the
+// framed-stream version and rejects unknown magics. Salvage mode (framed
+// streams only) recovers what it can and returns the reader's accounting
+// alongside the frames.
 func decodeStream(stream []byte, salvage bool, f *cliFlags, o *obs) ([]mdz.Frame, *mdz.SalvageStats, error) {
-	if len(stream) >= 4 {
-		switch string(stream[:4]) {
-		case "MDZW", "MDZ2", "MDZ3":
-			r := mdz.NewReaderWith(bytes.NewReader(stream),
-				mdz.ReaderOptions{Workers: f.workers, Pipeline: f.pipeline, Resync: salvage,
-					Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
-			if err := o.attach(r.TelemetryRegistry()); err != nil {
-				return nil, nil, err
-			}
-			var frames []mdz.Frame
-			var err error
-			if f.rangeSpec != "" {
-				frames, err = r.ReadRange(f.rangeLo, f.rangeHi)
-				if err == io.EOF {
-					err = fmt.Errorf("-range %s starts past the end of the stream", f.rangeSpec)
-				}
-			} else {
-				frames, err = r.ReadAll()
-			}
-			if err != nil {
-				return frames, nil, err
-			}
-			stats := r.SalvageStats()
-			return frames, &stats, nil
+	if !isOneShot(stream) {
+		r := mdz.NewReaderWith(bytes.NewReader(stream),
+			mdz.ReaderOptions{Workers: f.workers, Pipeline: f.pipeline, Resync: salvage,
+				Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
+		if err := o.attach(r.TelemetryRegistry()); err != nil {
+			return nil, nil, err
 		}
+		var frames []mdz.Frame
+		var err error
+		if f.rangeSpec != "" {
+			frames, err = r.ReadRange(f.rangeLo, f.rangeHi)
+			if err == io.EOF {
+				err = fmt.Errorf("-range %s starts past the end of the stream", f.rangeSpec)
+			}
+		} else {
+			frames, err = r.ReadAll()
+		}
+		if err != nil {
+			return frames, nil, err
+		}
+		stats := r.SalvageStats()
+		return frames, &stats, nil
 	}
 	if salvage {
 		return nil, nil, fmt.Errorf("-salvage requires a framed stream (got a one-shot payload)")
@@ -451,7 +460,7 @@ func doFsck(f *cliFlags, o *obs) error {
 	if err != nil {
 		return err
 	}
-	if len(stream) >= 4 && string(stream[:4]) == "MDZF" {
+	if len(stream) >= 4 && string(stream[:4]) == oneShotMagic {
 		// One-shot payload: no framing to walk, so verify by decoding.
 		d := mdz.NewDecompressorWith(mdz.DecompressorOptions{MaxDecodeBytes: f.maxDecode})
 		frames, err := d.Decompress(stream)
@@ -502,15 +511,14 @@ func doIndex(f *cliFlags, o *obs) error {
 	if len(stream) < 4 {
 		return fmt.Errorf("%s holds no stream payload", in)
 	}
-	switch string(stream[:4]) {
-	case "MDZ2", "MDZ3":
-	case "MDZW":
-		return fmt.Errorf("-index requires a v2/v3 framed stream; %s is v1 (recompress with -checkpoint)", in)
-	default:
+	if isOneShot(stream) {
 		return fmt.Errorf("-index requires a framed stream; %s holds a one-shot payload (recompress with -checkpoint)", in)
 	}
 	var indexed bytes.Buffer
 	frames, err := mdz.RetrofitSeekIndex(bytes.NewReader(stream), &indexed)
+	if errors.Is(err, mdz.ErrNotSeekable) {
+		return fmt.Errorf("-index requires a v2 framed stream; %s: %w (recompress with -checkpoint)", in, err)
+	}
 	if err != nil {
 		return err
 	}

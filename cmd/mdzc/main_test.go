@@ -39,10 +39,6 @@ func TestValidateFlags(t *testing.T) {
 		{"checkpoint without -c", cliFlags{decompress: "in", out: "out", checkpoint: 8}, true},
 		{"fsck with -o", cliFlags{fsck: "in", out: "out"}, true},
 		{"info with -o", cliFlags{info: "in", out: "out"}, true},
-		{"format v3 with -c", cliFlags{compress: "in", out: "out", format: 3}, false},
-		{"format v2 anywhere", cliFlags{decompress: "in", out: "out", format: 2}, false},
-		{"format v3 without -c", cliFlags{decompress: "in", out: "out", format: 3}, true},
-		{"format out of range", cliFlags{compress: "in", out: "out", format: 5}, true},
 		{"no-fsync with -c", cliFlags{compress: "in", out: "out", noFsync: true}, false},
 		{"no-fsync with -d", cliFlags{decompress: "in", out: "out", noFsync: true}, false},
 		{"no-fsync without output", cliFlags{fsck: "in", noFsync: true}, true},
@@ -104,47 +100,54 @@ func writeTestTrajectory(t *testing.T, dir string) string {
 	return path
 }
 
-// TestFormatV3RoundTrip drives -c -format 3 (one-shot and framed) through
-// the CLI paths and decodes the result with the auto-detecting reader.
-func TestFormatV3RoundTrip(t *testing.T) {
+// TestV3PayloadRefused flips a framed v2 file's magic to that of the
+// removed format v3 and checks that every decode-side command fails the way
+// main reports it: exit code 1, the offending magic named on stderr, and no
+// output file left behind.
+func TestV3PayloadRefused(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestTrajectory(t, dir)
+	v3 := filepath.Join(dir, "v3.mdz")
+	if err := doCompress(&cliFlags{compress: in, out: v3, eps: 1e-3, bs: 4, method: "ADP", checkpoint: 2}, &obs{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stream, err := parseContainer(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(raw, stream)
+	if string(stream[:4]) != "MDZ2" || at < 0 {
+		t.Fatalf("payload magic = %q, want a framed v2 stream", stream[:4])
+	}
+	copy(raw[at:], "MDZ3")
+	if err := os.WriteFile(v3, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	out := filepath.Join(dir, "out.mdz")
 	for _, tc := range []struct {
-		name       string
-		checkpoint int
-		wantMagic  string
+		name string
+		f    cliFlags
 	}{
-		{"oneshot", 0, "MDZF"},
-		{"framed", 2, "MDZ3"},
+		{"decompress", cliFlags{decompress: v3, out: out}},
+		{"salvage", cliFlags{decompress: v3, out: out, salvage: true}},
+		{"range", cliFlags{decompress: v3, out: out, rangeSpec: "0:2"}},
+		{"index", cliFlags{index: v3, out: out}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			outPath := filepath.Join(dir, tc.name+".mdz")
-			f := &cliFlags{
-				compress: in, out: outPath,
-				eps: 1e-3, bs: 4, method: "ADP",
-				format: 3, checkpoint: tc.checkpoint,
+			var stderr bytes.Buffer
+			if code := run(&tc.f, &stderr); code != 1 {
+				t.Fatalf("exit code %d, want 1 (stderr: %s)", code, stderr.String())
 			}
-			if err := doCompress(f, &obs{}); err != nil {
-				t.Fatal(err)
+			if !strings.Contains(stderr.String(), "MDZ3") {
+				t.Fatalf("stderr %q does not name the magic", stderr.String())
 			}
-			_, stream, err := parseContainer(outPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := string(stream[:4]); got != tc.wantMagic {
-				t.Fatalf("payload magic = %q, want %q", got, tc.wantMagic)
-			}
-			restored := filepath.Join(dir, tc.name+".out.mdzd")
-			df := &cliFlags{decompress: outPath, out: restored}
-			if err := doDecompress(df, &obs{}); err != nil {
-				t.Fatal(err)
-			}
-			d, err := dataset.Load(restored)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.M() != 12 || d.N() != 64 {
-				t.Fatalf("restored %dx%d, want 12x64", d.M(), d.N())
+			if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("output file left behind (stat err %v)", err)
 			}
 		})
 	}
@@ -160,7 +163,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 	tuned := filepath.Join(dir, "tuned.mdz")
 	f := &cliFlags{
 		compress: in, out: tuned,
-		eps: 1e-3, bs: 4, method: "ADP", format: 2,
+		eps: 1e-3, bs: 4, method: "ADP",
 		checkpoint: 2, workers: 2, shards: 4, pipeline: 2,
 	}
 	if err := validateFlags(f); err != nil {
@@ -172,7 +175,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 	plain := filepath.Join(dir, "plain.mdz")
 	pf := &cliFlags{
 		compress: in, out: plain,
-		eps: 1e-3, bs: 4, method: "ADP", format: 2,
+		eps: 1e-3, bs: 4, method: "ADP",
 		checkpoint: 2, shards: 4,
 	}
 	if err := doCompress(pf, &obs{}); err != nil {
@@ -490,7 +493,7 @@ func TestRangeAndIndexCLI(t *testing.T) {
 	indexed := filepath.Join(dir, "indexed.mdz")
 	if err := doCompress(&cliFlags{
 		compress: in, out: indexed,
-		eps: 1e-3, bs: 2, method: "ADP", format: 2,
+		eps: 1e-3, bs: 2, method: "ADP",
 		checkpoint: 2, seekIndex: true,
 	}, &obs{}); err != nil {
 		t.Fatal(err)
@@ -545,7 +548,7 @@ func TestRangeAndIndexCLI(t *testing.T) {
 	legacy := filepath.Join(dir, "legacy.mdz")
 	if err := doCompress(&cliFlags{
 		compress: in, out: legacy,
-		eps: 1e-3, bs: 2, method: "ADP", format: 2, checkpoint: 2,
+		eps: 1e-3, bs: 2, method: "ADP", checkpoint: 2,
 	}, &obs{}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,18 +39,17 @@ func main() {
 		atoms    = flag.Int("atoms", 200, "atoms per snapshot")
 		workers  = flag.Int("c", 16, "concurrent client workers")
 		eps      = flag.Float64("eps", 1e-3, "error bound")
-		format   = flag.Int("format", 0, "container format version (0/2 = v2, 3 = v3)")
 		verify   = flag.Float64("verify", 0.1, "fraction of sessions whose containers are byte-compared against a local library run")
 		seed     = flag.Int64("seed", 1, "base RNG seed (session i uses seed+i)")
 	)
 	flag.Parse()
-	if err := run(*addr, *spawn, *sessions, *frames, *atoms, *workers, *eps, *format, *verify, *seed); err != nil {
+	if err := run(*addr, *spawn, *sessions, *frames, *atoms, *workers, *eps, *verify, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "mdzload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, spawn bool, sessions, frames, atoms, workers int, eps float64, format int, verify float64, seed int64) error {
+func run(addr string, spawn bool, sessions, frames, atoms, workers int, eps float64, verify float64, seed int64) error {
 	if spawn {
 		srv, err := daemon.New(daemon.Options{})
 		if err != nil {
@@ -84,7 +83,7 @@ func run(addr string, spawn bool, sessions, frames, atoms, workers int, eps floa
 			defer wg.Done()
 			for i := range jobs {
 				doVerify := verify > 0 && float64(i%100) < verify*100
-				if err := runSession(client, base, i, frames, atoms, eps, format, seed+int64(i), doVerify); err != nil {
+				if err := runSession(client, base, i, frames, atoms, eps, seed+int64(i), doVerify); err != nil {
 					failures.Add(1)
 					fmt.Fprintf(os.Stderr, "mdzload: session %d: %v\n", i, err)
 					continue
@@ -155,11 +154,11 @@ func encodeWire(frames []mdz.Frame) []byte {
 	return buf.Bytes()
 }
 
-func runSession(client *http.Client, base string, idx, frames, atoms int, eps float64, format int, seed int64, verify bool) error {
+func runSession(client *http.Client, base string, idx, frames, atoms int, eps float64, seed int64, verify bool) error {
 	traj := makeFrames(frames, atoms, seed)
 
 	// Open.
-	cfgBody := fmt.Sprintf(`{"tenant":"load%d","error_bound":%g,"format_version":%d}`, idx%8, eps, format)
+	cfgBody := fmt.Sprintf(`{"tenant":"load%d","error_bound":%g}`, idx%8, eps)
 	resp, err := client.Post(base+"/v1/sessions", "application/json", strings.NewReader(cfgBody))
 	if err != nil {
 		return err
@@ -236,7 +235,7 @@ func runSession(client *http.Client, base string, idx, frames, atoms int, eps fl
 	// Full verification: the daemon's container must be byte-identical to
 	// a local library run over the same input.
 	var want bytes.Buffer
-	w, err := mdz.NewWriter(&want, mdz.Config{ErrorBound: eps, FormatVersion: format})
+	w, err := mdz.NewWriter(&want, mdz.Config{ErrorBound: eps})
 	if err != nil {
 		return err
 	}

@@ -163,14 +163,6 @@ func (r *Reader) Fill() uint {
 // (consumable via PeekFast/SkipFast without a Fill).
 func (r *Reader) Buffered() uint { return r.nbit }
 
-// Ensure reports whether at least need bits are (or can be made) available in
-// the bit buffer, filling it only when necessary. It is the per-lane refill
-// gate of the dual-stream (format v3) entropy decoders, which interleave two
-// Readers and must check both lanes before each register-resident burst.
-func (r *Reader) Ensure(need uint) bool {
-	return r.nbit >= need || r.Fill() >= need
-}
-
 // BitState exposes the raw bit buffer (next stream bit at bit 63, bits below
 // nbit zero) so batch decoders can peek and consume in registers instead of
 // through pointer loads. Pair with SetBitState to write the advanced state

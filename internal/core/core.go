@@ -199,12 +199,6 @@ type Params struct {
 	// ADP decisions, quantization scope rates). Nil disables it at
 	// near-zero cost; telemetry never changes the output bytes.
 	Tel *Telemetry
-	// FormatVersion selects the block wire format: 0 or 2 write version-2
-	// blocks (version 1 when Shards resolves to 1, preserving historical
-	// bytes), 3 writes version-3 blocks (dual-stream entropy sections and
-	// the v3 dictionary coder). Decoders read all versions regardless of
-	// this setting.
-	FormatVersion int
 	// Budget, when non-nil, bounds the decoder's in-flight allocations that
 	// are driven by claimed lengths in untrusted blocks (output matrices,
 	// entropy payload counts, code tables, backend original sizes). Each
@@ -245,38 +239,14 @@ func (p *Params) fill() error {
 	if p.Backend == nil {
 		p.Backend = lossless.LZ{}
 	}
-	switch p.FormatVersion {
-	case 0:
-		p.FormatVersion = formatVer2
-	case formatVer2, formatVer3:
-	default:
-		return fmt.Errorf("core: FormatVersion must be 0, 2 or 3, got %d", p.FormatVersion)
-	}
 	return nil
-}
-
-// v3Backend returns the format-v3 variant of b: the built-in LZ flips to
-// its v3 wire layout and match finder; other backends (already versioned by
-// their own bytes, or external) pass through unchanged.
-func v3Backend(b lossless.Backend) lossless.Backend {
-	if z, ok := b.(lossless.LZ); ok {
-		z.V3 = true
-		return z
-	}
-	return b
 }
 
 // Block format constants.
 const (
-	blockMagic = "MDZB"
-	formatVer1 = 1 // single payload section per axis
-	formatVer2 = 2 // sharded: shard count + per-shard sub-sections
-	// formatVer3 keeps the version-2 sharded framing (always sharded, even
-	// K=1) but swaps every entropy payload for its dual-lane counterpart:
-	// huffman.EncodeInts2 sections inside shards and the V3 LZ backend
-	// around them. Decoders select the codec per block from this byte, so
-	// v2 and v3 blocks interleave freely on the wire.
-	formatVer3   = 3
+	blockMagic   = "MDZB"
+	formatVer1   = 1 // single payload section per axis
+	formatVer2   = 2 // sharded: shard count + per-shard sub-sections
 	firstLorenzo = 0 // first snapshot of batch: spatial Lorenzo (no ref yet)
 	firstRef     = 1 // first snapshot of batch: snapshot-0 reference
 	firstVQ      = 2 // first snapshot of batch: VQ level prediction
@@ -358,9 +328,6 @@ func NewEncoder(p Params) (*Encoder, error) {
 		cur = VQT // provisional; first batch evaluation overrides
 	}
 	e := &Encoder{p: p, q: q, cur: cur}
-	if p.FormatVersion == formatVer3 {
-		e.p.Backend = v3Backend(e.p.Backend)
-	}
 	if p.Tel != nil {
 		e.tel = *p.Tel
 		e.p.Backend = lossless.Timed{B: e.p.Backend, OnCompress: func(d time.Duration, in, out int) {
@@ -649,12 +616,9 @@ func (e *Encoder) encodeWithShards(ctx context.Context, m Method, batch [][]floa
 	}
 
 	// Header. Version 1 (single section) for K=1 keeps byte-for-byte
-	// compatibility with pre-sharding blocks; format v3 always uses the
-	// sharded layout so readers branch on the version byte alone.
+	// compatibility with pre-sharding blocks.
 	ver := byte(formatVer1)
-	if e.p.FormatVersion == formatVer3 {
-		ver = formatVer3
-	} else if k > 1 {
+	if k > 1 {
 		ver = formatVer2
 	}
 	blk = append(blk, blockMagic...)
@@ -777,26 +741,14 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 	sc.recon = recon
 	sc.levels, sc.outliers = levels, outliers
 
-	// Assemble payload sections, then run the lossless backend. Format v3
-	// swaps in the dual-lane section codec; the section order and outlier
-	// byte layout are unchanged.
-	payload := sc.payload[:0]
-	var err error
+	// Assemble payload sections, then run the lossless backend.
 	hsw := e.tel.HuffNS.Start()
-	if e.p.FormatVersion == formatVer3 {
-		payload, err = sc.huff.EncodeInts2(payload, bins)
-	} else {
-		payload, err = sc.huff.EncodeInts(payload, bins)
-	}
+	payload, err := sc.huff.EncodeInts(sc.payload[:0], bins)
 	if err != nil {
 		return nil, err
 	}
 	e.tel.observeHuffman(sc.huff.LastStats())
-	if e.p.FormatVersion == formatVer3 {
-		payload, err = sc.huff.EncodeInts2(payload, levels)
-	} else {
-		payload, err = sc.huff.EncodeInts(payload, levels)
-	}
+	payload, err = sc.huff.EncodeInts(payload, levels)
 	if err != nil {
 		return nil, err
 	}
@@ -810,12 +762,9 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 // Decoder decompresses blocks produced by an Encoder. Blocks must be fed in
 // encode order (the MT reference is carried across batches).
 type Decoder struct {
-	p Params
-	// backendV3 is the format-v3 variant of p.Backend, selected per block
-	// by the header version byte so v2 and v3 blocks interleave freely.
-	backendV3 lossless.Backend
-	ref       []float64
-	tel       Telemetry // by value: zero struct (all-nil fields) when disabled
+	p   Params
+	ref []float64
+	tel Telemetry // by value: zero struct (all-nil fields) when disabled
 }
 
 // NewDecoder returns a Decoder. Only Backend, Pool and Tel are consulted
@@ -825,16 +774,14 @@ func NewDecoder(p Params) *Decoder {
 	if p.Backend == nil {
 		p.Backend = lossless.LZ{}
 	}
-	d := &Decoder{p: p, backendV3: v3Backend(p.Backend)}
+	d := &Decoder{p: p}
 	if p.Tel != nil {
 		d.tel = *p.Tel
-		onDecompress := func(dur time.Duration, in, out int) {
+		d.p.Backend = lossless.Timed{B: d.p.Backend, OnDecompress: func(dur time.Duration, in, out int) {
 			d.tel.BackendNS.Observe(dur.Nanoseconds())
 			d.tel.BackendInBytes.Add(int64(in))
 			d.tel.BackendOutBytes.Add(int64(out))
-		}
-		d.p.Backend = lossless.Timed{B: d.p.Backend, OnDecompress: onDecompress}
-		d.backendV3 = lossless.Timed{B: d.backendV3, OnDecompress: onDecompress}
+		}}
 	}
 	return d
 }
@@ -914,7 +861,7 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 		d.p.FaultHook("decode_shard", shard)
 	}
 	bs, sn := h.bs, sh.particles
-	bins, levels, outliers, err := d.sections(h.ver, sh.body, bs, sn, sc, tx)
+	bins, levels, outliers, err := d.sections(sh.body, bs, sn, sc, tx)
 	if err != nil {
 		return err
 	}
@@ -1032,7 +979,7 @@ func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec
 	bs, sn := h.bs, sh.particles
 	sc := decScratchPool.Get().(*decodeScratch)
 	defer decScratchPool.Put(sc)
-	bins, levels, outliers, err := d.sections(h.ver, sh.body, bs, sn, sc, tx)
+	bins, levels, outliers, err := d.sections(sh.body, bs, sn, sc, tx)
 	if err != nil {
 		return err
 	}
@@ -1102,7 +1049,6 @@ func shardOffsets(shards []shardSec) []int {
 
 // header is the parsed block preamble.
 type header struct {
-	ver       byte
 	method    Method
 	seq       Sequence
 	firstPred byte
@@ -1120,10 +1066,10 @@ func parseHeader(blk []byte) (*header, error) {
 		return nil, ErrCorrupt
 	}
 	ver, err := br.ReadByte()
-	if err != nil || ver < formatVer1 || ver > formatVer3 {
+	if err != nil || (ver != formatVer1 && ver != formatVer2) {
 		return nil, ErrCorrupt
 	}
-	h := &header{ver: ver}
+	h := &header{}
 	mByte, err := br.ReadByte()
 	if err != nil {
 		return nil, corrupt(err)
@@ -1183,9 +1129,7 @@ func parseHeader(blk []byte) (*header, error) {
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	// Version 3 always uses the sharded layout, so a single empty shard
-	// (k=1, n=0) is legal there; versions <= 2 only shard when n >= k >= 2.
-	if k64 < 1 || k64 > MaxShards || (int(k64) > h.n && !(k64 == 1 && h.n == 0)) {
+	if k64 < 1 || k64 > MaxShards || int(k64) > h.n {
 		return nil, ErrCorrupt
 	}
 	h.shards = make([]shardSec, int(k64))
@@ -1195,7 +1139,7 @@ func parseHeader(blk []byte) (*header, error) {
 		if err != nil {
 			return nil, corrupt(err)
 		}
-		if particles < 0 || particles > h.n || (particles == 0 && h.n != 0) {
+		if particles <= 0 || particles > h.n {
 			return nil, ErrCorrupt
 		}
 		h.shards[s] = shardSec{particles: particles, body: body}
@@ -1220,14 +1164,9 @@ func parseHeader(blk []byte) (*header, error) {
 
 // sections decompresses one shard payload and splits it into the bin
 // stream, level-delta stream and outlier bytes, reusing sc's buffers when
-// provided. The block version selects the matching backend and entropy
-// codec. The returned slices alias sc and must not outlive its use.
-func (d *Decoder) sections(ver byte, body []byte, bs, sn int, sc *decodeScratch, tx *budget.Tx) (bins, levels []int, outliers []byte, err error) {
-	backend := d.p.Backend
-	if ver == formatVer3 {
-		backend = d.backendV3
-	}
-	payload, err := lossless.DecompressTx(backend, body, tx)
+// provided. The returned slices alias sc and must not outlive its use.
+func (d *Decoder) sections(body []byte, bs, sn int, sc *decodeScratch, tx *budget.Tx) (bins, levels []int, outliers []byte, err error) {
+	payload, err := lossless.DecompressTx(d.p.Backend, body, tx)
 	if err != nil {
 		return nil, nil, nil, corrupt(err)
 	}
@@ -1237,20 +1176,11 @@ func (d *Decoder) sections(ver byte, body []byte, bs, sn int, sc *decodeScratch,
 		binsBuf, levelsBuf = sc.bins, sc.levels
 	}
 	hsw := d.tel.HuffNS.Start()
-	if ver == formatVer3 {
-		if bins, err = huffman.DecodeInts2Tx(pr, binsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-		if levels, err = huffman.DecodeInts2Tx(pr, levelsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-	} else {
-		if bins, err = huffman.DecodeIntsTx(pr, binsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
-		if levels, err = huffman.DecodeIntsTx(pr, levelsBuf, tx); err != nil {
-			return nil, nil, nil, corrupt(err)
-		}
+	if bins, err = huffman.DecodeIntsTx(pr, binsBuf, tx); err != nil {
+		return nil, nil, nil, corrupt(err)
+	}
+	if levels, err = huffman.DecodeIntsTx(pr, levelsBuf, tx); err != nil {
+		return nil, nil, nil, corrupt(err)
 	}
 	hsw.Stop()
 	if sc != nil {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	mdz "github.com/mdz/mdz"
+	"github.com/mdz/mdz/internal/bitstream"
 )
 
 func makeTraj(m, n int, seed int64) []mdz.Frame {
@@ -195,8 +197,8 @@ func framesEqual(a, b []mdz.Frame) bool {
 }
 
 // TestDaemonE2EConcurrentSessions is the headline acceptance test: 64
-// concurrent sessions (mixed v2/v3), every returned container byte-
-// identical to the library API on the same input.
+// concurrent sessions, every returned container byte-identical to the
+// library API on the same input.
 func TestDaemonE2EConcurrentSessions(t *testing.T) {
 	_, tc := newTestEnv(t, Options{})
 	const N = 64
@@ -206,12 +208,11 @@ func TestDaemonE2EConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			format := 2 + i%2
 			traj := makeTraj(24, 120, int64(1000+i))
-			cfg := fmt.Sprintf(`{"tenant":"t%d","error_bound":1e-3,"format_version":%d,"checkpoint_interval":2,"buffer_size":5}`, i%4, format)
+			cfg := fmt.Sprintf(`{"tenant":"t%d","error_bound":1e-3,"checkpoint_interval":2,"buffer_size":5}`, i%4)
 			got := tc.runSession(cfg, traj)
 			want := libraryContainer(t, mdz.Config{
-				ErrorBound: 1e-3, FormatVersion: format, CheckpointInterval: 2, BufferSize: 5,
+				ErrorBound: 1e-3, CheckpointInterval: 2, BufferSize: 5,
 			}, traj)
 			if !bytes.Equal(got, want) {
 				errs <- fmt.Errorf("session %d: container diverges from library output (%d vs %d bytes)", i, len(got), len(want))
@@ -289,11 +290,11 @@ func TestDaemonDrainRestartFullConfig(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "mdzd.state")
 	traj := makeTraj(20, 100, 43)
 	cfg := `{"tenant":"full","error_bound":1e-3,"absolute_bound":true,"method":"ADP",` +
-		`"buffer_size":3,"checkpoint_interval":2,"format_version":3,"workers":2,"shards":4,` +
+		`"buffer_size":3,"checkpoint_interval":2,"workers":2,"shards":4,` +
 		`"adp_sample_shards":1,"pipeline_depth":2,"seek_index":true}`
 	libCfg := mdz.Config{
 		ErrorBound: 1e-3, Mode: mdz.Absolute, Method: mdz.ADP,
-		BufferSize: 3, CheckpointInterval: 2, FormatVersion: 3, Workers: 2, Shards: 4,
+		BufferSize: 3, CheckpointInterval: 2, Workers: 2, Shards: 4,
 		ADPSampleShards: 1, PipelineDepth: 2, SeekIndex: true,
 	}
 
@@ -390,6 +391,31 @@ func TestDaemonDrainRestartClosedSession(t *testing.T) {
 	}
 	// Still closed: more frames are refused.
 	tc2.do(http.MethodPost, "/v1/sessions/"+id+"/frames", encodeWireFrames(t, traj[:1]), http.StatusConflict)
+}
+
+// TestDaemonRefusesV3DrainRecord: a drain file written by a build that
+// still had format v3 may hold a v3 session. Booting from it must fail,
+// naming the session, and leave the file in place for the build that wrote
+// it, rather than resume v2 blocks into a v3 container.
+func TestDaemonRefusesV3DrainRecord(t *testing.T) {
+	state := filepath.Join(t.TempDir(), "mdzd.state")
+	meta := []byte(`{"id":"s00000007","state":"closed","frames":1,"atoms":1,"raw_bytes":24,` +
+		`"config":{"error_bound":0.001,"format_version":3}}`)
+	file := append([]byte(drainMagic), drainVersion)
+	file = bitstream.AppendUvarint(file, 1)
+	file = bitstream.AppendSection(file, meta)
+	file = bitstream.AppendSection(file, []byte("MDZ3"))
+	file = bitstream.AppendSection(file, nil)
+	if err := os.WriteFile(state, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Options{StatePath: state})
+	if err == nil || !strings.Contains(err.Error(), "s00000007") || !strings.Contains(err.Error(), "format v3") {
+		t.Fatalf("boot from a v3 drain record: err = %v, want a refusal naming the session", err)
+	}
+	if _, err := os.Stat(state); err != nil {
+		t.Fatalf("refused drain file was not kept: %v", err)
+	}
 }
 
 // TestDaemonRangedRead reads decoded frame ranges out of a live (unclosed)

@@ -77,8 +77,6 @@ type SessionConfig struct {
 	BufferSize int `json:"buffer_size,omitempty"`
 	// CheckpointInterval emits a recovery checkpoint every N blocks.
 	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
-	// FormatVersion selects the container format: 0/2 = v2, 3 = v3.
-	FormatVersion int `json:"format_version,omitempty"`
 	// Workers bounds the session's compression goroutines (0 = GOMAXPROCS).
 	// Capped at maxSessionWorkers so one tenant cannot claim the box.
 	Workers int `json:"workers,omitempty"`
@@ -130,7 +128,6 @@ func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 		Method:             m,
 		BufferSize:         sc.BufferSize,
 		CheckpointInterval: sc.CheckpointInterval,
-		FormatVersion:      sc.FormatVersion,
 		Workers:            sc.Workers,
 		Shards:             sc.Shards,
 		ADPSampleShards:    sc.ADPSampleShards,

@@ -1,6 +1,6 @@
 // Package daemon is the mdzd compression service: stateful streaming
 // sessions over HTTP. A client opens a session with a compression Config,
-// streams snapshot frames in, and reads the finished v2/v3 container (or
+// streams snapshot frames in, and reads the finished v2 container (or
 // decoded frame ranges) back out. The server multiplexes many tenants over
 // one process under global and per-session memory budgets, evicts idle
 // sessions, and can drain every live session to disk and restore it after

@@ -34,6 +34,19 @@ type drainMeta struct {
 	Config   SessionConfig `json:"config"`
 }
 
+// drainedV3 reports whether a drain record's creation body asked for the
+// removed format v3 ("format_version": 3, as builds that had it stored).
+// Such a session's container and writer state hold v3 bytes that this
+// build can neither resume nor serve.
+func drainedV3(mj []byte) bool {
+	var rec struct {
+		Config struct {
+			FormatVersion int `json:"format_version"`
+		} `json:"config"`
+	}
+	return json.Unmarshal(mj, &rec) == nil && rec.Config.FormatVersion == 3
+}
+
 // Drain stops ingest on every live session — every accepted frame is
 // compressed into its container first — and, when StatePath is set,
 // persists all sessions atomically so the next process resumes them. The
@@ -168,6 +181,9 @@ func (srv *Server) restore(path string) (int, error) {
 		var meta drainMeta
 		if err := json.Unmarshal(mj, &meta); err != nil {
 			return restored, fmt.Errorf("session %d: metadata: %w", i, err)
+		}
+		if drainedV3(mj) {
+			return restored, fmt.Errorf("session %s: written in the removed format v3; restore it with the build that drained it", meta.ID)
 		}
 		var wst *mdz.WriterState
 		if len(wstRaw) > 0 {

@@ -93,60 +93,6 @@ func DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, er
 	return dec.DecodeAllBuf(bitstream.NewReader(payload), int(n), buf)
 }
 
-// DecodeInts2Tx is DecodeInts2Buf with budget accounting on tx.
-func DecodeInts2Tx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
-	table, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	dec, err := readTableTx(bitstream.NewByteReader(table), tx)
-	if err != nil {
-		return nil, err
-	}
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	p0, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	p1, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		if buf != nil {
-			return buf[:0], nil
-		}
-		return []int{}, nil
-	}
-	if n > 1<<34 {
-		return nil, ErrCorrupt
-	}
-	h := (n + 1) / 2
-	if h > uint64(len(p0))*64+64 || n-h > uint64(len(p1))*64+64 {
-		return nil, ErrCorrupt
-	}
-	if err := tx.Reserve(8 * int64(n)); err != nil {
-		return nil, err
-	}
-	var out []int
-	if cap(buf) >= int(n) {
-		out = buf[:n]
-	} else {
-		out = make([]int, n)
-	}
-	if len(dec.symbols) == 0 {
-		return nil, ErrCorrupt
-	}
-	dec.buildPair()
-	if err := dec.decodeDual(bitstream.NewReader(p0), bitstream.NewReader(p1), out, int(h)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeBytesTx is DecodeScratch.DecodeBytes with budget accounting on tx.
 func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
 	table, err := br.ReadSection()
@@ -180,62 +126,4 @@ func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *
 	}
 	s.r.Reset(payload)
 	return dec.DecodeAllBytesBuf(&s.r, int(n), buf)
-}
-
-// DecodeBytes2Tx is DecodeScratch.DecodeBytes2 with budget accounting on
-// tx.
-func (s *DecodeScratch) DecodeBytes2Tx(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
-	table, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	s.br.Reset(table)
-	dec, err := s.ReadTableTx(&s.br, tx)
-	if err != nil {
-		return nil, err
-	}
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	p0, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	p1, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		if buf != nil {
-			return buf[:0], nil
-		}
-		return []byte{}, nil
-	}
-	if n > 1<<34 {
-		return nil, ErrCorrupt
-	}
-	h := (n + 1) / 2
-	if h > uint64(len(p0))*64+64 || n-h > uint64(len(p1))*64+64 {
-		return nil, ErrCorrupt
-	}
-	if err := tx.Reserve(int64(n)); err != nil {
-		return nil, err
-	}
-	var out []byte
-	if cap(buf) >= int(n) {
-		out = buf[:n]
-	} else {
-		out = make([]byte, n)
-	}
-	if len(dec.symbols) == 0 {
-		return nil, ErrCorrupt
-	}
-	dec.buildPair()
-	s.r.Reset(p0)
-	s.r2.Reset(p1)
-	if err := dec.decodeDualBytes(&s.r, &s.r2, out, int(h)); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

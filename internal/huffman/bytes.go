@@ -49,7 +49,6 @@ type byteEncScratch struct {
 	par    [2*256 - 1]int32  // tree parent indices (root's is unset)
 	table  []byte
 	w      bitstream.Writer
-	w2     bitstream.Writer // second lane of the dual-stream (v3) payload
 }
 
 // leafNode is one pre-merge Huffman leaf in the byte builder.
@@ -305,7 +304,6 @@ type DecodeScratch struct {
 	sorted  []symLen
 	ext     []uint8
 	r       bitstream.Reader
-	r2      bitstream.Reader // second lane of the dual-stream (v3) payload
 	br      bitstream.ByteReader
 }
 

@@ -543,9 +543,6 @@ type Decoder struct {
 	// for codes longer than lutBits, one contiguous region per root prefix.
 	lut []lutEntry
 	sub []lutEntry
-	// pair is the multi-symbol (format v3) root table, built on demand by
-	// buildPair; length zero means "not built for the current code".
-	pair []pairEnt
 }
 
 // ReadTable parses a table serialized by AppendTable from br and returns the
@@ -626,11 +623,8 @@ func (d *Decoder) init(lengths map[int]uint8, sc *DecodeScratch) error {
 // assignment order. Callers must guarantee both properties; init sorts an
 // arbitrary map into it, and the table parser's counting sort preserves it.
 func (d *Decoder) initSorted(list []symLen, sc *DecodeScratch) error {
-	// pair keeps its capacity across rebuilds but is truncated: a stale pair
-	// table belongs to the previous code, and v3 decoders call buildPair
-	// again after every table parse.
-	symbols, lut, sub, pair := d.symbols[:0], d.lut, d.sub, d.pair[:0]
-	*d = Decoder{symbols: symbols, lut: lut, sub: sub, pair: pair}
+	symbols, lut, sub := d.symbols[:0], d.lut, d.sub
+	*d = Decoder{symbols: symbols, lut: lut, sub: sub}
 	if len(list) == 0 {
 		// Stale lut/sub buffers (pooled reuse) are never read: every decode
 		// entry point checks len(d.symbols) first.
@@ -856,8 +850,7 @@ func (d *Decoder) DecodeAllBuf(r *bitstream.Reader, n int, buf []int) ([]int, er
 }
 
 // decodeInto fills out with exactly len(out) symbols from r; it is the core
-// loop of DecodeAllBuf, shared with the dual-lane (v3) decoder for draining
-// each lane's tail.
+// loop of DecodeAllBuf.
 func (d *Decoder) decodeInto(r *bitstream.Reader, out []int) error {
 	n := len(out)
 	need := uint(lutBits)
@@ -917,7 +910,6 @@ type Scratch struct {
 	weights []uint64 // weights parallel to syms
 	table   []byte
 	w       bitstream.Writer
-	w2      bitstream.Writer // second lane of the dual-stream (v3) payload
 	stats   EncodeStats
 	// code-builder scratch (see buildSortedSc)
 	keys    []uint64

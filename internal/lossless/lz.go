@@ -30,11 +30,6 @@ import (
 type LZ struct {
 	// MaxChain bounds the match-finder chain walk; 0 means DefaultMaxChain.
 	MaxChain int
-	// V3 selects the format v3 wire layout and match finder (lzv3.go):
-	// dual-lane Huffman sections, lazy matching, 5-byte hashing, and an
-	// input-sized hash table. v3 streams are not readable by a v2 decoder
-	// (and vice versa); the container's block version selects the right one.
-	V3 bool
 }
 
 const (
@@ -79,9 +74,6 @@ func (z LZ) Compress(src []byte) ([]byte, error) {
 // extended slice. With a reused dst of sufficient capacity the steady-state
 // allocation count is zero.
 func (z LZ) AppendCompress(dst, src []byte) ([]byte, error) {
-	if z.V3 {
-		return z.appendCompressV3(dst, src)
-	}
 	maxChain := z.MaxChain
 	if maxChain <= 0 {
 		maxChain = DefaultMaxChain
@@ -272,12 +264,7 @@ func (z LZ) appendDecompressTx(dst, src []byte, tx *budget.Tx) ([]byte, error) {
 	if err := tx.Reserve(int64(origSize)); err != nil {
 		return nil, err
 	}
-	var literals, seq []byte
-	if z.V3 {
-		literals, err = st.hs.DecodeBytes2Tx(br, st.literals[:0], tx)
-	} else {
-		literals, err = st.hs.DecodeBytesTx(br, st.literals[:0], tx)
-	}
+	literals, err := st.hs.DecodeBytesTx(br, st.literals[:0], tx)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt
@@ -285,11 +272,7 @@ func (z LZ) appendDecompressTx(dst, src []byte, tx *budget.Tx) ([]byte, error) {
 		return nil, err
 	}
 	st.literals = literals
-	if z.V3 {
-		seq, err = st.hs.DecodeBytes2Tx(br, st.seq[:0], tx)
-	} else {
-		seq, err = st.hs.DecodeBytesTx(br, st.seq[:0], tx)
-	}
+	seq, err := st.hs.DecodeBytesTx(br, st.seq[:0], tx)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt

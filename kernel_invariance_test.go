@@ -11,11 +11,9 @@ import (
 
 // kernelGolden pins the SHA-256 of compressed output for every method ×
 // sequence combination (plus shard fan-out and outlier-heavy input). The
-// v2 hashes were captured from the per-value Quantize/interleave encode path
+// hashes were captured from the per-value Quantize/interleave encode path
 // immediately before the fused block-kernel rewrite; the kernels must keep
-// the stream byte-identical. The "/v3" hashes pin format v3 the same way,
-// so a change to its entropy or dictionary coder that costs compression
-// ratio cannot pass unnoticed. If an intentional format change ever breaks
+// the stream byte-identical. If an intentional format change ever breaks
 // these, regenerate with `go test -run TestGenKernelHashes -v` — but note
 // byte identity is also what keeps old archives readable, so think twice.
 var kernelGolden = map[string]string{
@@ -28,10 +26,6 @@ var kernelGolden = map[string]string{
 	"ADP/shards=4": "c18871cb17f48a341adac9bcef51d0057c484e4b2b8e403b4c93baf8298e003f",
 	"MT/outliers":  "4b26293f10e7838ba545f8743602ad5c8e008dc150d98c9ff1ac28fcddb5d36d",
 	"VQ/outliers":  "d084c53f0477c263bbce720c487696d294a9380871e46b71c70948c9538d014d",
-	"ADP/v3":       "65bf0b5a258cae10448b43aa6954596911936bea8751a454dd007e0aae4c9101",
-	"VQ/v3":        "e4eaf3a710f7dcf41a28520d4a632a758355f99705e0553a5a95b2b650c45609",
-	"VQT/v3":       "5a36a6df677f3e2ec483addb0c3e57959debd67a9bbfe824b2120e9da1dcbee5",
-	"MT/v3":        "636354395a944ccbdfcb7402efac65050bc31e05a8afad5d7bc1ff1f705998c2",
 }
 
 func kernelCases() map[string][]byte {
@@ -83,26 +77,13 @@ func kernelCases() map[string][]byte {
 		}
 		out[fmt.Sprintf("%v/outliers", m)] = blk
 	}
-	// Format v3 (dual-lane Huffman sections, lazy LZ) on the same frames:
-	// the hashes pin its compression ratio as well as its bytes.
-	for _, m := range []Method{ADP, VQ, VQT, MT} {
-		c, err := NewCompressor(Config{ErrorBound: 1e-3, Method: m, FormatVersion: 3})
-		if err != nil {
-			panic(err)
-		}
-		blk, err := c.CompressBatch(frames)
-		if err != nil {
-			panic(err)
-		}
-		out[fmt.Sprintf("%v/v3", m)] = blk
-	}
 	return out
 }
 
 // TestKernelByteInvariance asserts the fused predict+quantize kernels and
 // table-driven entropy stage produce byte-identical compressed streams to
 // the historical per-value path, for all three methods, both sequences,
-// sharded ADP, outlier-heavy data and format v3.
+// sharded ADP and outlier-heavy data.
 func TestKernelByteInvariance(t *testing.T) {
 	cases := kernelCases()
 	if len(cases) != len(kernelGolden) {

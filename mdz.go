@@ -197,13 +197,10 @@ type Config struct {
 	// the output bytes; when false, the instrumentation hooks compile to a
 	// nil check and cost nothing measurable.
 	Telemetry bool
-	// FormatVersion selects the wire format written by this Compressor:
-	// 0 or 2 select format v2 (the default, byte-identical to previous
-	// releases), 3 opts into format v3 — dual-stream entropy sections,
-	// multi-symbol Huffman decode and the v3 dictionary coder — which is
-	// faster to encode and decode but unreadable by pre-v3 builds. Readers
-	// auto-detect the version per stream and per block, so decompression
-	// needs no matching setting.
+	// FormatVersion names the wire format to write. Format v2 is the only
+	// one, so 0 (the default) and 2 are accepted and mean the same; any
+	// other value is rejected. Readers auto-detect the version per stream
+	// and per block.
 	FormatVersion int
 	// Context, when non-nil, is polled cooperatively by every compress
 	// operation that doesn't take its own context (CompressBatch, Compress,
@@ -273,8 +270,12 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > MaxPipelineDepth {
 		return nil, fmt.Errorf("mdz: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, cfg.PipelineDepth)
 	}
-	if v := cfg.FormatVersion; v != 0 && v != 2 && v != 3 {
-		return nil, fmt.Errorf("mdz: FormatVersion must be 0, 2 or 3, got %d", v)
+	switch cfg.FormatVersion {
+	case 0, 2:
+	case 3:
+		return nil, errors.New("mdz: FormatVersion 3 was removed; v2 is the only write format (use 0 or 2)")
+	default:
+		return nil, fmt.Errorf("mdz: FormatVersion must be 0 or 2, got %d", cfg.FormatVersion)
 	}
 	if cfg.MaxDecodeBytes < 0 {
 		return nil, fmt.Errorf("mdz: MaxDecodeBytes must be non-negative, got %d", cfg.MaxDecodeBytes)
@@ -342,7 +343,6 @@ func (c *Compressor) axisParams(axis int, eb float64, quantScale int) core.Param
 		ADPRetrialInterval: c.cfg.ADPRetrialInterval,
 		Pool:               c.pool,
 		Tel:                core.EncoderInstruments(c.reg, axisName(axis)),
-		FormatVersion:      c.cfg.FormatVersion,
 		FaultHook:          c.faultHook,
 	}
 }

@@ -41,94 +41,92 @@ func migrateWriter(t *testing.T, w *Writer, out *bytes.Buffer, cfg Config) (*Wri
 // TestWriterStateMigration is the session-migration contract behind the
 // daemon's drain/restart: a stream split across two Writer lifetimes — the
 // second resumed in a "new process" from serialized state — must be
-// byte-identical to an unmigrated run and decode bit-identically, for v2
-// and v3 formats, across split points landing mid-batch, on a block
-// boundary, and before the first flushed block.
+// byte-identical to an unmigrated run and decode bit-identically, across
+// split points landing mid-batch, on a block boundary, and before the first
+// flushed block.
 func TestWriterStateMigration(t *testing.T) {
 	frames := makeFrames(23, 150, 7)
-	for _, format := range []int{2, 3} {
-		for _, method := range []Method{ADP, MT} {
-			// BufferSize 4: split 10 is mid-batch (2 pending), split 8 is a
-			// block boundary, split 2 precedes the first flushed block.
-			// Depth 3 runs both writer lifetimes pipelined; the reference
-			// stays synchronous, so equality also proves the pipeline is
-			// byte-invisible across a migration.
-			for _, tc := range []struct {
-				split, depth int
-			}{{10, 0}, {8, 0}, {2, 0}, {10, 3}, {8, 3}, {2, 3}} {
-				split := tc.split
-				t.Run(fmt.Sprintf("v%d_%v_split%d_depth%d", format, method, split, tc.depth), func(t *testing.T) {
-					cfg := Config{
-						ErrorBound: 1e-3, Method: method, BufferSize: 4,
-						CheckpointInterval: 3, FormatVersion: format,
-					}
+	for _, method := range []Method{ADP, MT} {
+		// BufferSize 4: split 10 is mid-batch (2 pending), split 8 is a
+		// block boundary, split 2 precedes the first flushed block.
+		// Depth 3 runs both writer lifetimes pipelined; the reference
+		// stays synchronous, so equality also proves the pipeline is
+		// byte-invisible across a migration.
+		for _, tc := range []struct {
+			split, depth int
+		}{{10, 0}, {8, 0}, {2, 0}, {10, 3}, {8, 3}, {2, 3}} {
+			split := tc.split
+			t.Run(fmt.Sprintf("v2_%v_split%d_depth%d", method, split, tc.depth), func(t *testing.T) {
+				cfg := Config{
+					ErrorBound: 1e-3, Method: method, BufferSize: 4,
+					CheckpointInterval: 3,
+				}
 
-					var want bytes.Buffer
-					full, err := NewWriter(&want, cfg)
-					if err != nil {
+				var want bytes.Buffer
+				full, err := NewWriter(&want, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range frames {
+					if err := full.WriteFrame(f); err != nil {
 						t.Fatal(err)
 					}
-					for _, f := range frames {
-						if err := full.WriteFrame(f); err != nil {
-							t.Fatal(err)
+				}
+				if err := full.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				cfg.PipelineDepth = tc.depth
+				var first bytes.Buffer
+				w1, err := NewWriter(&first, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, f := range frames[:split] {
+					if err := w1.WriteFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				w2, buf := migrateWriter(t, w1, &first, cfg)
+				for _, f := range frames[split:] {
+					if err := w2.WriteFrame(f); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w2.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				if !bytes.Equal(want.Bytes(), buf.Bytes()) {
+					t.Fatalf("migrated container diverged: %d vs %d bytes", buf.Len(), want.Len())
+				}
+				wr, wc := full.Stats()
+				gr, gc := w2.Stats()
+				if wr != gr || wc != gc {
+					t.Errorf("migrated Stats = (%d, %d), want (%d, %d)", gr, gc, wr, wc)
+				}
+
+				got, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := NewReader(bytes.NewReader(want.Bytes())).ReadAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(ref) || len(got) != len(frames) {
+					t.Fatalf("decoded %d snapshots, want %d", len(got), len(frames))
+				}
+				for ti := range ref {
+					for i := range ref[ti].X {
+						if math.Float64bits(ref[ti].X[i]) != math.Float64bits(got[ti].X[i]) ||
+							math.Float64bits(ref[ti].Y[i]) != math.Float64bits(got[ti].Y[i]) ||
+							math.Float64bits(ref[ti].Z[i]) != math.Float64bits(got[ti].Z[i]) {
+							t.Fatalf("migrated decode diverged at t=%d i=%d", ti, i)
 						}
 					}
-					if err := full.Close(); err != nil {
-						t.Fatal(err)
-					}
-
-					cfg.PipelineDepth = tc.depth
-					var first bytes.Buffer
-					w1, err := NewWriter(&first, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, f := range frames[:split] {
-						if err := w1.WriteFrame(f); err != nil {
-							t.Fatal(err)
-						}
-					}
-					w2, buf := migrateWriter(t, w1, &first, cfg)
-					for _, f := range frames[split:] {
-						if err := w2.WriteFrame(f); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := w2.Close(); err != nil {
-						t.Fatal(err)
-					}
-
-					if !bytes.Equal(want.Bytes(), buf.Bytes()) {
-						t.Fatalf("migrated container diverged: %d vs %d bytes", buf.Len(), want.Len())
-					}
-					wr, wc := full.Stats()
-					gr, gc := w2.Stats()
-					if wr != gr || wc != gc {
-						t.Errorf("migrated Stats = (%d, %d), want (%d, %d)", gr, gc, wr, wc)
-					}
-
-					got, err := NewReader(bytes.NewReader(buf.Bytes())).ReadAll()
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, err := NewReader(bytes.NewReader(want.Bytes())).ReadAll()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(got) != len(ref) || len(got) != len(frames) {
-						t.Fatalf("decoded %d snapshots, want %d", len(got), len(frames))
-					}
-					for ti := range ref {
-						for i := range ref[ti].X {
-							if math.Float64bits(ref[ti].X[i]) != math.Float64bits(got[ti].X[i]) ||
-								math.Float64bits(ref[ti].Y[i]) != math.Float64bits(got[ti].Y[i]) ||
-								math.Float64bits(ref[ti].Z[i]) != math.Float64bits(got[ti].Z[i]) {
-								t.Fatalf("migrated decode diverged at t=%d i=%d", ti, i)
-							}
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -249,61 +247,6 @@ func TestWriterDrainMidPipeline(t *testing.T) {
 	}
 }
 
-// TestCheckpointStateCrossProcessV3 mirrors TestCompressorStateResume for
-// the v3 format: CheckpointState serialized across a process boundary must
-// let a fresh v3 Compressor continue the stream byte-identically.
-func TestCheckpointStateCrossProcessV3(t *testing.T) {
-	frames := makeFrames(20, 160, 9)
-	cfg := Config{ErrorBound: 1e-3, Method: ADP, FormatVersion: 3}
-	full, err := NewCompressor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := full.CompressBatch(frames[i*5 : (i+1)*5]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := full.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Format != 3 {
-		t.Fatalf("exported checkpoint format = %d, want 3", st.Format)
-	}
-	payload, err := st.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := &CheckpointState{}
-	if err := wire.UnmarshalBinary(payload); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Format != 3 {
-		t.Fatalf("decoded checkpoint format = %d, want 3", wire.Format)
-	}
-	resumed, err := NewCompressor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.ImportState(wire); err != nil {
-		t.Fatal(err)
-	}
-	for i := 2; i < 4; i++ {
-		want, err := full.CompressBatch(frames[i*5 : (i+1)*5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := resumed.CompressBatch(frames[i*5 : (i+1)*5])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("v3 batch %d diverged after cross-process resume", i)
-		}
-	}
-}
-
 // TestResumeKeepsTelemetry: a resumed Writer's encoders are built from the
 // same parameters as a fresh Writer's, instruments included, so every batch
 // compressed after the migration still advances the stage counters.
@@ -354,9 +297,8 @@ func TestWriterStateGuards(t *testing.T) {
 		t.Error("ResumeWriter accepted an advanced cursor on an unopened stream")
 	}
 
-	// Format mismatch between the checkpoint and the resuming Config.
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, Config{ErrorBound: 1e-3, BufferSize: 2, FormatVersion: 3})
+	w, err := NewWriter(&buf, Config{ErrorBound: 1e-3, BufferSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +310,6 @@ func TestWriterStateGuards(t *testing.T) {
 	st, err := w.ExportState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ResumeWriter(&bytes.Buffer{}, Config{ErrorBound: 1e-3, BufferSize: 2}, st); err == nil {
-		t.Error("ResumeWriter accepted a v3 checkpoint under a v2 Config")
 	}
 
 	// Export after Close is refused; a never-written writer exports a

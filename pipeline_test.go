@@ -8,56 +8,54 @@ import (
 )
 
 // TestPipelineByteIdentity: every pipeline depth produces the same container
-// bytes as the synchronous writer, across formats and with checkpoints in
-// the stream — the depth is an execution knob, never a format knob.
+// bytes as the synchronous writer, with checkpoints in the stream — the
+// depth is an execution knob, never a format knob.
 func TestPipelineByteIdentity(t *testing.T) {
 	frames := makeFrames(21, 120, 3)
-	for _, format := range []int{2, 3} {
-		cfg := Config{
-			ErrorBound: 1e-3, Method: ADP, BufferSize: 4,
-			CheckpointInterval: 2, FormatVersion: format,
-		}
-		var want bytes.Buffer
-		w, err := NewWriter(&want, cfg)
-		if err != nil {
+	cfg := Config{
+		ErrorBound: 1e-3, Method: ADP, BufferSize: 4,
+		CheckpointInterval: 2,
+	}
+	var want bytes.Buffer
+	w, err := NewWriter(&want, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
-		for _, f := range frames {
-			if err := w.WriteFrame(f); err != nil {
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 4, MaxPipelineDepth} {
+		t.Run(fmt.Sprintf("v2_depth%d", depth), func(t *testing.T) {
+			pcfg := cfg
+			pcfg.PipelineDepth = depth
+			var got bytes.Buffer
+			pw, err := NewWriter(&got, pcfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, depth := range []int{1, 4, MaxPipelineDepth} {
-			t.Run(fmt.Sprintf("v%d_depth%d", format, depth), func(t *testing.T) {
-				pcfg := cfg
-				pcfg.PipelineDepth = depth
-				var got bytes.Buffer
-				pw, err := NewWriter(&got, pcfg)
-				if err != nil {
+			for _, f := range frames {
+				if err := pw.WriteFrame(f); err != nil {
 					t.Fatal(err)
 				}
-				for _, f := range frames {
-					if err := pw.WriteFrame(f); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := pw.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want.Bytes(), got.Bytes()) {
-					t.Fatalf("depth %d container differs from synchronous: %d vs %d bytes",
-						depth, got.Len(), want.Len())
-				}
-				wr, wc := w.Stats()
-				gr, gc := pw.Stats()
-				if wr != gr || wc != gc {
-					t.Errorf("pipelined Stats = (%d, %d), want (%d, %d)", gr, gc, wr, wc)
-				}
-			})
-		}
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("depth %d container differs from synchronous: %d vs %d bytes",
+					depth, got.Len(), want.Len())
+			}
+			wr, wc := w.Stats()
+			gr, gc := pw.Stats()
+			if wr != gr || wc != gc {
+				t.Errorf("pipelined Stats = (%d, %d), want (%d, %d)", gr, gc, wr, wc)
+			}
+		})
 	}
 }
 

@@ -47,7 +47,7 @@ go test -race -run '^$' -bench . -benchtime 1x ./internal/bitstream ./internal/h
 go run ./cmd/mdzload -spawn -sessions 24 -frames 16 -atoms 100 -c 8 -verify 1
 
 # Short fuzz smoke over every parser and differential fuzzer in the tree
-# (stream framing, checkpoint parsing, the v2-vs-v3 pipeline differential,
+# (stream framing, checkpoint parsing, the public-API error-bound fuzzer,
 # and the entropy/dictionary hot-path equivalence fuzzers). Ten seconds per
 # fuzzer catches regressions without slowing the gate meaningfully.
 make fuzz-short FUZZTIME=10s
@@ -55,8 +55,8 @@ make fuzz-short FUZZTIME=10s
 # The performance harness is a nested module that the root `go test ./...`
 # never compiles; its own tests (a few seconds) keep it building against
 # the library it drives. Compression ratios are pinned by the golden hashes
-# in TestKernelByteInvariance (v2 and v3) and TestADPSampleShardsAcceptance,
-# so no wall-clock run gates CI.
+# in TestKernelByteInvariance and TestADPSampleShardsAcceptance, so no
+# wall-clock run gates CI.
 (cd internal/bench/perf && go test ./...)
 
 # Pipelined-Reader byte identity under the race detector: ordered delivery

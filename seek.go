@@ -34,7 +34,7 @@ const seekTailWindow = 1 << 20
 
 // Seek positions the Reader so the next ReadFrame returns the snapshot
 // with the given stream-wide index (0-based). It requires the source to be
-// an io.ReadSeeker and the stream to be v2/v3 framed. The frame index is
+// an io.ReadSeeker and the stream to be v2 framed. The frame index is
 // loaded from the stream's seek table when present, else rebuilt by a
 // header-only scan (no payload is decoded); decoder state is reseeded from
 // the nearest checkpoint at or before the target, falling back — in Resync
@@ -384,7 +384,7 @@ type scannedTrailer struct {
 	payload []byte
 }
 
-// streamScanner walks the frames of a v2/v3 container reading only wire
+// streamScanner walks the frames of a v2 container reading only wire
 // bytes (headers, CRCs, block geometry) — the index-rebuild and retrofit
 // engine.
 type streamScanner struct {
@@ -408,7 +408,7 @@ func (s *streamScanner) open() error {
 		return fmt.Errorf("%w: stream cut inside the magic", ErrTruncated)
 	}
 	switch string(magic[:]) {
-	case streamMagicV2, streamMagicV3:
+	case streamMagicV2:
 	case streamMagic:
 		return fmt.Errorf("%w: v1 streams carry no frame index", ErrNotSeekable)
 	default:

@@ -128,7 +128,6 @@ func TestReadRangeWindows(t *testing.T) {
 		{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 3, SeekIndex: true},
 		{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 3}, // scan fallback
 		{ErrorBound: 1e-3, BufferSize: 4, SeekIndex: true},       // no checkpoints
-		{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 3, SeekIndex: true, FormatVersion: 3},
 	} {
 		data := writeSeekStream(t, frames, cfg)
 		want := readAllSerial(t, data)
@@ -379,7 +378,7 @@ func TestPipelinedReaderDifferential(t *testing.T) {
 	frames := makeFrames(48, 180, 67)
 	for _, cfg := range []Config{
 		{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 3, SeekIndex: true},
-		{ErrorBound: 1e-3, BufferSize: 4, FormatVersion: 3},
+		{ErrorBound: 1e-3, BufferSize: 4},
 	} {
 		data := writeSeekStream(t, frames, cfg)
 		want := readAllSerial(t, data)

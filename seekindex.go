@@ -197,7 +197,7 @@ func readUvarint(p []byte) (uint64, []byte, error) {
 	return 0, p, fmt.Errorf("%w: malformed varint in seek table", ErrCorruptBlock)
 }
 
-// RetrofitSeekIndex copies a complete, healthy v2/v3 stream from src to
+// RetrofitSeekIndex copies a complete, healthy v2 stream from src to
 // dst, inserting a seek-table frame immediately before the trailer — the
 // `mdzc -index` retrofit for streams written before Config.SeekIndex (or
 // with it off). The data and checkpoint frames are copied byte-for-byte,

@@ -39,10 +39,6 @@ import (
 const (
 	streamMagic   = "MDZW" // v1: length-prefixed blocks, no recovery metadata
 	streamMagicV2 = "MDZ2" // v2: sync-framed blocks, checkpoints, trailer
-	// v3 uses the exact v2 framing (sync markers, checkpoints, trailer,
-	// resync) but marks that the frames carry format-v3 blocks, which
-	// pre-v3 builds cannot decode; the distinct magic fails them fast.
-	streamMagicV3 = "MDZ3"
 )
 
 // Frame types of the v2 container.
@@ -195,15 +191,11 @@ func (w *Writer) WriteFrame(f Frame) error {
 		return errors.New("mdz: write after Close")
 	}
 	if !w.opened {
-		magic := streamMagicV2
-		if w.c.cfg.FormatVersion == 3 {
-			magic = streamMagicV3
-		}
-		if _, err := w.w.WriteString(magic); err != nil {
+		if _, err := w.w.WriteString(streamMagicV2); err != nil {
 			return w.fail(err)
 		}
-		w.compBytes += int64(len(magic))
-		w.tel.framingBytes.Add(int64(len(magic)))
+		w.compBytes += int64(len(streamMagicV2))
+		w.tel.framingBytes.Add(int64(len(streamMagicV2)))
 		w.opened = true
 	}
 	w.pending = append(w.pending, f)
@@ -487,8 +479,8 @@ func (w *Writer) ExportState() (*WriterState, error) {
 // continuing a stream across a process boundary. dst must already hold the
 // container bytes the exporting Writer produced (ResumeWriter appends; it
 // never rewrites the prefix), and cfg must be equivalent to the exporting
-// Writer's Config — in particular the same FormatVersion. The resumed
-// Writer produces bytes identical to what the original would have written.
+// Writer's Config. The resumed Writer produces bytes identical to what the
+// original would have written.
 func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 	if st == nil {
 		return nil, errors.New("mdz: ResumeWriter with nil state")
@@ -498,10 +490,6 @@ func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 	}
 	if !st.Opened && (st.Seq != 0 || st.Blocks != 0 || st.Frames != 0 || len(st.Pending) > 0) {
 		return nil, fmt.Errorf("%w: writer state advanced before the stream magic", ErrStateDesync)
-	}
-	if st.Checkpoint != nil && normalizeFormat(st.Checkpoint.Format) != normalizeFormat(cfg.FormatVersion) {
-		return nil, fmt.Errorf("%w: checkpoint format v%d does not match Config.FormatVersion v%d",
-			ErrStateDesync, normalizeFormat(st.Checkpoint.Format), normalizeFormat(cfg.FormatVersion))
 	}
 	if cfg.SeekIndex != st.SeekIndex {
 		// Turning the index on would build a table that omits the frames
@@ -531,15 +519,6 @@ func ResumeWriter(dst io.Writer, cfg Config, st *WriterState) (*Writer, error) {
 		w.index = append(w.index, st.Index...)
 	}
 	return w, nil
-}
-
-// normalizeFormat maps the default format selector 0 to the concrete wire
-// version it writes.
-func normalizeFormat(v int) int {
-	if v == 0 {
-		return 2
-	}
-	return v
 }
 
 // Close flushes the final partial batch, writes the stream trailer and
@@ -853,9 +832,7 @@ func (r *Reader) open() error {
 	switch magic {
 	case streamMagic:
 		r.v2 = false
-	case streamMagicV2, streamMagicV3:
-		// v3 streams reuse the v2 framing; the block codecs inside each
-		// frame self-describe, so the reader path is shared.
+	case streamMagicV2:
 		r.v2 = true
 	default:
 		return fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)

@@ -22,11 +22,10 @@ type streamFrameMeta struct {
 	plen int
 }
 
-// parseV2Frames walks a clean v2-framed stream image (v2 or v3 magic) and
-// indexes its frames.
+// parseV2Frames walks a clean v2-framed stream image and indexes its frames.
 func parseV2Frames(t *testing.T, data []byte) []streamFrameMeta {
 	t.Helper()
-	if len(data) < 4 || (string(data[:4]) != streamMagicV2 && string(data[:4]) != streamMagicV3) {
+	if len(data) < 4 || string(data[:4]) != streamMagicV2 {
 		t.Fatal("not a v2-framed stream")
 	}
 	var metas []streamFrameMeta

@@ -151,8 +151,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	v2 := seed(Config{ErrorBound: 1e-3}, 6, 40)
 	f.Add(v2)
-	f.Add(seed(Config{ErrorBound: 1e-3, FormatVersion: 3}, 6, 40))
 	f.Add(seed(Config{ErrorBound: 1e-3, Shards: 3}, 8, 96))
+	// A v2 block relabelled with the removed format v3's version byte.
+	relabelled := append([]byte(nil), v2...)
+	relabelled[4] = 3
+	f.Add(relabelled)
 	flip := append([]byte(nil), v2...)
 	flip[len(flip)/2] ^= 0x40
 	f.Add(flip)

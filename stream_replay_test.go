@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// frameExtents walks a v2/v3 container and returns the [start, end) byte
+// frameExtents walks a v2 container and returns the [start, end) byte
 // range of every frame, in order.
 func frameExtents(t *testing.T, stream []byte) [][2]int {
 	t.Helper()

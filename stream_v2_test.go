@@ -279,3 +279,144 @@ func TestCheckpointFramesEmitted(t *testing.T) {
 		}
 	}
 }
+
+// writeStream runs frames through a Writer and returns the stream image.
+func writeStream(t *testing.T, cfg Config, frames []Frame) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func requireFramesIdentical(t testing.TB, want, got []Frame, label string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d frames, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !framesExactEqual(want[i], got[i]) {
+			t.Fatalf("%s: frame %d not bit-identical", label, i)
+		}
+	}
+}
+
+// TestStreamFormatMatrix builds the same trajectory as a v1 and a v2
+// container and checks that the auto-detecting Reader decodes both to
+// bit-identical values and that each stream leads with its own magic.
+func TestStreamFormatMatrix(t *testing.T) {
+	const bs = 4
+	frames := makeFrames(16, 100, 91)
+	cfg := Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs, CheckpointInterval: 2}
+
+	// v1: legacy length-prefixed container around v2-format blocks.
+	c, err := NewCompressor(Config{ErrorBound: 1e-3, Method: MT, BufferSize: bs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blks [][]byte
+	for lo := 0; lo < len(frames); lo += bs {
+		blk, err := c.CompressBatch(frames[lo : lo+bs])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blks = append(blks, append([]byte(nil), blk...))
+	}
+	v1 := buildV1Stream(blks...)
+	v2 := writeStream(t, cfg, frames)
+
+	for _, c := range []struct {
+		name, magic string
+		stream      []byte
+	}{
+		{"v1", streamMagic, v1},
+		{"v2", streamMagicV2, v2},
+	} {
+		if got := string(c.stream[:4]); got != c.magic {
+			t.Fatalf("%s stream magic = %q, want %q", c.name, got, c.magic)
+		}
+	}
+
+	decode := func(stream []byte) []Frame {
+		got, err := NewReader(bytes.NewReader(stream)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	requireFramesIdentical(t, decode(v1), decode(v2), "v1 vs v2")
+}
+
+// TestV3ArtifactsRefused pins how this build treats bytes written by
+// builds that still had format v3: a stream with the "MDZ3" magic, a block
+// with version byte 3 and a checkpoint payload of version 2 are each
+// refused with an error matching ErrCorruptBlock, on every read path.
+func TestV3ArtifactsRefused(t *testing.T) {
+	frames := makeFrames(12, 40, 3)
+	v3 := writeStream(t, Config{ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 1, SeekIndex: true}, frames)
+	copy(v3, "MDZ3")
+
+	c, err := NewCompressor(Config{ErrorBound: 1e-3, BufferSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := c.CompressBatch(frames[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk = append([]byte(nil), blk...)
+	blk[4] = 3
+	st, err := c.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp[0] = 2
+
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Reader", func() error {
+			_, err := NewReader(bytes.NewReader(v3)).ReadAll()
+			return err
+		}},
+		{"ReaderResync", func() error {
+			_, err := NewReaderWith(bytes.NewReader(v3), ReaderOptions{Resync: true}).ReadAll()
+			return err
+		}},
+		{"Reader.Seek", func() error {
+			return NewReader(bytes.NewReader(v3)).Seek(5)
+		}},
+		{"RetrofitSeekIndex", func() error {
+			_, err := RetrofitSeekIndex(bytes.NewReader(v3), io.Discard)
+			return err
+		}},
+		{"DecompressBatch", func() error {
+			_, err := NewDecompressor().DecompressBatch(blk)
+			return err
+		}},
+		{"CheckpointState.UnmarshalBinary", func() error {
+			return new(CheckpointState).UnmarshalBinary(cp)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("err = %v, want ErrCorruptBlock", err)
+			}
+		})
+	}
+}
