@@ -48,9 +48,10 @@ type Telemetry struct {
 	// Per axis.
 	ReusedEvals *telemetry.Counter
 	// ScratchAcquires counts scratch-state acquisitions from the global
-	// pools — one per chunk of a sharded run. A rate near the shard rate
-	// means affinity is not engaging (saturated pool, serial chunks); a
-	// rate near the worker count per batch is the healthy state.
+	// pools — one per chunk of a sharded run, and a run has min(shards,
+	// Workers) chunks. A rate near the shard rate means affinity is not
+	// engaging; a rate near the worker count per batch is the healthy
+	// state.
 	ScratchAcquires *telemetry.Counter
 }
 

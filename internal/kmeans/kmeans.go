@@ -11,7 +11,10 @@
 // divide-and-conquer argmin exploitation of the monotone optimal split
 // (O(N log N) per layer; the paper cites the O(KN) SMAWK variant of
 // Grønlund et al. — the D&C form has identical output and is the standard
-// practical implementation).
+// practical implementation). The layer fill is an iterative, bounds-check
+// free form of the recursive one; TestClusterMatchesReference and
+// FuzzClusterDifferential (kmeans_ref_test.go) pin every Result field bit
+// for bit against the recursive reference.
 //
 // Performance boosts from the paper: the DP runs once per compressor
 // lifetime on a sample of the first snapshot (default 10 %), and layer
@@ -96,13 +99,22 @@ func (o *Options) fill() {
 // Cluster1D computes the sampled optimal 1-D k-means of data and fits the
 // equal-distant level model. It never modifies data.
 func Cluster1D(data []float64, opts Options) (Result, error) {
+	return cluster1D(data, opts, fillLayer)
+}
+
+// layerFiller fills one DP layer (see fillLayer). Cluster1D always uses
+// fillLayer; the reference test runs the same pipeline with the historical
+// recursive filler.
+type layerFiller func(ps prefixSums, prev, cur []float64, row []int32, k, lo, hi, optLo, optHi int)
+
+func cluster1D(data []float64, opts Options, filler layerFiller) (Result, error) {
 	opts.fill()
 	sample := sampleFinite(data, opts.SampleFraction, opts.MaxSample, opts.Seed)
 	if len(sample) == 0 {
 		return Result{}, ErrEmpty
 	}
 	sort.Float64s(sample)
-	return clusterSorted(sample, opts)
+	return clusterSorted(sample, opts, filler)
 }
 
 func sampleFinite(data []float64, frac float64, maxN int, seed int64) []float64 {
@@ -162,7 +174,7 @@ func (p prefixSums) cost(l, r int) float64 {
 	return c
 }
 
-func clusterSorted(d []float64, opts Options) (Result, error) {
+func clusterSorted(d []float64, opts Options, filler layerFiller) (Result, error) {
 	n := len(d)
 	ps := newPrefixSums(d)
 
@@ -200,7 +212,7 @@ func clusterSorted(d []float64, opts Options) (Result, error) {
 			row[m] = int32(m) // degenerate: last cluster is the single point m
 		}
 		if n >= k {
-			fillLayer(ps, prev, cur, row, k, k, n, 1, n)
+			filler(ps, prev, cur, row, k, k, n, 1, n)
 		}
 		splits = append(splits, row)
 		layerCosts = append(layerCosts, cur[n])
@@ -243,34 +255,74 @@ func clusterSorted(d []float64, opts Options) (Result, error) {
 
 // fillLayer computes cur[lo..hi] = F(m,k) with divide-and-conquer over the
 // monotone optimal split point. optLo/optHi bound the candidate split range.
+//
+// It is the hot loop of the fit — every layer scans O(N log N) candidate
+// splits — so it walks the recursion tree with an explicit stack, collapses
+// each subtree whose window has narrowed to a single split (over half the
+// nodes on MD data) into one pass, and inlines cost(i, mid-1) with the
+// mid-side prefix sums hoisted and the window resliced, leaving the scan
+// free of bounds checks. The arithmetic, the c < 0 floor and the strict-<
+// first-minimum tie-break are exactly those of cost and the recursive form
+// (kmeans_ref_test.go), so results are bit-identical.
 func fillLayer(ps prefixSums, prev, cur []float64, row []int32, k, lo, hi, optLo, optHi int) {
-	if lo > hi {
-		return
-	}
-	mid := (lo + hi) / 2
-	bestCost := math.Inf(1)
-	bestI := optLo
-	iHi := optHi
-	if iHi > mid-1 {
-		iHi = mid - 1 // last cluster i..mid-1 must be non-empty
-	}
-	iLo := optLo
-	if iLo < k-1 {
-		iLo = k - 1 // need at least k-1 points before the last cluster
-	}
-	for i := iLo; i <= iHi; i++ {
-		// Last cluster covers points i..mid-1 (0-based), i.e. i+1..mid in
-		// 1-based "count" terms with split H = i+1.
-		c := prev[i] + ps.cost(i, mid-1)
-		if c < bestCost {
-			bestCost = c
-			bestI = i
+	type span struct{ lo, hi, optLo, optHi int }
+	// Depth-first, left half first: at most one pending right half per
+	// level of a tree of depth log2(N), so the stack stays in buf.
+	var buf [64]span
+	stack := append(buf[:0], span{lo, hi, optLo, optHi})
+	for len(stack) > 0 {
+		sp := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if sp.lo > sp.hi {
+			continue
 		}
+		if sp.optLo == sp.optHi {
+			// A one-split window stays one split all the way down, so the
+			// subtree collapses to a pass over its points with the same
+			// per-point arithmetic: cost if the split is valid, else +Inf.
+			i := sp.optLo
+			for m := sp.lo; m <= sp.hi; m++ {
+				c := math.Inf(1)
+				if i >= k-1 && i <= m-1 {
+					if v := prev[i] + ps.cost(i, m-1); v < c {
+						c = v
+					}
+				}
+				cur[m] = c
+				row[m] = int32(i)
+			}
+			continue
+		}
+		mid := (sp.lo + sp.hi) / 2
+		bestCost := math.Inf(1)
+		bestI := sp.optLo
+		iHi := min(sp.optHi, mid-1) // last cluster i..mid-1 must be non-empty
+		iLo := max(sp.optLo, k-1)   // need at least k-1 points before the last cluster
+		if iLo <= iHi {
+			// Last cluster covers points i..mid-1 (0-based), i.e. i+1..mid in
+			// 1-based "count" terms with split H = i+1.
+			sMid, s2Mid := ps.s[mid], ps.s2[mid]
+			pv := prev[iLo : iHi+1]
+			s := ps.s[iLo : iHi+1]
+			s2 := ps.s2[iLo : iHi+1]
+			s, s2 = s[:len(pv)], s2[:len(pv)]
+			for t, f := range pv {
+				n := float64(mid - iLo - t)
+				sum := sMid - s[t]
+				c := (s2Mid - s2[t]) - sum*sum/n
+				if c < 0 {
+					c = 0 // numerical floor
+				}
+				if c = f + c; c < bestCost {
+					bestCost = c
+					bestI = iLo + t
+				}
+			}
+		}
+		cur[mid] = bestCost
+		row[mid] = int32(bestI)
+		stack = append(stack, span{mid + 1, sp.hi, bestI, sp.optHi}, span{sp.lo, mid - 1, sp.optLo, bestI})
 	}
-	cur[mid] = bestCost
-	row[mid] = int32(bestI)
-	fillLayer(ps, prev, cur, row, k, lo, mid-1, optLo, bestI)
-	fillLayer(ps, prev, cur, row, k, mid+1, hi, bestI, optHi)
 }
 
 // backtrack recovers cluster centroids for the chosen k from split rows.

@@ -1,14 +1,22 @@
-// Package pool provides a bounded, work-sharing parallel executor shared by
-// the compression pipeline's three nesting levels (axes × ADP trials ×
+// Package pool provides a bounded, work-conserving fork-join executor shared
+// by the compression pipeline's three nesting levels (axes × ADP trials ×
 // particle shards).
 //
-// The design goal is a single global bound on concurrency that is safe under
-// arbitrary nesting: a Pool holds workers−1 helper tokens and every Run call
-// executes tasks on the calling goroutine as well, grabbing helper tokens
-// only opportunistically (TryAcquire semantics). A nested Run that finds all
-// tokens busy simply degrades to serial execution in its caller — it can
-// never deadlock, and the total number of running goroutines stays bounded
-// by the configured worker count regardless of nesting depth.
+// A Pool holds workers−1 helper slots, and every Run call executes tasks on
+// the calling goroutine as well. Each parallel call publishes its unclaimed
+// tasks on one pool-wide list and starts helpers only into free slots, so
+// the number of goroutines running tasks stays bounded by the callers plus
+// workers−1 however deep the nesting goes. A goroutine that runs out of
+// tasks in its own call does not block or exit while any open call still
+// has unclaimed tasks: a caller waiting for stragglers and a helper whose
+// call is drained both take unclaimed tasks from the newest open call. A
+// nested call made while every slot is taken is therefore still run in
+// parallel, by whichever goroutine frees up first.
+//
+// Waiting never deadlocks: a goroutine only waits for the call it opened
+// last, and only when nothing is left to claim, so every task it waits for
+// was claimed after that call opened and never sits beneath it on its own
+// stack.
 //
 // Task results must be written into index-addressed slots by the callback,
 // so outputs are assembled in deterministic order no matter which goroutine
@@ -19,9 +27,10 @@
 // return, so one poisoned shard degrades to an error instead of crashing
 // the process. RunContext adds cooperative cancellation — tasks not yet
 // started when the context is done are skipped and report ctx.Err();
-// tasks already running always finish, so every Run/RunContext return
-// happens strictly after all its goroutines have exited (no leaks, and
-// deferred scratch returns inside tasks always execute).
+// tasks already running always finish. Every call returns strictly after
+// all its tasks have finished and every helper started on its behalf has
+// exited (no leaks, and deferred scratch returns inside tasks always
+// execute).
 package pool
 
 import (
@@ -29,8 +38,8 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/mdz/mdz/internal/telemetry"
 )
@@ -38,8 +47,32 @@ import (
 // Pool is a bounded executor. A nil *Pool is valid and runs everything
 // serially on the caller's goroutine.
 type Pool struct {
-	sem chan struct{} // helper tokens: capacity = workers-1
-	tel *Telemetry    // nil when uninstrumented
+	workers int
+	tel     *Telemetry // nil when uninstrumented
+
+	mu      sync.Mutex
+	wake    sync.Cond // on mu: work published, a call finished, a helper exited
+	open    []*job    // calls with unclaimed parts, oldest first
+	helpers int       // live helper goroutines, at most workers-1
+	loops   int       // last claim-loop id handed out
+}
+
+// job is one parallel Run or RunContextChunked call: the index range
+// [0, n) split into parts contiguous parts, each claimed and run whole by
+// one goroutine. A Run call has one part per index.
+type job struct {
+	ctx     context.Context
+	n       int
+	parts   int
+	chunked bool // a RunContextChunked call (for telemetry)
+	f       func(lo, hi int) error
+	errs    []error // one slot per part
+
+	// Guarded by Pool.mu.
+	next    int   // first unclaimed part
+	left    int   // parts not yet finished
+	helpers int   // live helpers charged to this call
+	runners []int // distinct claim loops that ran a part (instrumented pools only)
 }
 
 // Telemetry is the pool's instrument set. All fields are nil-safe, so a
@@ -50,12 +83,13 @@ type Telemetry struct {
 	Runs *telemetry.Counter
 	// Tasks counts tasks executed by those calls.
 	Tasks *telemetry.Counter
-	// HelperSpawns counts helper goroutines claimed from the token pool.
+	// HelperSpawns counts helper goroutines started into free slots.
 	HelperSpawns *telemetry.Counter
-	// SerialDegradations counts parallel-eligible Run calls that could not
-	// claim a single helper token (a saturated pool: the call degraded to
-	// serial execution in its caller — the intended nesting behaviour, but
-	// a high rate means Workers is the bottleneck).
+	// SerialDegradations counts parallel-eligible Run and
+	// RunContextChunked calls whose tasks all ran on the caller: no other
+	// goroutine was free to claim one before the caller had run them all.
+	// Its rate over Runs+ChunkedRuns is the share of fan-out the host's
+	// cores could not absorb.
 	SerialDegradations *telemetry.Counter
 	// PanicsRecovered counts task panics converted into *PanicError.
 	PanicsRecovered *telemetry.Counter
@@ -63,10 +97,9 @@ type Telemetry struct {
 	HelpersActive *telemetry.Gauge
 	// ChunkedRuns counts parallel-eligible RunContextChunked calls.
 	ChunkedRuns *telemetry.Counter
-	// Chunks counts the contiguous chunks those calls were split into —
-	// one chunk per participating goroutine. Chunks/ChunkedRuns is the
-	// effective fan-out; a ratio near 1 under load means the pool was
-	// saturated and affinity runs degraded to a single participant.
+	// Chunks adds, per chunked call, the number of goroutines that actually
+	// ran one of its chunks. Chunks/ChunkedRuns is the effective fan-out;
+	// every call is split into min(n, Workers) chunks regardless.
 	Chunks *telemetry.Counter
 }
 
@@ -103,7 +136,9 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{sem: make(chan struct{}, workers-1)}
+	p := &Pool{workers: workers}
+	p.wake.L = &p.mu
+	return p
 }
 
 // Workers reports the concurrency bound (1 for a nil or serial pool).
@@ -111,7 +146,7 @@ func (p *Pool) Workers() int {
 	if p == nil {
 		return 1
 	}
-	return cap(p.sem) + 1
+	return p.workers
 }
 
 // PanicError reports a task panic recovered by the pool. It satisfies
@@ -138,113 +173,8 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// call runs f(i), converting a panic into a *PanicError.
-func (p *Pool) call(f func(i int) error, i int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Task: i, Value: v, Stack: debug.Stack()}
-			if p != nil && p.tel != nil {
-				p.tel.PanicsRecovered.Inc()
-			}
-		}
-	}()
-	return f(i)
-}
-
-// Run executes f(0) … f(n-1), sharing the work between the calling
-// goroutine and any helper slots it can claim from the pool. It returns the
-// error of the lowest-index failing task (all tasks still run). Run is safe
-// to call concurrently and reentrantly; nested calls that find the pool
-// saturated run serially in their caller.
-func (p *Pool) Run(n int, f func(i int) error) error {
-	return p.RunContext(nil, n, f)
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done, tasks
-// that have not started are skipped and their slots report ctx.Err(), which
-// participates in the usual lowest-index-error selection. Tasks already
-// running are never interrupted — long tasks should poll ctx themselves.
-// RunContext returns only after every started task has finished, so callers
-// never observe in-flight goroutines after it returns. A nil ctx disables
-// cancellation.
-func (p *Pool) RunContext(ctx context.Context, n int, f func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if p == nil || cap(p.sem) == 0 || n == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			var err error
-			if ctx != nil && ctx.Err() != nil {
-				err = ctx.Err()
-			} else {
-				err = p.call(f, i)
-			}
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if ctx != nil && ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				continue
-			}
-			errs[i] = p.call(f, i)
-		}
-	}
-	var wg sync.WaitGroup
-	spawned := 0
-spawn:
-	for ; spawned < n-1; spawned++ {
-		select {
-		case p.sem <- struct{}{}:
-			if p.tel != nil {
-				p.tel.HelpersActive.Add(1)
-			}
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-p.sem
-					if p.tel != nil {
-						p.tel.HelpersActive.Add(-1)
-					}
-					wg.Done()
-				}()
-				work()
-			}()
-		default:
-			break spawn // pool saturated: caller absorbs the rest
-		}
-	}
-	if t := p.tel; t != nil {
-		t.Runs.Inc()
-		t.Tasks.Add(int64(n))
-		t.HelperSpawns.Add(int64(spawned))
-		if spawned == 0 {
-			t.SerialDegradations.Inc()
-		}
-	}
-	work()
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // callRange runs f(lo, hi), converting a panic into a *PanicError whose
-// Task is the first index of the chunk.
+// Task is the first index of the range.
 func (p *Pool) callRange(f func(lo, hi int) error, lo, hi int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -257,96 +187,189 @@ func (p *Pool) callRange(f func(lo, hi int) error, lo, hi int) (err error) {
 	return f(lo, hi)
 }
 
+// Run executes f(0) … f(n-1), sharing the work between the calling
+// goroutine and any other pool goroutine that is free. It returns the error
+// of the lowest-index failing task (all tasks still run). Run is safe to
+// call concurrently and reentrantly.
+func (p *Pool) Run(n int, f func(i int) error) error {
+	return p.RunContext(nil, n, f)
+}
+
+// RunContext is Run with cooperative cancellation: once ctx is done, tasks
+// that have not started are skipped and their slots report ctx.Err(), which
+// participates in the usual lowest-index-error selection. Tasks already
+// running are never interrupted — long tasks should poll ctx themselves.
+// RunContext returns only after every started task has finished, so callers
+// never observe in-flight tasks after it returns. A nil ctx disables
+// cancellation.
+func (p *Pool) RunContext(ctx context.Context, n int, f func(i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if p == nil || p.workers == 1 || n == 1 {
+		var firstErr error
+		for i := 0; i < n; i++ {
+			var err error
+			if ctx != nil && ctx.Err() != nil {
+				err = ctx.Err()
+			} else {
+				err = p.callRange(func(i, _ int) error { return f(i) }, i, i+1)
+			}
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	}
+	return p.fork(&job{ctx: ctx, n: n, parts: n, f: func(i, _ int) error { return f(i) }})
+}
+
 // RunChunked is RunContextChunked without cancellation.
 func (p *Pool) RunChunked(n int, f func(lo, hi int) error) error {
 	return p.RunContextChunked(nil, n, f)
 }
 
-// RunContextChunked executes f over the index range [0, n) split into at
-// most Workers contiguous chunks, exactly one chunk per participating
-// goroutine. Unlike RunContext — where a shared counter lets tasks migrate
-// to whichever goroutine is free — the chunk→goroutine assignment is fixed
-// for the whole call, so state a participant acquires once per chunk
-// (scratch buffers, Huffman slabs) serves every index in its chunk instead
-// of round-tripping through a global sync.Pool per index. The cost is
-// static load balance: chunks are equal-sized, so one slow index stalls its
-// chunk. Use it when per-index work is uniform (particle shards) and
-// per-acquisition state dominates; use RunContext when task cost varies.
+// RunContextChunked executes f over the index range [0, n) split into
+// min(n, Workers) contiguous chunks. Unlike RunContext — where every index
+// is claimed on its own, so tasks migrate to whichever goroutine is free —
+// each chunk is claimed whole by one goroutine, so state a participant
+// acquires once per chunk (scratch buffers, Huffman slabs) serves every
+// index in it instead of round-tripping through a global sync.Pool per
+// index. The cost is static load balance: chunks are equal-sized, so one
+// slow index stalls its chunk. Use it when per-index work is uniform
+// (particle shards) and per-acquisition state dominates; use RunContext
+// when task cost varies.
 //
-// Helper tokens are claimed opportunistically up front (TryAcquire, never
-// blocking), so nested calls degrade to a single chunk on the caller's
-// goroutine rather than deadlocking. f must poll ctx itself for
-// cancellation inside a chunk; chunks not yet started when ctx is done are
-// skipped and report ctx.Err(). The error of the lowest-indexed failing
+// The split does not depend on how busy the pool is: a call nested in a
+// saturated pool still publishes min(n, Workers) chunks, and the caller
+// runs those no other goroutine frees up to claim. f must poll ctx itself
+// for cancellation inside a chunk; chunks not yet started when ctx is done
+// are skipped and report ctx.Err(). The error of the lowest-indexed failing
 // chunk is returned, and panics are contained as in Run.
 func (p *Pool) RunContextChunked(ctx context.Context, n int, f func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	parts := 1
-	if p != nil && cap(p.sem) > 0 && n > 1 {
-		max := cap(p.sem) + 1
-		if max > n {
-			max = n
-		}
-		claimed := 0
-	claim:
-		for claimed < max-1 {
-			select {
-			case p.sem <- struct{}{}:
-				claimed++
-			default:
-				break claim // pool saturated: run with what we have
-			}
-		}
-		parts = claimed + 1
-	}
-	if parts == 1 {
-		if p != nil && p.tel != nil && p.Workers() > 1 && n > 1 {
-			p.tel.ChunkedRuns.Inc()
-			p.tel.Chunks.Inc()
-			p.tel.SerialDegradations.Inc()
-		}
+	if p == nil || p.workers == 1 || n == 1 {
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return p.callRange(f, 0, n)
 	}
-	if t := p.tel; t != nil {
-		t.ChunkedRuns.Inc()
-		t.Chunks.Add(int64(parts))
-		t.HelperSpawns.Add(int64(parts - 1))
-		t.HelpersActive.Add(int64(parts - 1))
-	}
-	errs := make([]error, parts)
-	runChunk := func(j int) {
-		lo, hi := j*n/parts, (j+1)*n/parts
-		if ctx != nil && ctx.Err() != nil {
-			errs[j] = ctx.Err()
-			return
+	return p.fork(&job{ctx: ctx, n: n, parts: min(n, p.workers), chunked: true, f: f})
+}
+
+// fork publishes j, starts helpers into the free slots, and runs parts on
+// the calling goroutine — j's own first, then any open call's — until j is
+// finished and no helper is charged to it. It sleeps only while nothing
+// anywhere is left to claim.
+func (p *Pool) fork(j *job) error {
+	j.errs = make([]error, j.parts)
+	j.left = j.parts
+	p.mu.Lock()
+	p.loops++
+	self := p.loops
+	p.open = append(p.open, j)
+	p.startHelpersLocked(j, min(p.workers-1-p.helpers, j.parts-1))
+	p.wake.Broadcast() // sleeping callers can claim the new parts
+	for j.left > 0 || j.helpers > 0 {
+		if !p.runOneLocked(j, self) {
+			p.wake.Wait()
 		}
-		errs[j] = p.callRange(f, lo, hi)
 	}
-	var wg sync.WaitGroup
-	for j := 1; j < parts; j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer func() {
-				<-p.sem
-				if p.tel != nil {
-					p.tel.HelpersActive.Add(-1)
-				}
-				wg.Done()
-			}()
-			runChunk(j)
-		}(j)
+	runners := len(j.runners)
+	p.mu.Unlock()
+
+	if t := p.tel; t != nil {
+		if j.chunked {
+			t.ChunkedRuns.Inc()
+			t.Chunks.Add(int64(runners))
+		} else {
+			t.Runs.Inc()
+			t.Tasks.Add(int64(j.n))
+		}
+		if runners == 1 {
+			t.SerialDegradations.Inc()
+		}
 	}
-	runChunk(0)
-	wg.Wait()
-	for _, err := range errs {
+	for _, err := range j.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runOneLocked claims one part — from prefer while it has any, else from
+// the newest open call — and runs it with p.mu released. It reports false,
+// without releasing p.mu, when no open call has an unclaimed part.
+func (p *Pool) runOneLocked(prefer *job, loop int) bool {
+	j := prefer
+	if j.next == j.parts {
+		if len(p.open) == 0 {
+			return false
+		}
+		j = p.open[len(p.open)-1]
+	}
+	k := j.next
+	j.next++
+	if j.next == j.parts {
+		i := slices.Index(p.open, j)
+		p.open = slices.Delete(p.open, i, i+1)
+	}
+	if p.tel != nil && !slices.Contains(j.runners, loop) {
+		j.runners = append(j.runners, loop)
+	}
+	p.mu.Unlock()
+	if j.ctx != nil && j.ctx.Err() != nil {
+		j.errs[k] = j.ctx.Err()
+	} else {
+		j.errs[k] = p.callRange(j.f, k*j.n/j.parts, (k+1)*j.n/j.parts)
+	}
+	p.mu.Lock()
+	j.left--
+	if j.left == 0 {
+		p.wake.Broadcast() // j's caller may be asleep waiting for it
+	}
+	return true
+}
+
+// startHelpersLocked starts k helpers charged to j.
+func (p *Pool) startHelpersLocked(j *job, k int) {
+	if k <= 0 {
+		return
+	}
+	p.helpers += k
+	j.helpers += k
+	if t := p.tel; t != nil {
+		t.HelperSpawns.Add(int64(k))
+		t.HelpersActive.Add(int64(k))
+	}
+	for ; k > 0; k-- {
+		p.loops++
+		go p.helper(j, p.loops)
+	}
+}
+
+// helper runs parts, j's first, while j is unfinished and some open call
+// has an unclaimed part. On leaving it frees its slot; if j finished while
+// other calls still have unclaimed parts, it hands the slot to a fresh
+// helper charged to the newest of them rather than leave the slot idle.
+func (p *Pool) helper(j *job, loop int) {
+	p.mu.Lock()
+	for j.left > 0 {
+		if !p.runOneLocked(j, loop) {
+			break
+		}
+	}
+	p.helpers--
+	j.helpers--
+	if p.tel != nil {
+		p.tel.HelpersActive.Add(-1)
+	}
+	p.wake.Broadcast() // j's caller may be asleep waiting for us
+	if len(p.open) > 0 {
+		p.startHelpersLocked(p.open[len(p.open)-1], 1)
+	}
+	p.mu.Unlock()
 }

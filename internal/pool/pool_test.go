@@ -3,8 +3,10 @@ package pool
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/mdz/mdz/internal/telemetry"
 )
@@ -331,20 +333,257 @@ func TestChunkedZeroTasks(t *testing.T) {
 	}
 }
 
-func TestChunkedTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	p := New(4)
-	p.SetTelemetry(Instruments(reg))
-	if err := p.RunChunked(16, func(lo, hi int) error { return nil }); err != nil {
+// awaitTimeout bounds every wait in the scheduling tests below, so a pool
+// that fails to hand work to an idle goroutine fails the test instead of
+// hanging it.
+const awaitTimeout = 5 * time.Second
+
+// await waits for ch to be closed or receive, reporting false on timeout.
+func await(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	case <-time.After(awaitTimeout):
+		return false
+	}
+}
+
+// TestNestedRunUsesFreedWorker pins work conservation: an inner Run opened
+// while the pool's only helper slot is taken must still run in parallel
+// once that helper finishes its own task. Outer task T1 holds the helper
+// until inner task x0 has started; x0 then waits for x1. A pool that runs
+// the inner call serially on its caller reaches x1 only after x0 gives up.
+func TestNestedRunUsesFreedWorker(t *testing.T) {
+	p := New(2)
+	published, x1ran := make(chan struct{}), make(chan struct{})
+	err := p.Run(2, func(i int) error {
+		if i == 1 { // T1
+			if !await(published) {
+				return errors.New("inner task x0 never started")
+			}
+			return nil
+		}
+		return p.Run(2, func(x int) error { // T0
+			if x == 1 {
+				close(x1ran)
+				return nil
+			}
+			close(published)
+			if !await(x1ran) {
+				return errors.New("x1 not run while x0 waited: the freed worker stayed idle")
+			}
+			return nil
+		})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("pool.chunked_runs").Value(); got != 1 {
-		t.Errorf("chunked_runs = %d, want 1", got)
+}
+
+// TestNestedChunkedRunUsesFreedWorker is the RunContextChunked twin of
+// TestNestedRunUsesFreedWorker: chunk 0 of the inner call waits for chunk
+// 1, which only a second goroutine can run.
+func TestNestedChunkedRunUsesFreedWorker(t *testing.T) {
+	p := New(2)
+	ctx := context.Background()
+	published, x1ran := make(chan struct{}), make(chan struct{})
+	err := p.RunContextChunked(ctx, 2, func(lo, _ int) error {
+		if lo == 1 { // T1
+			if !await(published) {
+				return errors.New("inner chunk 0 never started")
+			}
+			return nil
+		}
+		return p.RunContextChunked(ctx, 2, func(lo, hi int) error { // T0
+			if lo > 0 {
+				close(x1ran)
+				return nil
+			}
+			close(published)
+			if hi > 1 {
+				return errors.New("inner call collapsed into one chunk")
+			}
+			if !await(x1ran) {
+				return errors.New("chunk 1 not run while chunk 0 waited: the freed worker stayed idle")
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := reg.Counter("pool.chunks").Value(); got < 1 || got > 4 {
-		t.Errorf("chunks = %d, want 1..4", got)
+}
+
+// TestChunkedSplitIgnoresSaturation: a chunked call nested in a run that
+// holds every helper slot still splits into min(n, Workers) chunks.
+func TestChunkedSplitIgnoresSaturation(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		p := New(workers)
+		started := make(chan struct{})
+		var calls atomic.Int32
+		err := p.Run(workers, func(i int) error {
+			if i > 0 { // hold a helper slot until the inner call has started
+				if !await(started) {
+					return errors.New("inner call never started")
+				}
+				return nil
+			}
+			return p.RunChunked(8, func(lo, hi int) error {
+				if calls.Add(1) == 1 {
+					close(started)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(calls.Load()); got != min(8, workers) {
+			t.Errorf("workers=%d: nested chunked call made %d chunk calls, want %d", workers, got, min(8, workers))
+		}
+	}
+}
+
+// TestConcurrencyBound: however the calls nest, no more goroutines run
+// tasks at once than the caller plus Workers-1 helpers.
+func TestConcurrencyBound(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := New(3)
+	p.SetTelemetry(Instruments(reg))
+	var running, peak, total atomic.Int32
+	err := p.Run(4, func(int) error {
+		return p.RunChunked(5, func(lo, hi int) error {
+			return p.Run(hi-lo, func(int) error {
+				n := running.Add(1)
+				for {
+					m := peak.Load()
+					if n <= m || peak.CompareAndSwap(m, n) {
+						break
+					}
+				}
+				time.Sleep(100 * time.Microsecond)
+				running.Add(-1)
+				total.Add(1)
+				return nil
+			})
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total.Load() != 4*5 {
+		t.Errorf("ran %d leaf tasks, want %d", total.Load(), 4*5)
+	}
+	if got := peak.Load(); got > 3 {
+		t.Errorf("%d tasks ran at once on a 3-worker pool", got)
 	}
 	if got := reg.Gauge("pool.helpers_active").Value(); got != 0 {
 		t.Errorf("helpers_active = %d after return, want 0", got)
+	}
+}
+
+// TestConcurrentNestedCallers: several goroutines share one pool and nest
+// calls of both kinds. Every task runs exactly once, nothing deadlocks, and
+// no helper outlives the calls — including helpers handed from a finished
+// call to another caller's open one.
+func TestConcurrentNestedCallers(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := New(3)
+	p.SetTelemetry(Instruments(reg))
+	const callers, rounds = 4, 20
+	var total atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				_ = p.Run(3, func(int) error {
+					return p.RunChunked(7, func(lo, hi int) error {
+						return p.Run(hi-lo, func(int) error { total.Add(1); return nil })
+					})
+				})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	if !await(done) {
+		t.Fatal("concurrent nested calls did not finish")
+	}
+	if got := total.Load(); got != callers*rounds*3*7 {
+		t.Errorf("ran %d leaf tasks, want %d", got, callers*rounds*3*7)
+	}
+	if got := reg.Gauge("pool.helpers_active").Value(); got != 0 {
+		t.Errorf("helpers_active = %d after every caller returned, want 0", got)
+	}
+}
+
+func TestChunkedTelemetry(t *testing.T) {
+	// Two goroutines run the call's two chunks: chunk 0 waits until chunk 1
+	// has started, which only the helper can do.
+	reg := telemetry.NewRegistry()
+	p := New(2)
+	p.SetTelemetry(Instruments(reg))
+	chunk1 := make(chan struct{})
+	err := p.RunChunked(16, func(lo, hi int) error {
+		if lo > 0 {
+			close(chunk1)
+		} else if !await(chunk1) {
+			return errors.New("chunk 1 never started")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"pool.chunked_runs":        1,
+		"pool.chunks":              2,
+		"pool.serial_degradations": 0,
+		"pool.helper_spawns":       1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Gauge("pool.helpers_active").Value(); got != 0 {
+		t.Errorf("helpers_active = %d after return, want 0", got)
+	}
+
+	// A chunked call nested under a task that holds the only helper slot
+	// runs both its chunks on its caller: one participant, one serial
+	// degradation. The outer Run had two participants.
+	reg = telemetry.NewRegistry()
+	p = New(2)
+	p.SetTelemetry(Instruments(reg))
+	t1started, innerDone := make(chan struct{}), make(chan struct{})
+	err = p.Run(2, func(i int) error {
+		if i == 1 {
+			close(t1started)
+			if !await(innerDone) {
+				return errors.New("inner call never finished")
+			}
+			return nil
+		}
+		if !await(t1started) {
+			return errors.New("outer task 1 never started")
+		}
+		defer close(innerDone)
+		return p.RunChunked(16, func(lo, hi int) error { return nil })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		"pool.runs":                1,
+		"pool.tasks":               2,
+		"pool.chunked_runs":        1,
+		"pool.chunks":              1,
+		"pool.serial_degradations": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("saturated: %s = %d, want %d", name, got, want)
+		}
 	}
 }

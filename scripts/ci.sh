@@ -13,12 +13,22 @@ go build ./...
 go test ./...
 go test -race ./...
 
-# Constrained-parallelism smoke: the chunked shard scheduler and the
-# work-sharing pool must degrade gracefully when the runtime has almost no
-# cores to hand out — helper tokens stop being granted and chunked runs
-# collapse toward serial execution. GOMAXPROCS=2 is the smallest setting
-# where helpers can still spawn, so it exercises both sides of that edge.
-GOMAXPROCS=2 go test ./internal/pool ./internal/core
+# Constrained-parallelism smoke: with only two Ps the pool's single helper
+# slot is almost always taken, so nested trial and shard runs are picked up
+# by whichever goroutine frees up first rather than by a new helper, and
+# the chunked shard scheduler still splits every run into min(n, Workers)
+# chunks. GOMAXPROCS=1 leaves a single P: helpers still exist but only
+# interleave with their caller, which flushes out any wait that depends on
+# true parallelism to make progress. -count=1: the test cache does not key
+# on GOMAXPROCS, so a cached default-run result would otherwise stand in.
+GOMAXPROCS=2 go test -count=1 ./internal/pool ./internal/core
+GOMAXPROCS=1 go test -count=1 ./internal/pool ./internal/core
+
+# The pool's scheduling tests (work conservation, hand-offs between
+# callers and helpers, wake-ups) repeated under the race detector: twenty
+# runs vary the interleavings enough to catch a lost wake-up or a racy
+# hand-off that a single pass can miss.
+go test -race -count=20 ./internal/pool
 
 # Fault-containment matrix under the race detector, twice: stream
 # corruption recovery, the CLI crash-consistency sweep, cancellation and
