@@ -36,11 +36,9 @@ import (
 
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
-	"github.com/mdz/mdz/internal/huffman"
 	"github.com/mdz/mdz/internal/kmeans"
 	"github.com/mdz/mdz/internal/lossless"
 	"github.com/mdz/mdz/internal/pool"
-	"github.com/mdz/mdz/internal/predictor"
 	"github.com/mdz/mdz/internal/quant"
 )
 
@@ -795,9 +793,9 @@ func (d *Decoder) DecodeBatch(blk []byte) ([][]float64, error) {
 // DecodeBatchContext is DecodeBatch with cooperative cancellation (shard
 // row loops and the work pool poll ctx; nil disables it). Like the
 // encoder, the decoder's cross-batch state is only advanced on success,
-// so a cancelled decode can be retried. When Params.Budget is set, the
-// block's claimed geometry and every claimed section length are charged
-// against one budget transaction scoped to this call.
+// so a cancelled decode can be retried. When Params.Budget is set, every
+// claimed section length and then the output matrix are charged against
+// one budget transaction scoped to this call.
 func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float64, error) {
 	sw := d.tel.BatchNS.Start()
 	h, err := parseHeader(blk)
@@ -815,8 +813,14 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 	}
 	tx := d.p.Budget.Begin()
 	defer tx.Close()
-	// The output matrix is the decoder's single largest claimed-size
-	// allocation: charge it before materializing.
+	scs, err := d.decodeSections(ctx, h, tx)
+	defer releaseScratch(scs)
+	if err != nil {
+		return nil, err
+	}
+	// Every shard decoded to bs×sn codes, so decoded data backs the claimed
+	// geometry. Only now charge and allocate the output matrix, the
+	// decoder's single largest claimed-size allocation.
 	if err := tx.Reserve(8 * int64(h.bs) * int64(h.n)); err != nil {
 		return nil, err
 	}
@@ -825,21 +829,8 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 		out[t] = make([]float64, h.n)
 	}
 	offs := shardOffsets(h.shards)
-	// Same chunked affinity as the encoder: one scratch per participating
-	// worker for the whole chunk of shards.
-	err = d.p.Pool.RunContextChunked(ctx, len(h.shards), func(cl, ch int) error {
-		sc := decScratchPool.Get().(*decodeScratch)
-		defer decScratchPool.Put(sc)
-		d.tel.ScratchAcquires.Inc()
-		for s := cl; s < ch; s++ {
-			if cerr := ctxErr(ctx); cerr != nil {
-				return cerr
-			}
-			if serr := d.decodeShard(ctx, q, h, h.shards[s], offs[s], out, tx, sc, s); serr != nil {
-				return serr
-			}
-		}
-		return nil
+	err = d.p.Pool.RunContext(ctx, len(h.shards), func(s int) error {
+		return d.decodeShard(ctx, q, h, scs[s], offs[s], h.shards[s].particles, out)
 	})
 	if err != nil {
 		return nil, err
@@ -852,25 +843,38 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 	return out, nil
 }
 
-// decodeShard reconstructs one shard's particle columns [lo, lo+particles)
-// into out. Shards write disjoint column ranges, so they are safe to decode
-// concurrently. sc is the calling chunk's scratch, shared by every shard of
-// the chunk.
-func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header, sh shardSec, lo int, out [][]float64, tx *budget.Tx, sc *decodeScratch, shard int) error {
-	if d.p.FaultHook != nil {
-		d.p.FaultHook("decode_shard", shard)
-	}
-	bs, sn := h.bs, sh.particles
-	bins, levels, outliers, err := d.sections(sh.body, bs, sn, sc, tx)
-	if err != nil {
-		return err
-	}
+// decodeSections entropy-decodes every shard of h, concurrently, each into
+// its own pooled scratch, and checks each shard's bin count against the
+// claimed geometry. Callers allocate output only after it succeeds, and
+// hand the scratches back with releaseScratch whether or not it does.
+func (d *Decoder) decodeSections(ctx context.Context, h *header, tx *budget.Tx) ([]*decodeScratch, error) {
+	scs := make([]*decodeScratch, len(h.shards))
+	err := d.p.Pool.RunContext(ctx, len(h.shards), func(s int) error {
+		if d.p.FaultHook != nil {
+			d.p.FaultHook("decode_shard", s)
+		}
+		sc := decScratchPool.Get().(*decodeScratch)
+		d.tel.ScratchAcquires.Inc()
+		scs[s] = sc
+		return d.sections(sc, h.shards[s].body, h.bs*h.shards[s].particles, tx)
+	})
+	return scs, err
+}
+
+// decodeShard reconstructs one shard's particle columns [lo, lo+sn) into
+// out from its decoded streams in sc. Shards write disjoint column ranges,
+// so they are safe to decode concurrently.
+func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header, sc *decodeScratch, lo, sn int, out [][]float64) error {
+	bs := h.bs
+	bins, levels, outliers := sc.bins, sc.levels, sc.outliers
 	// Strided reads pull each row straight out of the serialized order —
 	// Seq-2 streams are no longer deinterleaved into a scratch copy.
 	stride, rowStep := 1, sn
 	if h.seq == Seq2 {
 		stride, rowStep = bs, 1
 	}
+	// The kernels restore outliers inline, in traversal order, so each row
+	// is final before the next row's time prediction reads it.
 	opos := 0
 	levelPos := 0
 	qsw := d.tel.QuantNS.Start()
@@ -882,7 +886,7 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 		}
 		base := t * rowStep
 		snap := out[t][lo : lo+sn]
-		nRes := 0
+		var err error
 		vqSnapshot := h.method == VQ || (h.method == VQT && t == 0) ||
 			(h.method == MT && t == 0 && h.firstPred == firstVQ)
 		switch {
@@ -892,7 +896,7 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 			}
 			lvlRow := levels[levelPos : levelPos+sn]
 			levelPos += sn
-			nRes = q.DequantizeBlockVQ(bins, base, stride, lvlRow, h.lam, h.mu, snap)
+			opos, err = q.DequantizeBlockVQ(bins, base, stride, lvlRow, h.lam, h.mu, snap, outliers, opos)
 		case t == 0 && h.method == MT && h.firstPred == firstLorenzo:
 			// Scalar, like the encoder: each prediction needs the previous
 			// value's final (possibly outlier-restored) reconstruction.
@@ -900,9 +904,9 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 			ci := base
 			for i := 0; i < sn; i++ {
 				if quant.IsReserved(bins[ci]) {
-					v, nb, err := quant.ReadBounded(outliers[opos:], h.eb)
-					if err != nil {
-						return ErrCorrupt
+					v, nb, rerr := quant.ReadBounded(outliers[opos:], h.eb)
+					if rerr != nil {
+						return corrupt(rerr)
 					}
 					opos += nb
 					snap[i] = v
@@ -913,26 +917,19 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 				ci += stride
 			}
 		case t == 0 && h.method == MT && h.firstPred == firstRef:
-			nRes = q.DequantizeBlock(bins, base, stride, d.ref[lo:lo+sn], snap)
+			opos, err = q.DequantizeBlock(bins, base, stride, d.ref[lo:lo+sn], snap, outliers, opos)
 		default: // time-based
-			nRes = q.DequantizeBlock(bins, base, stride, out[t-1][lo:lo+sn], snap)
+			opos, err = q.DequantizeBlock(bins, base, stride, out[t-1][lo:lo+sn], snap, outliers, opos)
 		}
-		if nRes > 0 {
-			// Outlier fix-up in traversal order, before the next row's time
-			// prediction reads snap.
-			ci := base
-			for i := 0; i < sn; i++ {
-				if quant.IsReserved(bins[ci]) {
-					v, nb, err := quant.ReadBounded(outliers[opos:], h.eb)
-					if err != nil {
-						return ErrCorrupt
-					}
-					opos += nb
-					snap[i] = v
-				}
-				ci += stride
-			}
+		if err != nil {
+			return corrupt(err)
 		}
+	}
+	// The encoder writes exactly the three sections, and the rows consume
+	// every level delta and every outlier it stores. Anything left over
+	// marks a forged or damaged shard.
+	if opos != len(outliers) || levelPos != len(levels) || sc.rest != 0 {
+		return ErrCorrupt
 	}
 	return nil
 }
@@ -960,13 +957,19 @@ func (d *Decoder) DecodeSnapshot(blk []byte, t int) ([]float64, error) {
 	}
 	tx := d.p.Budget.Begin()
 	defer tx.Close()
+	scs, err := d.decodeSections(nil, h, tx)
+	defer releaseScratch(scs)
+	if err != nil {
+		return nil, err
+	}
 	if err := tx.Reserve(8 * int64(h.n)); err != nil {
 		return nil, err
 	}
 	snap := make([]float64, h.n)
 	offs := shardOffsets(h.shards)
 	err = d.p.Pool.Run(len(h.shards), func(s int) error {
-		return d.decodeShardSnapshot(q, h, h.shards[s], offs[s], t, snap, tx)
+		sn := h.shards[s].particles
+		return decodeShardSnapshot(q, h, scs[s], t, sn, snap[offs[s]:offs[s]+sn])
 	})
 	if err != nil {
 		return nil, err
@@ -974,21 +977,17 @@ func (d *Decoder) DecodeSnapshot(blk []byte, t int) ([]float64, error) {
 	return snap, nil
 }
 
-// decodeShardSnapshot reconstructs row t of one shard into snap[lo:].
-func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec, lo, t int, snap []float64, tx *budget.Tx) error {
-	bs, sn := h.bs, sh.particles
-	sc := decScratchPool.Get().(*decodeScratch)
-	defer decScratchPool.Put(sc)
-	bins, levels, outliers, err := d.sections(sh.body, bs, sn, sc, tx)
-	if err != nil {
-		return err
-	}
-	if len(levels) != bs*sn {
+// decodeShardSnapshot reconstructs row t of one shard into snap from its
+// decoded streams in sc. It reads only the prefix of the outlier bytes that
+// rows up to t use, so unlike decodeShard it cannot check for leftovers.
+func decodeShardSnapshot(q *quant.Quantizer, h *header, sc *decodeScratch, t, sn int, snap []float64) error {
+	bins, levels, outliers := sc.bins, sc.levels, sc.outliers
+	if len(levels) != h.bs*sn {
 		return ErrCorrupt // VQ blocks carry one level delta per value
 	}
 	stride, rowStep := 1, sn
 	if h.seq == Seq2 {
-		stride, rowStep = bs, 1
+		stride, rowStep = h.bs, 1
 	}
 	// Position the outlier cursor: skip reserved codes of rows before t in
 	// snapshot-major traversal order (the order the encoder stored them).
@@ -999,32 +998,15 @@ func (d *Decoder) decodeShardSnapshot(q *quant.Quantizer, h *header, sh shardSec
 			if quant.IsReserved(bins[ci]) {
 				_, n2, err := quant.ReadBounded(outliers[opos:], h.eb)
 				if err != nil {
-					return ErrCorrupt
+					return corrupt(err)
 				}
 				opos += n2
 			}
 			ci += stride
 		}
 	}
-	lvlRow := levels[t*sn : (t+1)*sn]
-	prevLevel := int64(0)
-	ci := t * rowStep
-	for i := 0; i < sn; i++ {
-		lvl := prevLevel + int64(lvlRow[i])
-		prevLevel = lvl
-		if quant.IsReserved(bins[ci]) {
-			v, n2, err := quant.ReadBounded(outliers[opos:], h.eb)
-			if err != nil {
-				return ErrCorrupt
-			}
-			opos += n2
-			snap[lo+i] = v
-		} else {
-			snap[lo+i] = q.Dequantize(bins[ci], predictor.Centroid(lvl, h.lam, h.mu))
-		}
-		ci += stride
-	}
-	return nil
+	_, err := q.DequantizeBlockVQ(bins, t*rowStep, stride, levels[t*sn:(t+1)*sn], h.lam, h.mu, snap, outliers, opos)
+	return corrupt(err)
 }
 
 // ErrNotRandomAccess is returned by DecodeSnapshot on VQT/MT blocks.
@@ -1148,51 +1130,41 @@ func parseHeader(blk []byte) (*header, error) {
 	if sum != h.n {
 		return nil, ErrCorrupt
 	}
-	// A forged header can pair a huge claimed geometry with a tiny payload,
-	// tricking the decoder into allocating bs×n values it can never fill.
-	// Even a constant axis needs well over a byte of payload per few
-	// thousand values, so reject implausible expansion claims up front.
-	body := 0
-	for _, sh := range h.shards {
-		body += len(sh.body)
-	}
-	if uint64(h.bs)*uint64(h.n) > uint64(body+1)*8192 {
-		return nil, ErrCorrupt
-	}
 	return h, nil
 }
 
-// sections decompresses one shard payload and splits it into the bin
-// stream, level-delta stream and outlier bytes, reusing sc's buffers when
-// provided. The returned slices alias sc and must not outlive its use.
-func (d *Decoder) sections(body []byte, bs, sn int, sc *decodeScratch, tx *budget.Tx) (bins, levels []int, outliers []byte, err error) {
+// sections decompresses one shard payload into sc: the bin stream, the
+// level-delta stream, the outlier bytes and the count of payload bytes
+// after them. It fails unless the bin stream holds exactly the shard's
+// claimed values. sc's streams alias its buffers and the payload, and must
+// not outlive its use.
+func (d *Decoder) sections(sc *decodeScratch, body []byte, values int, tx *budget.Tx) error {
 	payload, err := lossless.DecompressTx(d.p.Backend, body, tx)
 	if err != nil {
-		return nil, nil, nil, corrupt(err)
+		return corrupt(err)
 	}
-	pr := bitstream.NewByteReader(payload)
-	var binsBuf, levelsBuf []int
-	if sc != nil {
-		binsBuf, levelsBuf = sc.bins, sc.levels
-	}
+	sc.br.Reset(payload)
+	pr := &sc.br
 	hsw := d.tel.HuffNS.Start()
-	if bins, err = huffman.DecodeIntsTx(pr, binsBuf, tx); err != nil {
-		return nil, nil, nil, corrupt(err)
+	bins, err := sc.huff.DecodeIntsTx(pr, sc.bins, tx)
+	if err != nil {
+		return corrupt(err)
 	}
-	if levels, err = huffman.DecodeIntsTx(pr, levelsBuf, tx); err != nil {
-		return nil, nil, nil, corrupt(err)
+	sc.bins = bins
+	levels, err := sc.huff.DecodeIntsTx(pr, sc.levels, tx)
+	if err != nil {
+		return corrupt(err)
 	}
+	sc.levels = levels
 	hsw.Stop()
-	if sc != nil {
-		sc.bins, sc.levels = bins, levels
+	if sc.outliers, err = pr.ReadSection(); err != nil {
+		return corrupt(err)
 	}
-	if outliers, err = pr.ReadSection(); err != nil {
-		return nil, nil, nil, corrupt(err)
+	sc.rest = pr.Len()
+	if len(bins) != values {
+		return ErrCorrupt
 	}
-	if len(bins) != bs*sn {
-		return nil, nil, nil, ErrCorrupt
-	}
-	return bins, levels, outliers, nil
+	return nil
 }
 
 // BlockMethod peeks at a block's concrete method without decoding it.

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/huffman"
 )
 
@@ -23,14 +24,33 @@ type encodeScratch struct {
 
 var encScratchPool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
-// decodeScratch mirrors encodeScratch for the decode path. The snapshot
-// rows themselves are returned to the caller and therefore always freshly
-// allocated; only the transient symbol streams are pooled.
+// decodeScratch mirrors encodeScratch for the decode path: one shard's
+// decoded streams and the pooled Huffman tables and payload reader that
+// produced them. Each shard of a block holds its own instance from the
+// section decode until its rows are reconstructed. The snapshot rows
+// themselves are returned to the caller and therefore always freshly
+// allocated.
 type decodeScratch struct {
 	bins, levels []int
+	outliers     []byte // aliases the shard's decompressed payload
+	rest         int    // payload bytes after the outlier section
+	br           bitstream.ByteReader
+	huff         huffman.DecodeScratch
 }
 
 var decScratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// releaseScratch returns a block's shard scratches to the pool, dropping
+// their references to the decompressed payloads.
+func releaseScratch(scs []*decodeScratch) {
+	for _, sc := range scs {
+		if sc != nil {
+			sc.outliers = nil
+			sc.br.Reset(nil)
+			decScratchPool.Put(sc)
+		}
+	}
+}
 
 // intsCap returns s resized to n, reallocating only when capacity is
 // insufficient. Contents are unspecified.

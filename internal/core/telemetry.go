@@ -48,10 +48,12 @@ type Telemetry struct {
 	// Per axis.
 	ReusedEvals *telemetry.Counter
 	// ScratchAcquires counts scratch-state acquisitions from the global
-	// pools — one per chunk of a sharded run, and a run has min(shards,
-	// Workers) chunks. A rate near the shard rate means affinity is not
-	// engaging; a rate near the worker count per batch is the healthy
-	// state.
+	// pools. On encode it is one per chunk of a sharded run, and a run has
+	// min(shards, Workers) chunks: a rate near the shard rate means
+	// affinity is not engaging, and a rate near the worker count per batch
+	// is the healthy state. On decode it is one per shard, because each
+	// shard holds its decoded streams until the block's output rows are
+	// allocated.
 	ScratchAcquires *telemetry.Counter
 }
 

@@ -1,6 +1,8 @@
 package huffman
 
 import (
+	"sync"
+
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
 )
@@ -21,15 +23,6 @@ import (
 
 // tableEntryCost is the accounted bytes per declared code-table entry.
 const tableEntryCost = 48
-
-// readTableTx is ReadTable with the declared entry count charged to tx
-// before the table is materialized.
-func readTableTx(br *bitstream.ByteReader, tx *budget.Tx) (*Decoder, error) {
-	if err := reserveTable(br, tx); err != nil {
-		return nil, err
-	}
-	return ReadTable(br)
-}
 
 // ReadTableTx is DecodeScratch.ReadTable with the declared entry count
 // charged to tx before parsing.
@@ -60,21 +53,23 @@ func reserveTable(br *bitstream.ByteReader, tx *budget.Tx) error {
 	return tx.Reserve(int64(n) * tableEntryCost)
 }
 
-// DecodeIntsTx is DecodeIntsBuf with budget accounting on tx.
+// decScratchPool serves DecodeIntsTx. The decoded symbols never alias the
+// scratch, so it goes back to the pool on return.
+var decScratchPool = sync.Pool{New: func() any { return new(DecodeScratch) }}
+
+// DecodeIntsTx is DecodeIntsBuf with budget accounting on tx, decoding
+// through a pooled DecodeScratch.
 func DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
-	table, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	dec, err := readTableTx(bitstream.NewByteReader(table), tx)
-	if err != nil {
-		return nil, err
-	}
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := br.ReadSection()
+	s := decScratchPool.Get().(*DecodeScratch)
+	defer decScratchPool.Put(s)
+	return s.DecodeIntsTx(br, buf, tx)
+}
+
+// DecodeIntsTx inverts EncodeInts, consuming one section from br into buf
+// (reused when it has capacity), with budget accounting on tx. The code
+// table parses by counting sort into the scratch's reusable tables.
+func (s *DecodeScratch) DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
+	dec, n, err := s.openSection(br, tx, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -84,31 +79,14 @@ func DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, er
 		}
 		return []int{}, nil
 	}
-	if n > uint64(len(payload))*64+64 {
-		return nil, ErrCorrupt
-	}
-	if err := tx.Reserve(8 * int64(n)); err != nil {
-		return nil, err
-	}
-	return dec.DecodeAllBuf(bitstream.NewReader(payload), int(n), buf)
+	out, err := dec.DecodeAllBuf(&s.r, n, buf)
+	s.r.Reset(nil)
+	return out, err
 }
 
 // DecodeBytesTx is DecodeScratch.DecodeBytes with budget accounting on tx.
 func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
-	table, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	s.br.Reset(table)
-	dec, err := s.ReadTableTx(&s.br, tx)
-	if err != nil {
-		return nil, err
-	}
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := br.ReadSection()
+	dec, n, err := s.openSection(br, tx, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -118,12 +96,45 @@ func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *
 		}
 		return []byte{}, nil
 	}
-	if n > uint64(len(payload))*64+64 {
-		return nil, ErrCorrupt
+	out, err := dec.DecodeAllBytesBuf(&s.r, n, buf)
+	s.r.Reset(nil)
+	return out, err
+}
+
+// openSection reads one section's code table, symbol count and payload
+// from br, rebuilding the scratch's Decoder and pointing s.r at the
+// payload. A nonzero count is checked against the payload size and charged
+// to tx at symbolCost bytes per symbol. The caller resets s.r once the
+// payload is decoded: scratches live on in pools, and must not pin the
+// buffers they decoded from.
+func (s *DecodeScratch) openSection(br *bitstream.ByteReader, tx *budget.Tx, symbolCost int64) (*Decoder, int, error) {
+	table, err := br.ReadSection()
+	if err != nil {
+		return nil, 0, err
 	}
-	if err := tx.Reserve(int64(n)); err != nil {
-		return nil, err
+	s.br.Reset(table)
+	dec, err := s.ReadTableTx(&s.br, tx)
+	s.br.Reset(nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := br.ReadUvarint()
+	if err != nil {
+		return nil, 0, err
+	}
+	payload, err := br.ReadSection()
+	if err != nil {
+		return nil, 0, err
+	}
+	if n == 0 {
+		return dec, 0, nil
+	}
+	if n > uint64(len(payload))*64+64 {
+		return nil, 0, ErrCorrupt
+	}
+	if err := tx.Reserve(symbolCost * int64(n)); err != nil {
+		return nil, 0, err
 	}
 	s.r.Reset(payload)
-	return dec.DecodeAllBytesBuf(&s.r, int(n), buf)
+	return dec, int(n), nil
 }

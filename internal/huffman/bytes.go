@@ -292,11 +292,11 @@ func (s *byteEncScratch) buildCodes(nsym int) error {
 	return nil
 }
 
-// DecodeScratch holds the reusable state of byte-section decoding: a pooled
-// Decoder whose tables rebuild in place, plus parse and reader scratch. A
-// DecodeScratch must not be used concurrently, and a Decoder obtained
-// through it is only valid until the scratch's next use. The zero value is
-// ready to use.
+// DecodeScratch holds the reusable state of section decoding, int and byte:
+// a pooled Decoder whose tables rebuild in place, plus parse and reader
+// scratch. A DecodeScratch must not be used concurrently, and a Decoder
+// obtained through it is only valid until the scratch's next use. The zero
+// value is ready to use.
 type DecodeScratch struct {
 	dec     Decoder
 	lengths map[int]uint8

@@ -530,6 +530,17 @@ type lutEntry struct {
 	wide  uint8
 }
 
+// pairEntry is one slot of the int decode loop's root table. A probe of the
+// next lutBits stream bits resolves n complete codes (1 or 2) whose symbols
+// are sym[0] and sym[1] (sym[1] is 0 when n == 1), consuming bits stream
+// bits in total. n == 0 sends the prefix to the per-symbol path: a code
+// longer than lutBits, an invalid prefix, or a symbol outside int32.
+type pairEntry struct {
+	sym  [2]int32
+	bits uint8
+	n    uint8
+}
+
 // Decoder rebuilds a canonical code from a serialized table and decodes
 // symbol streams.
 type Decoder struct {
@@ -543,36 +554,26 @@ type Decoder struct {
 	// for codes longer than lutBits, one contiguous region per root prefix.
 	lut []lutEntry
 	sub []lutEntry
+	// pair is the int decode loop's root table, derived from lut. Only int
+	// sections read it, so it is built on their first decode after a
+	// (re)build of the code: pairOK is false until then, and every rebuild
+	// clears it, so a pooled Decoder never probes a pair table left over
+	// from an earlier code.
+	pair   []pairEntry
+	pairOK bool
 }
 
 // ReadTable parses a table serialized by AppendTable from br and returns the
-// Decoder.
+// Decoder. It is DecodeScratch.ReadTable on a fresh scratch, with the int
+// pair table built up front so the Decoder is read-only from here on.
 func ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
-	n, err := br.ReadUvarint()
+	var s DecodeScratch
+	d, err := s.ReadTable(br)
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	lengths := make(map[int]uint8, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, err := br.ReadVarint()
-		if err != nil {
-			return nil, err
-		}
-		prev += d
-		l, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > MaxCodeLen {
-			return nil, ErrCorrupt
-		}
-		lengths[int(prev)] = l
-	}
-	return NewDecoder(lengths)
+	d.buildPair()
+	return d, nil
 }
 
 // NewDecoder builds a Decoder directly from a symbol→length map.
@@ -581,6 +582,7 @@ func NewDecoder(lengths map[int]uint8) (*Decoder, error) {
 	if err := d.init(lengths, nil); err != nil {
 		return nil, err
 	}
+	d.buildPair()
 	return d, nil
 }
 
@@ -623,11 +625,11 @@ func (d *Decoder) init(lengths map[int]uint8, sc *DecodeScratch) error {
 // assignment order. Callers must guarantee both properties; init sorts an
 // arbitrary map into it, and the table parser's counting sort preserves it.
 func (d *Decoder) initSorted(list []symLen, sc *DecodeScratch) error {
-	symbols, lut, sub := d.symbols[:0], d.lut, d.sub
-	*d = Decoder{symbols: symbols, lut: lut, sub: sub}
+	symbols, lut, sub, pair := d.symbols[:0], d.lut, d.sub, d.pair
+	*d = Decoder{symbols: symbols, lut: lut, sub: sub, pair: pair}
 	if len(list) == 0 {
-		// Stale lut/sub buffers (pooled reuse) are never read: every decode
-		// entry point checks len(d.symbols) first.
+		// Stale lut/sub/pair buffers (pooled reuse) are never read: every
+		// decode entry point checks len(d.symbols) first.
 		return nil
 	}
 	for _, it := range list {
@@ -764,6 +766,43 @@ func (d *Decoder) buildLUT(sc *DecodeScratch) {
 	}
 }
 
+// buildPair derives the pair table from the built root table. For a root
+// slot p whose first code has length l1, the window advanced by l1 bits is
+// p<<l1 (mod 2^lutBits) with the vacated low bits zero-filled; the entry
+// found there is a real second code only if it is a leaf whose length fits
+// in the remaining lutBits-l1 genuine bits. Entries reachable only through
+// the zero fill fail that length test, because a leaf of length l2 <=
+// lutBits-l1 is determined by the window's top l2 bits alone, all of which
+// are real.
+func (d *Decoder) buildPair() {
+	if len(d.symbols) == 0 {
+		return
+	}
+	if cap(d.pair) >= 1<<lutBits {
+		d.pair = d.pair[:1<<lutBits]
+	} else {
+		d.pair = make([]pairEntry, 1<<lutBits)
+	}
+	for p, e := range d.lut {
+		var ent pairEntry
+		if e.len != 0 {
+			if sym := d.symbols[e.index]; int(int32(sym)) == sym {
+				ent = pairEntry{sym: [2]int32{int32(sym)}, bits: e.len, n: 1}
+				e2 := d.lut[(p<<e.len)&(1<<lutBits-1)]
+				if e2.len != 0 && e2.len <= lutBits-e.len {
+					if sym2 := d.symbols[e2.index]; int(int32(sym2)) == sym2 {
+						ent.sym[1] = int32(sym2)
+						ent.bits += e2.len
+						ent.n = 2
+					}
+				}
+			}
+		}
+		d.pair[p] = ent
+	}
+	d.pairOK = true
+}
+
 // Decode reads one symbol from r.
 func (d *Decoder) Decode(r *bitstream.Reader) (int, error) {
 	if len(d.symbols) == 0 {
@@ -826,10 +865,10 @@ func (d *Decoder) DecodeAll(r *bitstream.Reader, n int) ([]int, error) {
 //
 // The fast loop keeps the reader's 64-bit buffer topped up with at least
 // maxLen real stream bits, so table lookups need no avail gating and
-// consume via PeekFast/SkipFast with zero per-symbol checks. Near the end
-// of the input (or for pathological tables whose maxLen exceeds the refill
-// guarantee) it falls back to the checked per-symbol Decode, which
-// preserves the historical error semantics exactly.
+// consume with zero per-symbol checks. Near the end of the input (or for
+// pathological tables whose maxLen exceeds the refill guarantee) it falls
+// back to the checked per-symbol Decode, which preserves the historical
+// error semantics exactly.
 func (d *Decoder) DecodeAllBuf(r *bitstream.Reader, n int, buf []int) ([]int, error) {
 	var out []int
 	if cap(buf) >= n {
@@ -851,42 +890,67 @@ func (d *Decoder) DecodeAllBuf(r *bitstream.Reader, n int, buf []int) ([]int, er
 
 // decodeInto fills out with exactly len(out) symbols from r; it is the core
 // loop of DecodeAllBuf.
+//
+// The bit buffer stays in locals across every probe a refill covers. While
+// at least two output slots remain, each probe of the pair table writes
+// both slots and advances i by the entry's count: a one-code entry's second
+// store lands in a slot the next probe overwrites, so the loop never
+// branches on the count. Codes longer than lutBits go through the
+// subtables; uncovered codes, invalid prefixes, symbols outside int32, the
+// last odd slot and the stream tail take the checked Decode, which keeps
+// the error semantics and the reader position of a symbol-at-a-time decode.
 func (d *Decoder) decodeInto(r *bitstream.Reader, out []int) error {
+	if !d.pairOK {
+		d.buildPair()
+	}
 	n := len(out)
 	need := uint(lutBits)
 	if m := uint(d.maxLen); m > need {
 		need = m
 	}
-	lut, sub, symbols := d.lut, d.sub, d.symbols
+	pair := (*[1 << lutBits]pairEntry)(d.pair)
+	lut := (*[1 << lutBits]lutEntry)(d.lut)
+	sub, symbols := d.sub, d.symbols
 	i := 0
-	for i < n {
+outer:
+	for i+1 < n {
 		if r.Buffered() < need && r.Fill() < need {
 			break // near end of input: finish with the checked path
 		}
-		e := lut[r.PeekFast(lutBits)]
-		if e.len != 0 {
-			r.SkipFast(uint(e.len))
-			out[i] = symbols[e.index]
-			i++
-			continue
-		}
-		if e.sub != 0 {
-			w := uint(e.sub)
-			se := sub[uint64(e.index)+(r.PeekFast(lutBits+w)&((1<<w)-1))]
-			if se.len != 0 {
-				r.SkipFast(uint(se.len))
-				out[i] = symbols[se.index]
-				i++
+		cur, nbit := r.BitState()
+		for nbit >= need && i+1 < n {
+			p := cur >> (64 - lutBits)
+			if e := pair[p]; e.n != 0 {
+				out[i] = int(e.sym[0])
+				out[i+1] = int(e.sym[1])
+				cur <<= e.bits
+				nbit -= uint(e.bits)
+				i += int(e.n)
 				continue
 			}
+			if e := lut[p]; e.sub != 0 {
+				w := uint(e.sub)
+				se := sub[uint64(e.index)+(cur>>(64-lutBits-w))&((1<<w)-1)]
+				if se.len != 0 {
+					out[i] = symbols[se.index]
+					cur <<= se.len
+					nbit -= uint(se.len)
+					i++
+					continue
+				}
+			}
+			// Uncovered long code, invalid prefix or wide symbol: one
+			// checked decode.
+			r.SetBitState(cur, nbit)
+			s, err := d.Decode(r)
+			if err != nil {
+				return err
+			}
+			out[i] = s
+			i++
+			continue outer
 		}
-		// Uncovered long code or invalid prefix: one checked decode.
-		s, err := d.Decode(r)
-		if err != nil {
-			return err
-		}
-		out[i] = s
-		i++
+		r.SetBitState(cur, nbit)
 	}
 	for ; i < n; i++ {
 		s, err := d.Decode(r)

@@ -12,7 +12,8 @@
 // AppendBounded + BoundedRecon) in a follow-up pass over the row, keeping
 // appends and byte-writing off the per-value loop. Legitimate codes are
 // never Reserved, so a Reserved code in the output marks outliers
-// unambiguously.
+// unambiguously. The dequantize kernels need no such pass: they read each
+// outlier's stored value as they reach its Reserved code.
 package quant
 
 import (
@@ -109,36 +110,48 @@ func (q *Quantizer) QuantizeBlockVQ(data []float64, lam, mu float64, codes []int
 }
 
 // DequantizeBlock reconstructs out[i] from codes[base+i*stride] and
-// preds[i]. Reserved codes are counted and their out slots left untouched
-// for the caller's outlier fix-up pass.
-func (q *Quantizer) DequantizeBlock(codes []int, base, stride int, preds, out []float64) int {
+// preds[i]. A Reserved code takes its value from the outlier bytes at
+// cursor opos (ReadBounded's encoding under the quantizer's bound), in
+// traversal order, so the row is final on return. It returns the advanced
+// cursor, or ErrShort when the outlier bytes run out.
+func (q *Quantizer) DequantizeBlock(codes []int, base, stride int, preds, out []float64, outliers []byte, opos int) (int, error) {
 	twoEB, mid := q.twoEB, q.mid
-	nRes := 0
+	preds = preds[:len(out)]
 	ci := base
 	for i := range out {
 		if c := codes[ci]; c == Reserved {
-			nRes++
+			v, nb, err := ReadBounded(outliers[opos:], q.eb)
+			if err != nil {
+				return opos, err
+			}
+			opos += nb
+			out[i] = v
 		} else {
 			out[i] = preds[i] + float64(c-mid)*twoEB
 		}
 		ci += stride
 	}
-	return nRes
+	return opos, nil
 }
 
 // DequantizeBlockVQ is DequantizeBlock fused with the level-centroid
 // predictor: levels[i] carries the row's level-index delta chain. The chain
 // advances on Reserved codes too, mirroring the encoder.
-func (q *Quantizer) DequantizeBlockVQ(codes []int, base, stride int, levels []int, lam, mu float64, out []float64) int {
+func (q *Quantizer) DequantizeBlockVQ(codes []int, base, stride int, levels []int, lam, mu float64, out []float64, outliers []byte, opos int) (int, error) {
 	twoEB, mid := q.twoEB, q.mid
-	nRes := 0
+	levels = levels[:len(out)]
 	ci := base
 	prevLevel := int64(0)
 	for i := range out {
 		lvl := prevLevel + int64(levels[i])
 		prevLevel = lvl
 		if c := codes[ci]; c == Reserved {
-			nRes++
+			v, nb, err := ReadBounded(outliers[opos:], q.eb)
+			if err != nil {
+				return opos, err
+			}
+			opos += nb
+			out[i] = v
 		} else {
 			// predictor.Centroid inlines; only Level (in QuantizeBlockVQ) is
 			// large enough to need hand-fusing.
@@ -146,5 +159,5 @@ func (q *Quantizer) DequantizeBlockVQ(codes []int, base, stride int, levels []in
 		}
 		ci += stride
 	}
-	return nRes
+	return opos, nil
 }

@@ -319,3 +319,54 @@ func FuzzErrorBound(f *testing.F) {
 		requireFramesWithinBound(t, frames, decompressAll(t, compressAll(t, cfg, frames, m)), 1e-3)
 	})
 }
+
+// TestConstantAxisLargeBatchRoundTrip round-trips a 2-D run (Z ≡ 0) whose
+// batches are large enough to shard. LZ folds the constant axis's
+// one-bit-per-value Huffman payload into a handful of matches, so each Z
+// shard body is a few dozen bytes for hundreds of thousands of values; the
+// decoder must accept that, and every axis must hold its bound.
+func TestConstantAxisLargeBatchRoundTrip(t *testing.T) {
+	const atoms, snaps, eps = 40000, 50, 1e-4
+	rng := rand.New(rand.NewSource(71))
+	x := make([]float64, atoms)
+	y := make([]float64, atoms)
+	for i := range x {
+		x[i] = rng.Float64() * 50
+		y[i] = rng.Float64() * 50
+	}
+	frames := make([]Frame, snaps)
+	for t := range frames {
+		f := Frame{X: make([]float64, atoms), Y: make([]float64, atoms), Z: make([]float64, atoms)}
+		for i := range x {
+			x[i] += rng.NormFloat64() * 0.01
+			y[i] += rng.NormFloat64() * 0.01
+			f.X[i], f.Y[i] = x[i], y[i]
+		}
+		frames[t] = f
+	}
+	stream, err := Compress(frames, Config{ErrorBound: eps, BufferSize: snaps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decompress(stream)
+	if err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	if len(got) != snaps {
+		t.Fatalf("decoded %d snapshots, want %d", len(got), snaps)
+	}
+	for axis := 0; axis < 3; axis++ {
+		bound := eps * frameRange(frames, axis)
+		if bound == 0 {
+			bound = eps // a constant axis's range is taken as 1
+		}
+		want, have := axisSeries(frames, axis), axisSeries(got, axis)
+		for s := range want {
+			for i := range want[s] {
+				if e := math.Abs(want[s][i] - have[s][i]); e > bound {
+					t.Fatalf("axis %d snapshot %d atom %d: error %g exceeds bound %g", axis, s, i, e, bound)
+				}
+			}
+		}
+	}
+}

@@ -45,11 +45,11 @@ go test -race -count=2 \
 # benchmark code fails the gate without paying for real measurement runs.
 go test -run '^$' -bench . -benchtime 1x .
 
-# Entropy-stage micro-benchmarks once under the race detector: the
-# word-at-a-time bitstream and table-driven Huffman paths use pooled
-# scratch state, and one racing iteration of each body is a cheap guard on
-# that reuse.
-go test -race -run '^$' -bench . -benchtime 1x ./internal/bitstream ./internal/huffman
+# Entropy-stage and dequantize micro-benchmarks once under the race
+# detector: the word-at-a-time bitstream and table-driven Huffman paths use
+# pooled scratch state, and one racing iteration of each body is a cheap
+# guard on that reuse.
+go test -race -run '^$' -bench . -benchtime 1x ./internal/bitstream ./internal/huffman ./internal/quant
 
 # Daemon smoke: mdzload spawns an in-process mdzd and runs a couple dozen
 # concurrent streaming sessions, byte-comparing every container against a
