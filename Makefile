@@ -48,6 +48,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) ./internal/lossless
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterDifferential$$' -fuzztime $(FUZZTIME) ./internal/kmeans
+	$(GO) test -run '^$$' -fuzz '^FuzzSZFamilyErrorBound$$' -fuzztime $(FUZZTIME) ./internal/codec
 
 # Fault-containment sweep, longer than the CI gate: the crash-consistency
 # matrix at every output byte (MDZ_CHAOS_SWEEP), plus the stream fault

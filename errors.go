@@ -27,12 +27,12 @@ var (
 )
 
 // ErrBudgetExceeded is the sentinel matched by every rejection of the
-// decode memory governor (Config.MaxDecodeBytes and friends): the input's
-// claimed sizes would push the decoder's in-flight allocations past the
-// configured ceiling. It deliberately is NOT a corruption sentinel — the
-// same input may decode fine under a larger budget — and it passes through
-// mapBlockErr unwrapped so callers can distinguish resource rejection from
-// damaged data.
+// decode memory governor (MaxDecodeBytes in DecompressorOptions and
+// ReaderOptions): the input's claimed sizes would push the decoder's
+// in-flight allocations past the configured ceiling. It deliberately is NOT
+// a corruption sentinel — the same input may decode fine under a larger
+// budget — and it passes through mapBlockErr unwrapped so callers can
+// distinguish resource rejection from damaged data.
 var ErrBudgetExceeded = budget.ErrExceeded
 
 // ErrNonFinite is returned by CompressBatch (and everything built on it)

@@ -5,51 +5,26 @@
 // snapshots — order-1 (previous value) or order-2 (linear extrapolation
 // 2·prev − prev2), whichever predicts the snapshot better on a sample — and
 // the first snapshot falls back to spatial Lorenzo prediction. Residuals go
-// through the standard quantization + Huffman + dictionary pipeline.
+// through the shared SZ-family quantization + Huffman + dictionary stage
+// (internal/resid), with the per-snapshot selectors as its side section.
 package asn
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
-	"github.com/mdz/mdz/internal/bitstream"
-	"github.com/mdz/mdz/internal/huffman"
-	"github.com/mdz/mdz/internal/lossless"
-	"github.com/mdz/mdz/internal/quant"
+	"github.com/mdz/mdz/internal/resid"
 )
 
-// ErrCorrupt is returned for malformed blocks.
-var ErrCorrupt = errors.New("asn: corrupt block")
-
 // Compressor is a stateless per-batch ASN codec.
-type Compressor struct {
-	// QuantScale overrides the quantization interval count (default 65536).
-	QuantScale int
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
-}
+type Compressor struct{}
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "ASN" }
 
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
-}
+var format = resid.Format{Magic: "ASNB", Side: true}
 
-func (c *Compressor) scale() int {
-	if c.QuantScale <= 0 {
-		return 65536
-	}
-	return c.QuantScale
-}
-
-const blockMagic = "ASNB"
-
-// Per-snapshot predictor selector codes.
+// Per-snapshot predictor selector codes. A selector never exceeds its
+// snapshot index: order-k prediction needs k earlier snapshots.
 const (
 	predLorenzo = 0 // spatial previous-value (first snapshot)
 	predOrder1  = 1 // previous snapshot
@@ -58,79 +33,62 @@ const (
 
 // CompressSeries compresses one axis batch under absolute error bound eb.
 func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, error) {
-	if len(batch) == 0 {
-		return nil, errors.New("asn: empty batch")
+	return format.Encode(batch, eb, nil, walk)
+}
+
+// DecompressSeries inverts CompressSeries.
+func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
+	return format.Decode(blk, walk)
+}
+
+// walk is ASN's walk: snapshot-major, each snapshot under its selector.
+// Encoding chooses the selectors into the side section; decoding reads
+// them back.
+func walk(c *resid.Coder) {
+	r := c.Recon
+	bs, n := c.Shape()
+	if c.Data != nil {
+		c.Side = make([]byte, bs)
+	} else if len(c.Side) != bs {
+		c.Fail()
+		return
 	}
-	n := len(batch[0])
-	for i, s := range batch {
-		if len(s) != n {
-			return nil, fmt.Errorf("asn: snapshot %d has %d values, want %d", i, len(s), n)
+	for t := 0; t < bs; t++ {
+		if c.Data != nil {
+			c.Side[t] = choose(t, c.Data[t], r)
 		}
-	}
-	q, err := quant.New(eb, c.scale())
-	if err != nil {
-		return nil, err
-	}
-	bs := len(batch)
-	bins := make([]int, 0, bs*n)
-	var outliers []byte
-	selectors := make([]byte, bs)
-	prev := make([]float64, n)  // recon of t-1
-	prev2 := make([]float64, n) // recon of t-2
-	cur := make([]float64, n)
-	for t, snap := range batch {
-		sel := predLorenzo
-		if t == 1 {
-			sel = predOrder1
-		} else if t >= 2 {
-			// Sample-based selection between order-1 and order-2.
-			sel = predOrder1
-			if sampleErr(snap, prev, prev2, true) < sampleErr(snap, prev, prev2, false) {
-				sel = predOrder2
-			}
+		sel := c.Side[t]
+		if sel > predOrder2 || int(sel) > t {
+			c.Fail()
+			return
 		}
-		selectors[t] = byte(sel)
-		lastRecon := 0.0
-		for i, d := range snap {
+		last := 0.0
+		for i := 0; i < n; i++ {
 			var pred float64
 			switch sel {
 			case predLorenzo:
-				pred = lastRecon
+				pred = last
 			case predOrder1:
-				pred = prev[i]
+				pred = r[t-1][i]
 			default:
-				pred = 2*prev[i] - prev2[i]
+				pred = 2*r[t-1][i] - r[t-2][i]
 			}
-			code, r, ok := q.Quantize(d, pred)
-			if !ok {
-				outliers = quant.AppendBounded(outliers, d, eb)
-				r = quant.BoundedRecon(d, eb)
-				code = quant.Reserved
-			}
-			bins = append(bins, code)
-			cur[i] = r
-			lastRecon = r
+			last = c.Code(t, i, pred)
 		}
-		prev2, prev, cur = prev, cur, prev2
 	}
-	var payload []byte
-	payload = bitstream.AppendSection(payload, selectors)
-	payload, err = huffman.EncodeInts(payload, bins)
-	if err != nil {
-		return nil, err
+}
+
+// choose selects snapshot t's predictor: Lorenzo for the first snapshot,
+// order-1 for the second, then whichever of order-1 and order-2 predicts
+// snap better on a sample of the reconstructed rows r.
+func choose(t int, snap []float64, r [][]float64) byte {
+	switch {
+	case t == 0:
+		return predLorenzo
+	case t >= 2 && sampleErr(snap, r[t-1], r[t-2], true) < sampleErr(snap, r[t-1], r[t-2], false):
+		return predOrder2
 	}
-	payload = bitstream.AppendSection(payload, outliers)
-	compressed, err := c.backend().Compress(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte{}, blockMagic...)
-	out = bitstream.AppendFloat64(out, eb)
-	out = bitstream.AppendUvarint(out, uint64(c.scale()))
-	out = bitstream.AppendUvarint(out, uint64(bs))
-	out = bitstream.AppendUvarint(out, uint64(n))
-	out = bitstream.AppendSection(out, compressed)
-	return out, nil
+	return predOrder1
 }
 
 // sampleErr estimates the mean absolute prediction error over a stride
@@ -150,106 +108,4 @@ func sampleErr(snap, prev, prev2 []float64, order2 bool) float64 {
 		cnt++
 	}
 	return sum / float64(cnt)
-}
-
-// DecompressSeries inverts CompressSeries.
-func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
-	br := bitstream.NewByteReader(blk)
-	magic, err := br.ReadBytes(4)
-	if err != nil || string(magic) != blockMagic {
-		return nil, ErrCorrupt
-	}
-	eb, err := br.ReadFloat64()
-	if err != nil {
-		return nil, err
-	}
-	scale, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	n64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs, n := int(bs64), int(n64)
-	if bs <= 0 || n < 0 || uint64(bs)*uint64(n) > 1<<33 {
-		return nil, ErrCorrupt
-	}
-	q, err := quant.New(eb, int(scale))
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	compressed, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.backend().Decompress(compressed)
-	if err != nil {
-		return nil, err
-	}
-	pr := bitstream.NewByteReader(payload)
-	selectors, err := pr.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if len(selectors) != bs {
-		return nil, ErrCorrupt
-	}
-	bins, err := huffman.DecodeInts(pr)
-	if err != nil {
-		return nil, err
-	}
-	outliers, err := pr.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if len(bins) != bs*n {
-		return nil, ErrCorrupt
-	}
-	opos := 0
-	out := make([][]float64, bs)
-	for t := range out {
-		out[t] = make([]float64, n)
-	}
-	for t := 0; t < bs; t++ {
-		sel := int(selectors[t])
-		if sel < predLorenzo || sel > predOrder2 {
-			return nil, ErrCorrupt
-		}
-		lastRecon := 0.0
-		for i := 0; i < n; i++ {
-			var pred float64
-			switch sel {
-			case predLorenzo:
-				pred = lastRecon
-			case predOrder1:
-				if t < 1 {
-					return nil, ErrCorrupt
-				}
-				pred = out[t-1][i]
-			default:
-				if t < 2 {
-					return nil, ErrCorrupt
-				}
-				pred = 2*out[t-1][i] - out[t-2][i]
-			}
-			code := bins[t*n+i]
-			if quant.IsReserved(code) {
-				v, n2, err := quant.ReadBounded(outliers[opos:], eb)
-				if err != nil {
-					return nil, ErrCorrupt
-				}
-				opos += n2
-				out[t][i] = v
-			} else {
-				out[t][i] = q.Dequantize(code, pred)
-			}
-			lastRecon = out[t][i]
-		}
-	}
-	return out, nil
 }

@@ -698,16 +698,13 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 			prev := 0.0
 			ci := base
 			for i, d := range data {
-				code, rec, ok := e.q.Quantize(d, prev)
-				if !ok {
-					outliers = quant.AppendBounded(outliers, d, eb)
-					rec = quant.BoundedRecon(d, eb)
-					code = quant.Reserved
+				var code int
+				code, prev, outliers = e.q.Code(d, prev, outliers)
+				if code == quant.Reserved {
 					nOut++
 				}
 				bins[ci] = code
-				recon[i] = rec
-				prev = rec
+				recon[i] = prev
 				ci += stride
 			}
 		default: // time-based prediction from the previous snapshot
@@ -722,9 +719,7 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 			ci := base
 			for i := range recon {
 				if bins[ci] == quant.Reserved {
-					d := recon[i]
-					outliers = quant.AppendBounded(outliers, d, eb)
-					recon[i] = quant.BoundedRecon(d, eb)
+					outliers, recon[i] = quant.AppendBounded(outliers, recon[i], eb)
 				}
 				ci += stride
 			}
@@ -902,18 +897,9 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 			// value's final (possibly outlier-restored) reconstruction.
 			prev := 0.0
 			ci := base
-			for i := 0; i < sn; i++ {
-				if quant.IsReserved(bins[ci]) {
-					v, nb, rerr := quant.ReadBounded(outliers[opos:], h.eb)
-					if rerr != nil {
-						return corrupt(rerr)
-					}
-					opos += nb
-					snap[i] = v
-				} else {
-					snap[i] = q.Dequantize(bins[ci], prev)
-				}
-				prev = snap[i]
+			for i := 0; i < sn && err == nil; i++ {
+				prev, opos, err = q.Decode(bins[ci], prev, outliers, opos)
+				snap[i] = prev
 				ci += stride
 			}
 		case t == 0 && h.method == MT && h.firstPred == firstRef:
@@ -995,7 +981,7 @@ func decodeShardSnapshot(q *quant.Quantizer, h *header, sc *decodeScratch, t, sn
 	for tt := 0; tt < t; tt++ {
 		ci := tt * rowStep
 		for i := 0; i < sn; i++ {
-			if quant.IsReserved(bins[ci]) {
+			if bins[ci] == quant.Reserved {
 				_, n2, err := quant.ReadBounded(outliers[opos:], h.eb)
 				if err != nil {
 					return corrupt(err)

@@ -122,7 +122,7 @@ func (rd *refDecoder) decodeShard(q *quant.Quantizer, h *header, sc *decodeScrat
 			prev := 0.0
 			ci := base
 			for i := 0; i < sn; i++ {
-				if quant.IsReserved(bins[ci]) {
+				if bins[ci] == quant.Reserved {
 					v, nb, err := quant.ReadBounded(outliers[opos:], h.eb)
 					if err != nil {
 						return ErrCorrupt
@@ -143,7 +143,7 @@ func (rd *refDecoder) decodeShard(q *quant.Quantizer, h *header, sc *decodeScrat
 		if nRes > 0 {
 			ci := base
 			for i := 0; i < sn; i++ {
-				if quant.IsReserved(bins[ci]) {
+				if bins[ci] == quant.Reserved {
 					v, nb, err := quant.ReadBounded(outliers[opos:], h.eb)
 					if err != nil {
 						return ErrCorrupt
@@ -424,17 +424,17 @@ func TestShardLeftoverBytesCorrupt(t *testing.T) {
 			},
 			"unread raw outlier record": func(s int, p shardPayload) shardPayload {
 				if s == 0 {
-					p.outliers = quant.AppendBounded(append([]byte(nil), p.outliers...), math.NaN(), 1e-3)
+					p.outliers, _ = quant.AppendBounded(append([]byte(nil), p.outliers...), math.NaN(), 1e-3)
 				}
 				return p
 			},
 			"extra level delta": func(s int, p shardPayload) shardPayload {
 				if s == 0 {
-					levels, err := huffman.DecodeInts(bitstream.NewByteReader(p.levels))
+					levels, err := new(huffman.DecodeScratch).DecodeIntsTx(bitstream.NewByteReader(p.levels), nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if p.levels, err = huffman.EncodeInts(nil, append(levels, 0)); err != nil {
+					if p.levels, err = new(huffman.Scratch).EncodeInts(nil, append(levels, 0)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -215,7 +215,6 @@ func (srv *Server) buildSession(id string, sc SessionConfig, prefix []byte, st *
 	}
 	s.containerTx = srv.mem.Begin()
 	cfg.Context = ctx
-	cfg.MaxDecodeBytes = srv.opts.MaxDecodeBytes
 	if len(prefix) > 0 {
 		if err := s.containerTx.Reserve(int64(len(prefix))); err != nil {
 			cancel()

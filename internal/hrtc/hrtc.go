@@ -31,21 +31,12 @@ var ErrCorrupt = errors.New("hrtc: corrupt block")
 
 // Compressor is a stateless per-batch HRTC-style codec.
 type Compressor struct {
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
 	// LimitAtoms overrides MaxAtoms for testing; 0 selects MaxAtoms.
 	LimitAtoms int
 }
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "HRTC" }
-
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
-}
 
 func (c *Compressor) limit() int {
 	if c.LimitAtoms > 0 {
@@ -123,7 +114,7 @@ func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, erro
 	var payload []byte
 	payload = bitstream.AppendSection(payload, body)
 	payload = bitstream.AppendSection(payload, raw)
-	compressed, err := c.backend().Compress(payload)
+	compressed, err := lossless.LZ{}.Compress(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +193,7 @@ func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.backend().Decompress(compressed)
+	payload, err := lossless.LZ{}.Decompress(compressed)
 	if err != nil {
 		return nil, err
 	}

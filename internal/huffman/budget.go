@@ -1,8 +1,6 @@
 package huffman
 
 import (
-	"sync"
-
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
 )
@@ -10,8 +8,7 @@ import (
 // Budget-aware decode variants. Each reserves the stream's *claimed* sizes
 // against tx before allocating for them, so a forged table or payload
 // length is rejected with budget.ErrExceeded instead of ballooning into a
-// huge allocation. A nil tx disables accounting, making the plain entry
-// points (DecodeIntsBuf etc.) thin wrappers over these.
+// huge allocation. A nil tx disables accounting.
 //
 // Accounting is by claimed size, independent of buffer reuse: a pooled
 // destination with spare capacity is charged the same as a fresh
@@ -51,18 +48,6 @@ func reserveTable(br *bitstream.ByteReader, tx *budget.Tx) error {
 		return ErrCorrupt
 	}
 	return tx.Reserve(int64(n) * tableEntryCost)
-}
-
-// decScratchPool serves DecodeIntsTx. The decoded symbols never alias the
-// scratch, so it goes back to the pool on return.
-var decScratchPool = sync.Pool{New: func() any { return new(DecodeScratch) }}
-
-// DecodeIntsTx is DecodeIntsBuf with budget accounting on tx, decoding
-// through a pooled DecodeScratch.
-func DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
-	s := decScratchPool.Get().(*DecodeScratch)
-	defer decScratchPool.Put(s)
-	return s.DecodeIntsTx(br, buf, tx)
 }
 
 // DecodeIntsTx inverts EncodeInts, consuming one section from br into buf

@@ -10,10 +10,10 @@ import (
 
 // This file holds the byte-oriented fast paths over the canonical codec:
 // EncodeBytes/DecodeBytes produce and consume exactly the same wire bytes as
-// EncodeInts/DecodeInts over the widened []int data, but operate on []byte
-// end to end with pooled scratch state, so the dictionary-coder hot path
-// (internal/lossless.LZ) never round-trips its sections through an 8×-larger
-// integer slice.
+// Scratch.EncodeInts/DecodeScratch.DecodeIntsTx over the widened []int data,
+// but operate on []byte end to end with pooled scratch state, so the
+// dictionary-coder hot path (internal/lossless.LZ) never round-trips its
+// sections through an 8×-larger integer slice.
 //
 // Byte-for-byte identity with the generic path is load-bearing (the LZ wire
 // format is pinned by golden hashes) and rests on three facts, each checked
@@ -32,7 +32,7 @@ import (
 // ErrByteRange is returned by the byte-oriented decode paths when a decoded
 // symbol falls outside 0..255. It is reported only after the symbol stream
 // decodes cleanly, mirroring the historical decode-all-then-narrow
-// sequencing (DecodeInts followed by a range-checking []int→[]byte copy).
+// sequencing (DecodeIntsTx followed by a range-checking []int→[]byte copy).
 var ErrByteRange = errors.New("huffman: decoded symbol out of byte range")
 
 // byteEncScratch is the reusable state of one EncodeBytes call. freq4 holds
@@ -391,7 +391,7 @@ func (s *DecodeScratch) ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
 
 // DecodeBytes inverts EncodeBytes, consuming one section from br into buf
 // (reused when it has capacity). It accepts exactly the streams for which
-// DecodeInts succeeds with all symbols in 0..255, and fails with the same
+// DecodeIntsTx succeeds with all symbols in 0..255, and fails with the same
 // error sequencing: stream/table errors surface first, and ErrByteRange is
 // returned only when the symbol stream itself decoded cleanly.
 func (s *DecodeScratch) DecodeBytes(br *bitstream.ByteReader, buf []byte) ([]byte, error) {

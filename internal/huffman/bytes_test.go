@@ -63,7 +63,7 @@ func TestEncodeBytesMatchesEncodeInts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: EncodeBytes: %v", ci, err)
 		}
-		want, err := EncodeInts(nil, widen(data))
+		want, err := encodeInts(nil, widen(data))
 		if err != nil {
 			t.Fatalf("case %d: EncodeInts: %v", ci, err)
 		}
@@ -98,7 +98,7 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 		if !bytes.Equal(out, data) {
 			t.Errorf("case %d: DecodeBytes mismatch", ci)
 		}
-		ints, err := DecodeInts(bitstream.NewByteReader(enc))
+		ints, err := decodeInts(bitstream.NewByteReader(enc))
 		if err != nil {
 			t.Fatalf("case %d: DecodeInts: %v", ci, err)
 		}
@@ -118,11 +118,11 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 // only after the stream itself parsed cleanly.
 func TestDecodeBytesWideSymbol(t *testing.T) {
 	syms := []int{300, 1, 2, 1, 300, 2, 1, 1}
-	enc, err := EncodeInts(nil, syms)
+	enc, err := encodeInts(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeInts(bitstream.NewByteReader(enc)); err != nil {
+	if _, err := decodeInts(bitstream.NewByteReader(enc)); err != nil {
 		t.Fatalf("DecodeInts: %v", err)
 	}
 	var s DecodeScratch
@@ -212,7 +212,7 @@ func FuzzEncodeBytesEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("EncodeBytes: %v", err)
 		}
-		want, err := EncodeInts(nil, widen(data))
+		want, err := encodeInts(nil, widen(data))
 		if err != nil {
 			t.Fatalf("EncodeInts: %v", err)
 		}

@@ -145,11 +145,11 @@ func TestDecodeLongCodesTwoLevel(t *testing.T) {
 	for i := range syms {
 		syms[i] = rng.Intn(8192)
 	}
-	buf, err := EncodeInts(nil, syms)
+	buf, err := encodeInts(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

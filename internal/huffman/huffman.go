@@ -997,48 +997,31 @@ type EncodeStats struct {
 	PayloadBytes int
 }
 
-// LastStats reports the stats of the most recent EncodeInts call. A nil
-// Scratch (or one not yet used) reports zeros.
-func (s *Scratch) LastStats() EncodeStats {
-	if s == nil {
-		return EncodeStats{}
-	}
-	return s.stats
-}
+// LastStats reports the stats of the most recent EncodeInts call (zeros
+// before the first).
+func (s *Scratch) LastStats() EncodeStats { return s.stats }
 
 // EncodeInts builds a code for syms, serializes the table and the
 // bit-packed payload, and returns table||payload as length-prefixed
-// sections appended to dst, reusing the Scratch's internal buffers. A nil
-// receiver is valid and allocates fresh buffers.
+// sections appended to dst, reusing the Scratch's internal buffers.
 func (s *Scratch) EncodeInts(dst []byte, syms []int) ([]byte, error) {
 	enc, err := s.buildFor(syms)
 	if err != nil {
 		return nil, err
 	}
-	var table []byte
-	var w *bitstream.Writer
-	if s == nil {
-		table = enc.AppendTable(nil)
-		w = bitstream.NewWriter(len(syms) / 2)
-	} else {
-		s.table = enc.AppendTable(s.table[:0])
-		table = s.table
-		s.w.Reset()
-		w = &s.w
-	}
-	if err := enc.EncodeAll(w, syms); err != nil {
+	s.table = enc.AppendTable(s.table[:0])
+	s.w.Reset()
+	if err := enc.EncodeAll(&s.w, syms); err != nil {
 		return nil, err
 	}
-	if s != nil {
-		s.stats = EncodeStats{
-			Symbols:      enc.NumSymbols(),
-			TableBytes:   len(table),
-			PayloadBytes: len(w.Bytes()),
-		}
+	s.stats = EncodeStats{
+		Symbols:      enc.NumSymbols(),
+		TableBytes:   len(s.table),
+		PayloadBytes: len(s.w.Bytes()),
 	}
-	dst = bitstream.AppendSection(dst, table)
+	dst = bitstream.AppendSection(dst, s.table)
 	dst = bitstream.AppendUvarint(dst, uint64(len(syms)))
-	dst = bitstream.AppendSection(dst, w.Bytes())
+	dst = bitstream.AppendSection(dst, s.w.Bytes())
 	return dst, nil
 }
 
@@ -1066,15 +1049,13 @@ func (s *Scratch) buildFor(syms []int) (*Encoder, error) {
 	if diff < uint64(4*len(syms)+1024) && diff < 1<<20 {
 		span := int(diff) + 1
 		var counts []uint64
-		if s != nil && cap(s.counts) >= span {
+		if cap(s.counts) >= span {
 			counts = s.counts[:span]
 		} else {
 			counts = make([]uint64, span)
-			if s != nil {
-				s.counts = counts
-			}
+			s.counts = counts
 		}
-		if s != nil && len(syms) >= 4*span && len(syms) >= 2048 && len(syms) < 1<<28 {
+		if len(syms) >= 4*span && len(syms) >= 2048 && len(syms) < 1<<28 {
 			// 4-way striped counting, ported from the byte-section encoder:
 			// quantization bins arrive in long runs of the same symbol, and
 			// four independent stripes break the same-address
@@ -1110,54 +1091,23 @@ func (s *Scratch) buildFor(syms []int) (*Encoder, error) {
 				counts[v-lo]++
 			}
 		}
-		var alph []int
-		var wts []uint64
-		if s != nil {
-			alph, wts = s.syms[:0], s.weights[:0]
-		}
+		alph, wts := s.syms[:0], s.weights[:0]
 		for i, c := range counts {
 			if c != 0 {
 				alph = append(alph, lo+i)
 				wts = append(wts, c)
 			}
 		}
-		if s != nil {
-			s.syms, s.weights = alph, wts
-		}
+		s.syms, s.weights = alph, wts
 		return buildSortedSc(alph, wts, s)
 	}
-	var freq map[int]uint64
-	if s == nil {
-		freq = make(map[int]uint64)
+	if s.freq == nil {
+		s.freq = make(map[int]uint64, 64)
 	} else {
-		if s.freq == nil {
-			s.freq = make(map[int]uint64, 64)
-		} else {
-			clear(s.freq)
-		}
-		freq = s.freq
+		clear(s.freq)
 	}
 	for _, sym := range syms {
-		freq[sym]++
+		s.freq[sym]++
 	}
-	return Build(freq)
-}
-
-// EncodeInts is a convenience that builds a code for syms, serializes the
-// table and the bit-packed payload, and returns table||payload as
-// length-prefixed sections appended to dst.
-func EncodeInts(dst []byte, syms []int) ([]byte, error) {
-	return (*Scratch)(nil).EncodeInts(dst, syms)
-}
-
-// DecodeInts inverts EncodeInts, consuming from br.
-func DecodeInts(br *bitstream.ByteReader) ([]int, error) {
-	return DecodeIntsBuf(br, nil)
-}
-
-// DecodeIntsBuf is DecodeInts with a caller-provided destination buffer:
-// when buf has sufficient capacity the symbols are decoded into it,
-// avoiding a per-call allocation on the decode hot path.
-func DecodeIntsBuf(br *bitstream.ByteReader, buf []int) ([]int, error) {
-	return DecodeIntsTx(br, buf, nil)
+	return Build(s.freq)
 }

@@ -11,11 +11,11 @@ import (
 
 func roundTrip(t *testing.T, syms []int) {
 	t.Helper()
-	buf, err := EncodeInts(nil, syms)
+	buf, err := encodeInts(nil, syms)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -58,11 +58,11 @@ func TestRoundTripSkewed(t *testing.T) {
 			syms[i] = rng.Intn(1024)
 		}
 	}
-	buf, err := EncodeInts(nil, syms)
+	buf, err := encodeInts(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeInts(bitstream.NewByteReader(buf))
+	got, err := decodeInts(bitstream.NewByteReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +152,12 @@ func TestTruncatedPayload(t *testing.T) {
 	for i := range syms {
 		syms[i] = i % 7
 	}
-	buf, err := EncodeInts(nil, syms)
+	buf, err := encodeInts(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Chop off the tail; decode must error, not hang or panic.
-	_, err = DecodeInts(bitstream.NewByteReader(buf[:len(buf)-5]))
+	_, err = decodeInts(bitstream.NewByteReader(buf[:len(buf)-5]))
 	if err == nil {
 		t.Error("expected error on truncated payload")
 	}
@@ -169,11 +169,11 @@ func TestQuickRoundTrip(t *testing.T) {
 		for i, v := range raw {
 			syms[i] = int(v)
 		}
-		buf, err := EncodeInts(nil, syms)
+		buf, err := encodeInts(nil, syms)
 		if err != nil {
 			return false
 		}
-		got, err := DecodeInts(bitstream.NewByteReader(buf))
+		got, err := decodeInts(bitstream.NewByteReader(buf))
 		if err != nil {
 			return false
 		}
@@ -200,7 +200,7 @@ func BenchmarkEncodeSkewed(b *testing.B) {
 	b.SetBytes(int64(len(syms) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeInts(nil, syms); err != nil {
+		if _, err := encodeInts(nil, syms); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,15 +216,24 @@ func BenchmarkDecodeSkewed(b *testing.B) {
 			syms[i] = rng.Intn(1024)
 		}
 	}
-	buf, err := EncodeInts(nil, syms)
+	buf, err := encodeInts(nil, syms)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(syms) * 4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeInts(bitstream.NewByteReader(buf)); err != nil {
+		if _, err := decodeInts(bitstream.NewByteReader(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// encodeInts and decodeInts run one int section through fresh scratches.
+func encodeInts(dst []byte, syms []int) ([]byte, error) {
+	return new(Scratch).EncodeInts(dst, syms)
+}
+
+func decodeInts(br *bitstream.ByteReader) ([]int, error) {
+	return new(DecodeScratch).DecodeIntsTx(br, nil, nil)
 }

@@ -6,71 +6,28 @@
 //
 // The batch is linearized particle-major (each particle's time series
 // contiguous, the layout matching LFZip's per-variable streams), predicted
-// by an order-32 NLMS filter over reconstructed values, uniformly quantized
-// to the error bound, and entropy coded.
+// by an order-32 NLMS filter over reconstructed values, and coded by the
+// shared SZ-family quantization + Huffman + dictionary stage
+// (internal/resid).
 package lfzip
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"sync"
 
-	"github.com/mdz/mdz/internal/bitstream"
-	"github.com/mdz/mdz/internal/huffman"
-	"github.com/mdz/mdz/internal/lossless"
-	"github.com/mdz/mdz/internal/quant"
+	"github.com/mdz/mdz/internal/resid"
 )
 
-// DefaultOrder is LFZip's default NLMS filter order.
-const DefaultOrder = 32
-
-// ErrCorrupt is returned for malformed blocks.
-var ErrCorrupt = errors.New("lfzip: corrupt block")
+// order is LFZip's default NLMS filter order, written as the block's
+// parameter byte; the decoder builds its filter from that byte.
+const order = 32
 
 // Compressor is a stateless per-batch LFZip codec.
-type Compressor struct {
-	// Order overrides the NLMS filter order (default 32).
-	Order int
-	// QuantScale overrides the quantization interval count (default 65536).
-	QuantScale int
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
-}
+type Compressor struct{}
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "LFZip" }
 
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
-}
-
-func (c *Compressor) order() int {
-	if c.Order <= 0 {
-		return DefaultOrder
-	}
-	return c.Order
-}
-
-func (c *Compressor) scale() int {
-	if c.QuantScale <= 0 {
-		return 65536
-	}
-	return c.QuantScale
-}
-
-const blockMagic = "LFZB"
-
-// huffScratchPool and decBinsPool recycle Huffman encoder state and decoded
-// bin buffers across calls, keeping per-series table and symbol-buffer
-// allocations off the steady-state path.
-var (
-	huffScratchPool = sync.Pool{New: func() any { return new(huffman.Scratch) }}
-	decBinsPool     = sync.Pool{New: func() any { return new([]int) }}
-)
+var format = resid.Format{Magic: "LFZB", Params: 1}
 
 // nlms is the normalized least-mean-squares adaptive filter. Encoder and
 // decoder run identical instances over reconstructed values.
@@ -132,147 +89,27 @@ func (f *nlms) update(recon, pred float64) {
 
 // CompressSeries compresses one axis batch under absolute error bound eb.
 func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, error) {
-	if len(batch) == 0 {
-		return nil, errors.New("lfzip: empty batch")
-	}
-	n := len(batch[0])
-	for i, s := range batch {
-		if len(s) != n {
-			return nil, fmt.Errorf("lfzip: snapshot %d has %d values, want %d", i, len(s), n)
-		}
-	}
-	q, err := quant.New(eb, c.scale())
-	if err != nil {
-		return nil, err
-	}
-	bs := len(batch)
-	bins := make([]int, 0, bs*n)
-	var outliers []byte
-	f := newNLMS(c.order())
-	// Particle-major traversal.
-	for i := 0; i < n; i++ {
-		for t := 0; t < bs; t++ {
-			d := batch[t][i]
-			pred := f.predict()
-			code, r, ok := q.Quantize(d, pred)
-			if !ok {
-				outliers = quant.AppendBounded(outliers, d, eb)
-				r = quant.BoundedRecon(d, eb)
-				code = quant.Reserved
-			}
-			bins = append(bins, code)
-			f.update(r, pred)
-		}
-	}
-	var payload []byte
-	hs := huffScratchPool.Get().(*huffman.Scratch)
-	payload, err = hs.EncodeInts(payload, bins)
-	huffScratchPool.Put(hs)
-	if err != nil {
-		return nil, err
-	}
-	payload = bitstream.AppendSection(payload, outliers)
-	compressed, err := c.backend().Compress(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte{}, blockMagic...)
-	out = append(out, byte(c.order()))
-	out = bitstream.AppendFloat64(out, eb)
-	out = bitstream.AppendUvarint(out, uint64(c.scale()))
-	out = bitstream.AppendUvarint(out, uint64(bs))
-	out = bitstream.AppendUvarint(out, uint64(n))
-	out = bitstream.AppendSection(out, compressed)
-	return out, nil
+	return format.Encode(batch, eb, []byte{order}, walk)
 }
 
 // DecompressSeries inverts CompressSeries.
 func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
-	br := bitstream.NewByteReader(blk)
-	magic, err := br.ReadBytes(4)
-	if err != nil || string(magic) != blockMagic {
-		return nil, ErrCorrupt
+	return format.Decode(blk, walk)
+}
+
+// walk is LFZip's walk: particle-major, one NLMS filter of the block's
+// order running across the whole batch.
+func walk(c *resid.Coder) {
+	if c.Params[0] == 0 {
+		c.Fail()
+		return
 	}
-	orderByte, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	if orderByte == 0 {
-		return nil, ErrCorrupt
-	}
-	eb, err := br.ReadFloat64()
-	if err != nil {
-		return nil, err
-	}
-	scale, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	n64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs, n := int(bs64), int(n64)
-	if bs <= 0 || n < 0 || uint64(bs)*uint64(n) > 1<<33 {
-		return nil, ErrCorrupt
-	}
-	q, err := quant.New(eb, int(scale))
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	compressed, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.backend().Decompress(compressed)
-	if err != nil {
-		return nil, err
-	}
-	pr := bitstream.NewByteReader(payload)
-	bp := decBinsPool.Get().(*[]int)
-	defer decBinsPool.Put(bp)
-	bins, err := huffman.DecodeIntsBuf(pr, *bp)
-	if err != nil {
-		return nil, err
-	}
-	*bp = bins
-	outliers, err := pr.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if len(bins) != bs*n {
-		return nil, ErrCorrupt
-	}
-	opos := 0
-	f := newNLMS(int(orderByte))
-	out := make([][]float64, bs)
-	for t := range out {
-		out[t] = make([]float64, n)
-	}
-	idx := 0
+	f := newNLMS(int(c.Params[0]))
+	bs, n := c.Shape()
 	for i := 0; i < n; i++ {
 		for t := 0; t < bs; t++ {
 			pred := f.predict()
-			code := bins[idx]
-			idx++
-			var r float64
-			if quant.IsReserved(code) {
-				v, n2, err := quant.ReadBounded(outliers[opos:], eb)
-				if err != nil {
-					return nil, ErrCorrupt
-				}
-				opos += n2
-				r = v
-			} else {
-				r = q.Dequantize(code, pred)
-			}
-			out[t][i] = r
-			f.update(r, pred)
+			f.update(c.Code(t, i, pred), pred)
 		}
 	}
-	return out, nil
 }

@@ -117,11 +117,11 @@ func lzRefCompress(z LZ, src []byte) ([]byte, error) {
 
 	out := bitstream.AppendUvarint(nil, uint64(len(src)))
 	var err error
-	out, err = huffman.EncodeInts(out, bytesToInts(literals))
+	out, err = new(huffman.Scratch).EncodeInts(out, bytesToInts(literals))
 	if err != nil {
 		return nil, err
 	}
-	out, err = huffman.EncodeInts(out, bytesToInts(seq))
+	out, err = new(huffman.Scratch).EncodeInts(out, bytesToInts(seq))
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func lzRefDecompress(src []byte) ([]byte, error) {
 	if origSize > 1<<34 {
 		return nil, ErrCorrupt
 	}
-	litInts, err := huffman.DecodeInts(br)
+	litInts, err := new(huffman.DecodeScratch).DecodeIntsTx(br, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +148,7 @@ func lzRefDecompress(src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqInts, err := huffman.DecodeInts(br)
+	seqInts, err := new(huffman.DecodeScratch).DecodeIntsTx(br, nil, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@
 // Quantizer.Quantize exactly (same expressions, same evaluation order), so
 // a block encoded through these kernels is byte-identical to the historical
 // per-value path. Out-of-scope values get code Reserved and recon[i] left
-// as the original value; the caller restores them (exact storage via
-// AppendBounded + BoundedRecon) in a follow-up pass over the row, keeping
+// as the original value; the caller restores them (AppendBounded stores
+// each and returns its reconstruction) in a follow-up pass over the row, keeping
 // appends and byte-writing off the per-value loop. Legitimate codes are
 // never Reserved, so a Reserved code in the output marks outliers
 // unambiguously. The dequantize kernels need no such pass: they read each

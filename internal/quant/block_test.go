@@ -32,7 +32,7 @@ func encodedRow(q *Quantizer, n, stride int, vq bool) (codes, levels []int, pred
 	}
 	for i, v := range recon {
 		if codes[i*stride] == Reserved {
-			outliers = AppendBounded(outliers, v, q.eb)
+			outliers, _ = AppendBounded(outliers, v, q.eb)
 		}
 	}
 	return codes, levels, preds, outliers

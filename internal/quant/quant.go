@@ -86,8 +86,29 @@ func (q *Quantizer) Dequantize(code int, pred float64) float64 {
 	return pred + float64(code-q.mid)*q.twoEB
 }
 
-// IsReserved reports whether code marks an out-of-scope value.
-func IsReserved(code int) bool { return code == Reserved }
+// Code is Quantize with the out-of-scope case resolved: d is appended to
+// outliers with AppendBounded under code Reserved. recon is what Decode
+// reconstructs either way, so an encoder predicting from it stays in
+// lock-step with the decoder.
+func (q *Quantizer) Code(d, pred float64, outliers []byte) (code int, recon float64, _ []byte) {
+	code, recon, ok := q.Quantize(d, pred)
+	if !ok {
+		outliers, recon = AppendBounded(outliers, d, q.eb)
+	}
+	return code, recon, outliers
+}
+
+// Decode inverts Code: a Reserved code reads the next stored value from
+// outliers at cursor opos, any other code dequantizes against pred. It
+// returns the value and the advanced cursor, or ErrShort when the outlier
+// bytes run out.
+func (q *Quantizer) Decode(code int, pred float64, outliers []byte, opos int) (float64, int, error) {
+	if code != Reserved {
+		return q.Dequantize(code, pred), opos, nil
+	}
+	v, nb, err := ReadBounded(outliers[opos:], q.eb)
+	return v, opos + nb, err
+}
 
 // AbsBound converts a value-range-based relative error bound ε into the
 // absolute bound value_range × ε used throughout the paper's evaluation.
@@ -101,41 +122,26 @@ func AbsBound(epsilon, lo, hi float64) float64 {
 	return epsilon * r
 }
 
-// AppendBounded appends a compact error-bounded encoding of v: the value is
-// snapped to a 2·eb grid and stored as a varint grid index, mirroring the
-// SZ family's truncated storage of unpredictable ("out-of-scope") data.
-// Values that cannot be represented on the grid within eb (non-finite or
-// extreme magnitudes) fall back to the exact 8-byte bit pattern behind a
-// flag, so the bound always holds.
-func AppendBounded(dst []byte, v, eb float64) []byte {
+// AppendBounded appends a compact error-bounded encoding of v and returns
+// the value ReadBounded will decode from it. The value is snapped to a
+// 2·eb grid and stored as a varint grid index, mirroring the SZ family's
+// truncated storage of unpredictable ("out-of-scope") data. Values that
+// cannot be represented on the grid within eb (non-finite or extreme
+// magnitudes) fall back to the exact 8-byte bit pattern behind a flag, so
+// the bound always holds.
+func AppendBounded(dst []byte, v, eb float64) ([]byte, float64) {
 	if eb > 0 {
 		k := math.Round(v / (2 * eb))
 		if math.Abs(k) <= 1<<51 && !math.IsNaN(k) {
 			recon := float64(int64(k)) * 2 * eb
 			if math.Abs(recon-v) <= eb {
 				u := uint64((int64(k)<<1)^(int64(k)>>63)) << 1 // zigzag, flag 0
-				return binary.AppendUvarint(dst, u)
+				return binary.AppendUvarint(dst, u), recon
 			}
 		}
 	}
 	dst = binary.AppendUvarint(dst, 1) // flag 1: raw bits follow
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// BoundedRecon returns the reconstruction that AppendBounded/ReadBounded
-// will produce for v, letting encoders keep their state in lock-step with
-// the decoder.
-func BoundedRecon(v, eb float64) float64 {
-	if eb > 0 {
-		k := math.Round(v / (2 * eb))
-		if math.Abs(k) <= 1<<51 && !math.IsNaN(k) {
-			recon := float64(int64(k)) * 2 * eb
-			if math.Abs(recon-v) <= eb {
-				return recon
-			}
-		}
-	}
-	return v
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v)), v
 }
 
 // ReadBounded decodes a value written by AppendBounded, returning the value

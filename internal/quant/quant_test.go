@@ -151,7 +151,7 @@ func TestBoundedRoundTrip(t *testing.T) {
 		{math.Pi, 1e-9}, {1e300, 1e-3}, {math.Inf(1), 1e-3}, {math.Inf(-1), 1e-3},
 	}
 	for _, c := range cases {
-		buf := AppendBounded(nil, c.v, c.eb)
+		buf, recon := AppendBounded(nil, c.v, c.eb)
 		got, n, err := ReadBounded(buf, c.eb)
 		if err != nil {
 			t.Fatalf("v=%v eb=%v: %v", c.v, c.eb, err)
@@ -168,14 +168,14 @@ func TestBoundedRoundTrip(t *testing.T) {
 		if math.Abs(got-c.v) > c.eb {
 			t.Fatalf("v=%v eb=%v: recon %v exceeds bound", c.v, c.eb, got)
 		}
-		if want := BoundedRecon(c.v, c.eb); got != want {
-			t.Fatalf("v=%v: BoundedRecon %v disagrees with decode %v", c.v, want, got)
+		if recon != got {
+			t.Fatalf("v=%v: AppendBounded's reconstruction %v disagrees with decode %v", c.v, recon, got)
 		}
 	}
 }
 
 func TestBoundedNaN(t *testing.T) {
-	buf := AppendBounded(nil, math.NaN(), 1e-3)
+	buf, _ := AppendBounded(nil, math.NaN(), 1e-3)
 	got, _, err := ReadBounded(buf, 1e-3)
 	if err != nil || !math.IsNaN(got) {
 		t.Fatalf("NaN round trip: %v %v", got, err)
@@ -184,7 +184,7 @@ func TestBoundedNaN(t *testing.T) {
 
 func TestBoundedCompactness(t *testing.T) {
 	// Typical in-range outliers must cost far less than 8 raw bytes.
-	buf := AppendBounded(nil, 3.14, 1e-3)
+	buf, _ := AppendBounded(nil, 3.14, 1e-3)
 	if len(buf) > 3 {
 		t.Errorf("small value encoded in %d bytes", len(buf))
 	}
@@ -194,7 +194,7 @@ func TestBoundedPropertyRoundTrip(t *testing.T) {
 	f := func(vRaw int64, ebExp uint8) bool {
 		v := math.Float64frombits(uint64(vRaw))
 		eb := math.Pow(10, -float64(ebExp%12)) // 1 .. 1e-11
-		buf := AppendBounded(nil, v, eb)
+		buf, recon := AppendBounded(nil, v, eb)
 		got, n, err := ReadBounded(buf, eb)
 		if err != nil || n != len(buf) {
 			return false
@@ -205,7 +205,7 @@ func TestBoundedPropertyRoundTrip(t *testing.T) {
 		if math.IsInf(v, 0) {
 			return got == v
 		}
-		return math.Abs(got-v) <= eb && got == BoundedRecon(v, eb)
+		return math.Abs(got-v) <= eb && got == recon
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
@@ -213,11 +213,59 @@ func TestBoundedPropertyRoundTrip(t *testing.T) {
 }
 
 func TestBoundedTruncated(t *testing.T) {
-	buf := AppendBounded(nil, 1e300, 1e-12) // raw path: flag + 8 bytes
+	buf, _ := AppendBounded(nil, 1e300, 1e-12) // raw path: flag + 8 bytes
 	if _, _, err := ReadBounded(buf[:len(buf)-1], 1e-12); err == nil {
 		t.Error("truncated raw encoding accepted")
 	}
 	if _, _, err := ReadBounded(nil, 1e-3); err == nil {
 		t.Error("empty buffer accepted")
+	}
+}
+
+// TestCodeDecode round-trips in-scope values, grid-stored and raw-stored
+// outliers and NaN through Code and Decode, checking that Code's
+// reconstruction is exactly what Decode returns and that the outlier
+// cursor walks the stored bytes in order.
+func TestCodeDecode(t *testing.T) {
+	const eb = 1e-3
+	q, err := New(eb, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{0.0004, 5, 7.25, math.NaN(), 1e300, -3, -3.0011}
+	var codes []int
+	var recons []float64
+	var outliers []byte
+	pred := 0.0
+	for _, d := range values {
+		code, recon, out := q.Code(d, pred, outliers)
+		outliers = out
+		codes = append(codes, code)
+		recons = append(recons, recon)
+		if !math.IsNaN(d) && !(math.Abs(recon-d) <= eb) {
+			t.Fatalf("d=%v: recon %v exceeds the bound", d, recon)
+		}
+		pred = recon
+	}
+	if codes[1] != Reserved || codes[3] != Reserved || codes[4] != Reserved || codes[0] == Reserved {
+		t.Fatalf("codes %v: want outliers exactly at 5, NaN and 1e300", codes)
+	}
+	opos := 0
+	pred = 0
+	for i, code := range codes {
+		v, next, err := q.Decode(code, pred, outliers, opos)
+		if err != nil {
+			t.Fatalf("value %d: %v", i, err)
+		}
+		if math.Float64bits(v) != math.Float64bits(recons[i]) {
+			t.Fatalf("value %d: decoded %v, Code reconstructed %v", i, v, recons[i])
+		}
+		opos, pred = next, v
+	}
+	if opos != len(outliers) {
+		t.Fatalf("cursor at %d of %d outlier bytes", opos, len(outliers))
+	}
+	if _, _, err := q.Decode(Reserved, 0, outliers, len(outliers)); err != ErrShort {
+		t.Fatalf("exhausted outliers: err %v, want ErrShort", err)
 	}
 }

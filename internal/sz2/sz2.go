@@ -1,7 +1,8 @@
 // Package sz2 reimplements the SZ2 error-bounded lossy compressor baseline
 // (Tao et al. / Liang et al.) for the comparison study: Lorenzo prediction
 // from reconstructed neighbors, linear-scale quantization, Huffman coding,
-// and a dictionary-coding (Zstd-role) final stage.
+// and a dictionary-coding (Zstd-role) final stage. Everything after the
+// prediction is the shared SZ-family stage (internal/resid).
 //
 // Both evaluation modes of the paper's Table IV are provided: Mode1D treats
 // each batch as a flat stream with previous-value (1-D Lorenzo) prediction;
@@ -11,14 +12,9 @@
 package sz2
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
-	"github.com/mdz/mdz/internal/bitstream"
-	"github.com/mdz/mdz/internal/huffman"
-	"github.com/mdz/mdz/internal/lossless"
-	"github.com/mdz/mdz/internal/quant"
+	"github.com/mdz/mdz/internal/resid"
 )
 
 // Mode selects the prediction dimensionality.
@@ -38,245 +34,61 @@ func (m Mode) String() string {
 	return "2D"
 }
 
-// DefaultQuantScale mirrors SZ2's default of 65536 quantization intervals.
-const DefaultQuantScale = 65536
-
-// ErrCorrupt is returned for malformed blocks.
-var ErrCorrupt = errors.New("sz2: corrupt block")
-
 // Compressor is a stateless per-batch SZ2 codec.
 type Compressor struct {
 	// Mode selects 1-D or 2-D Lorenzo prediction (default Mode2D).
 	Mode Mode
-	// QuantScale overrides the quantization interval count (default 65536).
-	QuantScale int
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
 }
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "SZ2-" + c.Mode.String() }
 
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
-}
-
-func (c *Compressor) scale() int {
-	if c.QuantScale <= 0 {
-		return DefaultQuantScale
-	}
-	return c.QuantScale
-}
-
-const blockMagic = "SZ2B"
-
-// huffScratchPool and decBinsPool recycle Huffman encoder state and decoded
-// bin buffers across calls, keeping per-series table and symbol-buffer
-// allocations off the steady-state path.
-var (
-	huffScratchPool = sync.Pool{New: func() any { return new(huffman.Scratch) }}
-	decBinsPool     = sync.Pool{New: func() any { return new([]int) }}
-)
+// format carries the mode as its one parameter byte.
+var format = resid.Format{Magic: "SZ2B", Params: 1}
 
 // CompressSeries compresses one axis batch (snapshots × particles) under
 // absolute error bound eb.
 func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, error) {
-	if len(batch) == 0 {
-		return nil, errors.New("sz2: empty batch")
+	if c.Mode != Mode1D && c.Mode != Mode2D {
+		return nil, fmt.Errorf("sz2: unknown mode %d", c.Mode)
 	}
-	n := len(batch[0])
-	for i, s := range batch {
-		if len(s) != n {
-			return nil, fmt.Errorf("sz2: snapshot %d has %d values, want %d", i, len(s), n)
-		}
-	}
-	q, err := quant.New(eb, c.scale())
-	if err != nil {
-		return nil, err
-	}
-	bs := len(batch)
-	bins := make([]int, 0, bs*n)
-	var outliers []byte
-	recon := make([][]float64, bs)
-	for t := range recon {
-		recon[t] = make([]float64, n)
-	}
-	for t := 0; t < bs; t++ {
-		for i := 0; i < n; i++ {
-			var pred float64
-			switch {
-			case c.Mode == Mode1D:
-				// Flat stream: previous value, crossing snapshot borders.
-				if i > 0 {
-					pred = recon[t][i-1]
-				} else if t > 0 {
-					pred = recon[t-1][n-1]
-				}
-			default: // Mode2D
-				left, up, diag := 0.0, 0.0, 0.0
-				if i > 0 {
-					left = recon[t][i-1]
-				}
-				if t > 0 {
-					up = recon[t-1][i]
-				}
-				if i > 0 && t > 0 {
-					diag = recon[t-1][i-1]
-				}
-				switch {
-				case i > 0 && t > 0:
-					pred = left + up - diag
-				case i > 0:
-					pred = left
-				case t > 0:
-					pred = up
-				}
-			}
-			d := batch[t][i]
-			code, r, ok := q.Quantize(d, pred)
-			if !ok {
-				outliers = quant.AppendBounded(outliers, d, eb)
-				r = quant.BoundedRecon(d, eb)
-				code = quant.Reserved
-			}
-			bins = append(bins, code)
-			recon[t][i] = r
-		}
-	}
-	var payload []byte
-	hs := huffScratchPool.Get().(*huffman.Scratch)
-	payload, err = hs.EncodeInts(payload, bins)
-	huffScratchPool.Put(hs)
-	if err != nil {
-		return nil, err
-	}
-	payload = bitstream.AppendSection(payload, outliers)
-	compressed, err := c.backend().Compress(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte{}, blockMagic...)
-	out = append(out, byte(c.Mode))
-	out = bitstream.AppendFloat64(out, eb)
-	out = bitstream.AppendUvarint(out, uint64(c.scale()))
-	out = bitstream.AppendUvarint(out, uint64(bs))
-	out = bitstream.AppendUvarint(out, uint64(n))
-	out = bitstream.AppendSection(out, compressed)
-	return out, nil
+	return format.Encode(batch, eb, []byte{byte(c.Mode)}, lorenzo)
 }
 
 // DecompressSeries inverts CompressSeries.
 func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
-	br := bitstream.NewByteReader(blk)
-	magic, err := br.ReadBytes(4)
-	if err != nil || string(magic) != blockMagic {
-		return nil, ErrCorrupt
-	}
-	modeByte, err := br.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	mode := Mode(modeByte)
+	return format.Decode(blk, lorenzo)
+}
+
+// lorenzo is SZ2's walk: snapshot-major, each value predicted by the
+// block's mode from its reconstructed neighbors.
+func lorenzo(c *resid.Coder) {
+	mode := Mode(c.Params[0])
 	if mode != Mode1D && mode != Mode2D {
-		return nil, ErrCorrupt
+		c.Fail()
+		return
 	}
-	eb, err := br.ReadFloat64()
-	if err != nil {
-		return nil, err
-	}
-	scale, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	n64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs, n := int(bs64), int(n64)
-	if bs <= 0 || n < 0 || uint64(bs)*uint64(n) > 1<<33 {
-		return nil, ErrCorrupt
-	}
-	q, err := quant.New(eb, int(scale))
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	compressed, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.backend().Decompress(compressed)
-	if err != nil {
-		return nil, err
-	}
-	pr := bitstream.NewByteReader(payload)
-	bp := decBinsPool.Get().(*[]int)
-	defer decBinsPool.Put(bp)
-	bins, err := huffman.DecodeIntsBuf(pr, *bp)
-	if err != nil {
-		return nil, err
-	}
-	*bp = bins
-	outliers, err := pr.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if len(bins) != bs*n {
-		return nil, ErrCorrupt
-	}
-	opos := 0
-	out := make([][]float64, bs)
-	for t := range out {
-		out[t] = make([]float64, n)
-	}
+	r := c.Recon
+	bs, n := c.Shape()
 	for t := 0; t < bs; t++ {
 		for i := 0; i < n; i++ {
 			var pred float64
 			switch {
 			case mode == Mode1D:
+				// Flat stream: previous value, crossing snapshot borders.
 				if i > 0 {
-					pred = out[t][i-1]
+					pred = r[t][i-1]
 				} else if t > 0 {
-					pred = out[t-1][n-1]
+					pred = r[t-1][n-1]
 				}
-			default:
-				left, up, diag := 0.0, 0.0, 0.0
-				if i > 0 {
-					left = out[t][i-1]
-				}
-				if t > 0 {
-					up = out[t-1][i]
-				}
-				if i > 0 && t > 0 {
-					diag = out[t-1][i-1]
-				}
-				switch {
-				case i > 0 && t > 0:
-					pred = left + up - diag
-				case i > 0:
-					pred = left
-				case t > 0:
-					pred = up
-				}
+			case i > 0 && t > 0: // left + up - diagonal
+				pred = r[t][i-1] + r[t-1][i] - r[t-1][i-1]
+			case i > 0:
+				pred = r[t][i-1]
+			case t > 0:
+				pred = r[t-1][i]
 			}
-			code := bins[t*n+i]
-			if quant.IsReserved(code) {
-				v, n2, err := quant.ReadBounded(outliers[opos:], eb)
-				if err != nil {
-					return nil, ErrCorrupt
-				}
-				opos += n2
-				out[t][i] = v
-			} else {
-				out[t][i] = q.Dequantize(code, pred)
-			}
+			c.Code(t, i, pred)
 		}
 	}
-	return out, nil
 }

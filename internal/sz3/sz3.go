@@ -9,58 +9,31 @@
 // Mechanism: per particle time series, a multi-level cubic/linear
 // interpolation cascade predicts each point from already-reconstructed
 // points at coarser strides (level ℓ predicts odd multiples of 2^ℓ from
-// neighbors at 2^(ℓ+1)); residuals go through the standard linear-scale
-// quantization + Huffman + dictionary pipeline.
+// neighbors at 2^(ℓ+1)); residuals go through the shared SZ-family
+// quantization + Huffman + dictionary stage (internal/resid).
 package sz3
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-
-	"github.com/mdz/mdz/internal/bitstream"
-	"github.com/mdz/mdz/internal/huffman"
-	"github.com/mdz/mdz/internal/lossless"
-	"github.com/mdz/mdz/internal/quant"
-)
-
-// ErrCorrupt is returned for malformed blocks.
-var ErrCorrupt = errors.New("sz3: corrupt block")
+import "github.com/mdz/mdz/internal/resid"
 
 // Compressor is a stateless per-batch interpolation codec.
-type Compressor struct {
-	// QuantScale overrides the quantization interval count (default 65536).
-	QuantScale int
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
-}
+type Compressor struct{}
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "SZ3i" }
 
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
+var format = resid.Format{Magic: "SZ3B"}
+
+// CompressSeries compresses one axis batch under absolute error bound eb.
+// Interpolation runs along each particle's time dimension (the layout that
+// favors interpolation most on trajectory data).
+func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, error) {
+	return format.Encode(batch, eb, nil, interpolate)
 }
 
-func (c *Compressor) scale() int {
-	if c.QuantScale <= 0 {
-		return 65536
-	}
-	return c.QuantScale
+// DecompressSeries inverts CompressSeries.
+func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
+	return format.Decode(blk, interpolate)
 }
-
-const blockMagic = "SZ3B"
-
-// huffScratchPool and decBinsPool recycle Huffman encoder state and decoded
-// bin buffers across calls, keeping per-series table and symbol-buffer
-// allocations off the steady-state path.
-var (
-	huffScratchPool = sync.Pool{New: func() any { return new(huffman.Scratch) }}
-	decBinsPool     = sync.Pool{New: func() any { return new([]int) }}
-)
 
 // interpOrder enumerates, for a series of length m, the prediction schedule:
 // anchors at the coarsest stride are predicted from their predecessors, then
@@ -105,160 +78,24 @@ func interpOrder(m int) (order []int, pa, pb []int) {
 	return order, pa, pb
 }
 
-// predict computes the interpolation prediction for index i given the
-// reconstruction buffer.
-func predict(recon []float64, i, a, b int) float64 {
-	switch {
-	case a < 0:
-		return 0
-	case b < 0:
-		return recon[a]
-	default:
-		return (recon[a] + recon[b]) / 2
-	}
-}
-
-// CompressSeries compresses one axis batch under absolute error bound eb.
-// Interpolation runs along each particle's time dimension (the layout that
-// favors interpolation most on trajectory data).
-func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, error) {
-	if len(batch) == 0 {
-		return nil, errors.New("sz3: empty batch")
-	}
-	n := len(batch[0])
-	for i, s := range batch {
-		if len(s) != n {
-			return nil, fmt.Errorf("sz3: snapshot %d has %d values, want %d", i, len(s), n)
-		}
-	}
-	q, err := quant.New(eb, c.scale())
-	if err != nil {
-		return nil, err
-	}
-	bs := len(batch)
+// interpolate is SZ3i's walk: particle by particle, the time series in
+// interpOrder's schedule, each point predicted from its reconstructed
+// interpolation neighbors.
+func interpolate(c *resid.Coder) {
+	r := c.Recon
+	bs, n := c.Shape()
 	order, pa, pb := interpOrder(bs)
-	bins := make([]int, 0, bs*n)
-	var outliers []byte
-	series := make([]float64, bs)
-	recon := make([]float64, bs)
-	for i := 0; i < n; i++ {
-		for t := 0; t < bs; t++ {
-			series[t] = batch[t][i]
-		}
-		for _, t := range order {
-			pred := predict(recon, t, pa[t], pb[t])
-			code, r, ok := q.Quantize(series[t], pred)
-			if !ok {
-				outliers = quant.AppendBounded(outliers, series[t], eb)
-				r = quant.BoundedRecon(series[t], eb)
-				code = quant.Reserved
-			}
-			bins = append(bins, code)
-			recon[t] = r
-		}
-	}
-	var payload []byte
-	hs := huffScratchPool.Get().(*huffman.Scratch)
-	payload, err = hs.EncodeInts(payload, bins)
-	huffScratchPool.Put(hs)
-	if err != nil {
-		return nil, err
-	}
-	payload = bitstream.AppendSection(payload, outliers)
-	compressed, err := c.backend().Compress(payload)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte{}, blockMagic...)
-	out = bitstream.AppendFloat64(out, eb)
-	out = bitstream.AppendUvarint(out, uint64(c.scale()))
-	out = bitstream.AppendUvarint(out, uint64(bs))
-	out = bitstream.AppendUvarint(out, uint64(n))
-	out = bitstream.AppendSection(out, compressed)
-	return out, nil
-}
-
-// DecompressSeries inverts CompressSeries.
-func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
-	br := bitstream.NewByteReader(blk)
-	magic, err := br.ReadBytes(4)
-	if err != nil || string(magic) != blockMagic {
-		return nil, ErrCorrupt
-	}
-	eb, err := br.ReadFloat64()
-	if err != nil {
-		return nil, err
-	}
-	scale, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	n64, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	bs, n := int(bs64), int(n64)
-	if bs <= 0 || n < 0 || uint64(bs)*uint64(n) > 1<<33 {
-		return nil, ErrCorrupt
-	}
-	q, err := quant.New(eb, int(scale))
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	compressed, err := br.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.backend().Decompress(compressed)
-	if err != nil {
-		return nil, err
-	}
-	pr := bitstream.NewByteReader(payload)
-	bp := decBinsPool.Get().(*[]int)
-	defer decBinsPool.Put(bp)
-	bins, err := huffman.DecodeIntsBuf(pr, *bp)
-	if err != nil {
-		return nil, err
-	}
-	*bp = bins
-	outliers, err := pr.ReadSection()
-	if err != nil {
-		return nil, err
-	}
-	if len(bins) != bs*n {
-		return nil, ErrCorrupt
-	}
-	order, pa, pb := interpOrder(bs)
-	opos := 0
-	out := make([][]float64, bs)
-	for t := range out {
-		out[t] = make([]float64, n)
-	}
-	recon := make([]float64, bs)
-	idx := 0
 	for i := 0; i < n; i++ {
 		for _, t := range order {
-			pred := predict(recon, t, pa[t], pb[t])
-			code := bins[idx]
-			idx++
-			if quant.IsReserved(code) {
-				v, n2, err := quant.ReadBounded(outliers[opos:], eb)
-				if err != nil {
-					return nil, ErrCorrupt
-				}
-				opos += n2
-				recon[t] = v
-			} else {
-				recon[t] = q.Dequantize(code, pred)
+			var pred float64
+			switch a, b := pa[t], pb[t]; {
+			case a < 0: // the first anchor is predicted as 0
+			case b < 0:
+				pred = r[a][i]
+			default:
+				pred = (r[a][i] + r[b][i]) / 2
 			}
-		}
-		for t := 0; t < bs; t++ {
-			out[t][i] = recon[t]
+			c.Code(t, i, pred)
 		}
 	}
-	return out, nil
 }

@@ -30,21 +30,12 @@ var ErrCorrupt = errors.New("tng: corrupt block")
 
 // Compressor is a stateless per-batch TNG-style codec.
 type Compressor struct {
-	// Backend overrides the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
 	// LimitAtoms overrides MaxAtoms for testing; 0 selects MaxAtoms.
 	LimitAtoms int
 }
 
 // Name implements the benchmark Codec naming convention.
 func (c *Compressor) Name() string { return "TNG" }
-
-func (c *Compressor) backend() lossless.Backend {
-	if c.Backend == nil {
-		return lossless.LZ{}
-	}
-	return c.Backend
-}
 
 func (c *Compressor) limit() int {
 	if c.LimitAtoms > 0 {
@@ -129,7 +120,7 @@ func (c *Compressor) CompressSeries(batch [][]float64, eb float64) ([]byte, erro
 	payload = bitstream.AppendSection(payload, modes)
 	payload = bitstream.AppendSection(payload, body)
 	payload = bitstream.AppendSection(payload, raw)
-	compressed, err := c.backend().Compress(payload)
+	compressed, err := lossless.LZ{}.Compress(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +185,7 @@ func (c *Compressor) DecompressSeries(blk []byte) ([][]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload, err := c.backend().Decompress(compressed)
+	payload, err := lossless.LZ{}.Decompress(compressed)
 	if err != nil {
 		return nil, err
 	}

@@ -211,16 +211,6 @@ type Config struct {
 	// Cancellation never corrupts compressor state: a cancelled batch can
 	// be retried and produces the same bytes an uncancelled run would.
 	Context context.Context
-	// MaxDecodeBytes caps the decoder-side in-flight allocations driven by
-	// claimed lengths in untrusted input (output matrices, entropy section
-	// counts, code tables, backend original sizes, checkpoint state). It is
-	// consulted by everything built from this Config that decodes —
-	// DecompressorOptions/ReaderOptions carry their own copies for the
-	// decode-only entry points. 0 (the default) means unlimited; rejections
-	// match ErrBudgetExceeded and are counted in telemetry as
-	// "budget.rejections". The cap is per concurrent operation set, not per
-	// block: parallel shards draw from one shared ceiling.
-	MaxDecodeBytes int64
 }
 
 // workers resolves the effective worker count.
@@ -276,9 +266,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 		return nil, errors.New("mdz: FormatVersion 3 was removed; v2 is the only write format (use 0 or 2)")
 	default:
 		return nil, fmt.Errorf("mdz: FormatVersion must be 0 or 2, got %d", cfg.FormatVersion)
-	}
-	if cfg.MaxDecodeBytes < 0 {
-		return nil, fmt.Errorf("mdz: MaxDecodeBytes must be non-negative, got %d", cfg.MaxDecodeBytes)
 	}
 	c := &Compressor{cfg: cfg, pool: pool.New(cfg.workers())}
 	if cfg.Telemetry {
@@ -515,9 +502,13 @@ type DecompressorOptions struct {
 	// that don't take their own context; the explicit-context variants
 	// override it. See Config.Context for semantics.
 	Context context.Context
-	// MaxDecodeBytes caps in-flight decode allocations driven by claimed
-	// lengths in untrusted blocks; rejections match ErrBudgetExceeded.
-	// 0 means unlimited. See Config.MaxDecodeBytes.
+	// MaxDecodeBytes caps the in-flight allocations driven by claimed
+	// lengths in untrusted blocks (output matrices, entropy section
+	// counts, code tables, backend original sizes). 0 (the default) means
+	// unlimited; rejections match ErrBudgetExceeded and are counted in
+	// telemetry as "budget.rejections". The cap is per concurrent
+	// operation set, not per block: parallel shards draw from one shared
+	// ceiling.
 	MaxDecodeBytes int64
 }
 

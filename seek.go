@@ -90,7 +90,7 @@ func (r *Reader) ReadRange(lo, hi int) ([]Frame, error) {
 	if err := r.Seek(lo); err != nil {
 		return nil, err
 	}
-	out := make([]Frame, 0, hi-lo)
+	var out []Frame // grown per frame: hi may lie far past the end
 	for len(out) < hi-lo {
 		f, err := r.ReadFrame()
 		if errors.Is(err, io.EOF) {
@@ -273,31 +273,6 @@ func (r *Reader) ensureIndex() error {
 	}
 	r.index, r.indexLoaded = idx, true
 	return nil
-}
-
-// indexTotalSnaps reports the stream's total snapshot count when a cheap
-// index is available: one already loaded, or a seek table in the stream
-// tail. It never triggers a scan rebuild and restores the source position.
-func (r *Reader) indexTotalSnaps() (int64, bool) {
-	if r.indexLoaded {
-		return seekIndexSnapshots(r.index), true
-	}
-	if r.srcSeeker == nil {
-		return 0, false
-	}
-	pos, err := r.srcSeeker.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, false
-	}
-	idx, ok := r.loadIndexTail()
-	if _, serr := r.srcSeeker.Seek(pos, io.SeekStart); serr != nil {
-		return 0, false
-	}
-	if !ok {
-		return 0, false
-	}
-	r.index, r.indexLoaded = idx, true
-	return seekIndexSnapshots(idx), true
 }
 
 // loadIndexTail reads the stream's tail window and searches backwards for

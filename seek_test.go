@@ -2,11 +2,13 @@ package mdz
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -640,5 +642,88 @@ func TestSeekIndexParseHardening(t *testing.T) {
 	}
 	if got := fmt.Sprint(seekIndexSnapshots(nil)); got != "0" {
 		t.Errorf("empty index snapshots = %s", got)
+	}
+}
+
+// seekIndexSnapshots reports the total snapshot coverage of an index.
+func seekIndexSnapshots(entries []SeekEntry) int64 {
+	if len(entries) == 0 {
+		return 0
+	}
+	last := entries[len(entries)-1]
+	return last.SnapFrom + int64(last.SnapCount)
+}
+
+// allocDuring returns the bytes allocated while f runs.
+func allocDuring(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// TestReadAllForgedSeekTotal: a seek table with valid CRCs that claims
+// 2^24 snapshots for a 4-snapshot stream must not size any allocation.
+// ReadAll returns the 4 real frames without allocating for the claim.
+func TestReadAllForgedSeekTotal(t *testing.T) {
+	frames := makeFrames(4, 30, 5)
+	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4, SeekIndex: true})
+	want := readAllSerial(t, data)
+	_, trailer := scanEntries(t, data)
+	if trailer == nil {
+		t.Fatal("no trailer")
+	}
+	idxOff := int64(bytes.LastIndex(data[:trailer.off], frameSync[:]))
+	if idxOff < 0 || data[idxOff+4] != frameSeekIndex {
+		t.Fatalf("seek frame not found before trailer (off %d)", idxOff)
+	}
+	entries, err := parseSeekIndex(data[idxOff+frameHeaderSize : trailer.off-frameCRCSize])
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := &entries[len(entries)-1]
+	last.SnapCount = 1 << 24
+	claimed := last.SnapFrom + 1<<24
+	seq := binary.LittleEndian.Uint32(data[idxOff+5:])
+	forged := appendWireFrame(append([]byte(nil), data[:idxOff]...), frameSeekIndex, seq, appendSeekIndex(nil, entries))
+	forged = append(forged, data[trailer.off:]...)
+	if idx, ok := NewReader(bytes.NewReader(forged)).loadIndexTail(); !ok || seekIndexSnapshots(idx) != claimed {
+		t.Fatalf("forged seek table not loadable (ok %v)", ok)
+	}
+
+	var got []Frame
+	alloc := allocDuring(func() {
+		r := NewReaderWith(bytes.NewReader(forged), ReaderOptions{MaxDecodeBytes: 1 << 20})
+		got, err = r.ReadAll()
+	})
+	if err != nil || !frameSlicesEqual(got, want) {
+		t.Fatalf("ReadAll over a forged seek total: %d frames, err %v", len(got), err)
+	}
+	if alloc >= 16<<20 {
+		t.Errorf("ReadAll allocated %d bytes for a 4-snapshot stream", alloc)
+	}
+}
+
+// TestReadRangePastEnd: a range far past the end of a 4-snapshot stream
+// returns the 4 frames without sizing anything by the requested range.
+func TestReadRangePastEnd(t *testing.T) {
+	data := writeSeekStream(t, makeFrames(4, 30, 5), Config{ErrorBound: 1e-3, BufferSize: 4, SeekIndex: true})
+	want := readAllSerial(t, data)
+	var got []Frame
+	var err error
+	alloc := allocDuring(func() {
+		got, err = NewReader(bytes.NewReader(data)).ReadRange(0, 1<<24)
+	})
+	if err != nil || !frameSlicesEqual(got, want) {
+		t.Fatalf("ReadRange(0, 1<<24): %d frames, err %v", len(got), err)
+	}
+	if alloc >= 16<<20 {
+		t.Errorf("ReadRange(0, 1<<24) allocated %d bytes for a 4-snapshot stream", alloc)
+	}
+	got, err = NewReader(bytes.NewReader(data)).ReadRange(2, math.MaxInt)
+	if err != nil || !frameSlicesEqual(got, want[2:]) {
+		t.Fatalf("ReadRange(2, MaxInt): %d frames, err %v", len(got), err)
 	}
 }

@@ -131,15 +131,6 @@ func parseSeekIndex(payload []byte) ([]SeekEntry, error) {
 	return entries, nil
 }
 
-// seekIndexSnapshots reports the total snapshot coverage of an index.
-func seekIndexSnapshots(entries []SeekEntry) int64 {
-	if len(entries) == 0 {
-		return 0
-	}
-	last := entries[len(entries)-1]
-	return last.SnapFrom + int64(last.SnapCount)
-}
-
 // findSeekEntry locates the data entry covering snapshot, plus the nearest
 // checkpoint entry preceding it (nil when the stream start is the only
 // recovery point). ok is false when snapshot is past the index.

@@ -602,11 +602,12 @@ type ReaderOptions struct {
 	// is sticky; a cancelled Reader cannot resume.
 	Context context.Context
 	// MaxDecodeBytes caps in-flight decode allocations driven by claimed
-	// lengths in untrusted frames (see Config.MaxDecodeBytes). 0 means
-	// unlimited. In strict mode a rejection surfaces as ErrBudgetExceeded;
-	// in Resync mode the over-budget frame is recorded in SalvageStats and
-	// skipped like a corrupt one, since it cannot be delivered under this
-	// budget either way.
+	// lengths in untrusted frames, checkpoint state included (see
+	// DecompressorOptions.MaxDecodeBytes). 0 means unlimited. In strict
+	// mode a rejection surfaces as ErrBudgetExceeded; in Resync mode the
+	// over-budget frame is recorded in SalvageStats and skipped like a
+	// corrupt one, since it cannot be delivered under this budget either
+	// way.
 	MaxDecodeBytes int64
 }
 
@@ -876,14 +877,10 @@ func (r *Reader) ReadFrame() (Frame, error) {
 	return f, nil
 }
 
-// ReadAll drains the stream into a slice. On a seekable source carrying a
-// seek table the result is preallocated from the table's snapshot total
-// instead of growing frame by frame.
+// ReadAll drains the stream into a slice. It grows frame by frame: no
+// claimed count (such as a seek table's snapshot total) sizes it.
 func (r *Reader) ReadAll() ([]Frame, error) {
 	var out []Frame
-	if total, ok := r.indexTotalSnaps(); ok && total > 0 && total <= 1<<30 {
-		out = make([]Frame, 0, total)
-	}
 	for {
 		f, err := r.ReadFrame()
 		if errors.Is(err, io.EOF) {
