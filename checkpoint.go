@@ -154,6 +154,18 @@ func (st *CheckpointState) unmarshalTx(data []byte, tx *budget.Tx) error {
 	return nil
 }
 
+// parseCheckpoint decodes a checkpoint frame payload, charging its
+// allocations to the decompressor's decode budget.
+func (d *Decompressor) parseCheckpoint(payload []byte) (*CheckpointState, error) {
+	st := &CheckpointState{}
+	tx := d.bud.Begin()
+	defer tx.Close()
+	if err := st.unmarshalTx(payload, tx); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // writerStateVersion versions the WriterState wire encoding.
 const writerStateVersion = 1
 

@@ -51,7 +51,7 @@ type cliFlags struct {
 	out, method                      string
 	eps                              float64
 	bs, checkpoint                   int
-	workers, shards, pipeline        int
+	workers, shards                  int
 	salvage                          bool
 	seekIndex                        bool
 	rangeSpec                        string
@@ -128,15 +128,6 @@ func validateFlags(f *cliFlags) error {
 	if f.shards != 0 && f.compress == "" {
 		return fmt.Errorf("-shards shapes the compressed output; pair it with -c")
 	}
-	if f.pipeline < 0 {
-		return fmt.Errorf("-pipeline must be non-negative, got %d", f.pipeline)
-	}
-	if f.pipeline != 0 && f.compress != "" && f.checkpoint == 0 {
-		return fmt.Errorf("-pipeline overlaps compression with framed output; pair -c with -checkpoint")
-	}
-	if f.pipeline != 0 && f.compress == "" && f.decompress == "" {
-		return fmt.Errorf("-pipeline overlaps I/O with (de)compression; pair it with -c -checkpoint or -d")
-	}
 	return nil
 }
 
@@ -165,7 +156,6 @@ func main() {
 	flag.IntVar(&f.checkpoint, "checkpoint", 0, "with -c: write a recoverable framed stream with a checkpoint every N blocks (0 = one-shot format)")
 	flag.IntVar(&f.workers, "workers", 0, "goroutines for parallel kernels (0 = GOMAXPROCS, 1 = serial); output bytes never depend on it")
 	flag.IntVar(&f.shards, "shards", 0, "with -c: contiguous particle shards per axis batch (0 = auto); part of the output format, so a fixed value pins output bytes across machines")
-	flag.IntVar(&f.pipeline, "pipeline", 0, "with -c -checkpoint: overlap compressing the next batch with framing and writing the previous; with -d: overlap frame fetch with parallel decode, keeping up to N frames in flight (0 = synchronous; bytes identical either way)")
 	flag.BoolVar(&f.salvage, "salvage", false, "with -d: recover everything readable from a corrupt stream instead of failing")
 	flag.BoolVar(&f.seekIndex, "seek-index", false, "with -c -checkpoint: append a seek-table frame mapping snapshots to byte offsets, enabling O(1) -range reads")
 	flag.StringVar(&f.rangeSpec, "range", "", "with -d: decode only the half-open snapshot window lo:hi (e.g. 100:200) instead of the whole stream; needs a framed input")
@@ -239,7 +229,6 @@ func doCompress(f *cliFlags, o *obs) error {
 		// Framed stream with embedded recovery checkpoints: survivable by
 		// -salvage and checkable by -fsck.
 		cfg.CheckpointInterval = f.checkpoint
-		cfg.PipelineDepth = f.pipeline
 		cfg.SeekIndex = f.seekIndex
 		var sb bytes.Buffer
 		w, err := mdz.NewWriter(&sb, cfg)
@@ -343,7 +332,7 @@ func parseContainer(path string) (meta [3]string, stream []byte, err error) {
 func decodeStream(stream []byte, salvage bool, f *cliFlags, o *obs) ([]mdz.Frame, *mdz.SalvageStats, error) {
 	if !isOneShot(stream) {
 		r := mdz.NewReaderWith(bytes.NewReader(stream),
-			mdz.ReaderOptions{Workers: f.workers, Pipeline: f.pipeline, Resync: salvage,
+			mdz.ReaderOptions{Workers: f.workers, Resync: salvage,
 				Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
 		if err := o.attach(r.TelemetryRegistry()); err != nil {
 			return nil, nil, err

@@ -52,11 +52,6 @@ func TestValidateFlags(t *testing.T) {
 		{"shards with -c", cliFlags{compress: "in", out: "out", shards: 8}, false},
 		{"shards without -c", cliFlags{decompress: "in", out: "out", shards: 8}, true},
 		{"shards negative", cliFlags{compress: "in", out: "out", shards: -2}, true},
-		{"pipeline with framed -c", cliFlags{compress: "in", out: "out", checkpoint: 4, pipeline: 2}, false},
-		{"pipeline without checkpoint", cliFlags{compress: "in", out: "out", pipeline: 2}, true},
-		{"pipeline with -d", cliFlags{decompress: "in", out: "out", pipeline: 1}, false},
-		{"pipeline with -info", cliFlags{info: "in", pipeline: 1}, true},
-		{"pipeline negative", cliFlags{compress: "in", out: "out", checkpoint: 4, pipeline: -1}, true},
 		{"seek-index with framed -c", cliFlags{compress: "in", out: "out", checkpoint: 4, seekIndex: true}, false},
 		{"seek-index without checkpoint", cliFlags{compress: "in", out: "out", seekIndex: true}, true},
 		{"seek-index with -d", cliFlags{decompress: "in", out: "out", seekIndex: true}, true},
@@ -153,10 +148,10 @@ func TestV3PayloadRefused(t *testing.T) {
 	}
 }
 
-// TestParallelKnobsRoundTrip drives -workers/-shards/-pipeline through the
-// CLI compress path and checks two properties: the output round-trips, and
-// the bytes match a run without -workers/-pipeline (only -shards may change
-// the format, never the execution knobs).
+// TestParallelKnobsRoundTrip drives -workers/-shards through the CLI
+// compress path and checks two properties: the output round-trips, and the
+// bytes match a run without -workers (only -shards may change the format,
+// never the execution knob).
 func TestParallelKnobsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestTrajectory(t, dir)
@@ -164,7 +159,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 	f := &cliFlags{
 		compress: in, out: tuned,
 		eps: 1e-3, bs: 4, method: "ADP",
-		checkpoint: 2, workers: 2, shards: 4, pipeline: 2,
+		checkpoint: 2, workers: 2, shards: 4,
 	}
 	if err := validateFlags(f); err != nil {
 		t.Fatal(err)
@@ -190,7 +185,7 @@ func TestParallelKnobsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("-workers/-pipeline changed output bytes; they must be execution-only knobs")
+		t.Fatal("-workers changed output bytes; it must be an execution-only knob")
 	}
 	restored := filepath.Join(dir, "restored.mdzd")
 	df := &cliFlags{decompress: tuned, out: restored, workers: 2}
@@ -485,8 +480,8 @@ func TestMaxDecodeFlag(t *testing.T) {
 
 // TestRangeAndIndexCLI drives the random-access surface end to end:
 // -c -seek-index writes an indexed stream, -d -range decodes exactly the
-// requested window (pipelined and serial alike), and -index retrofits a
-// legacy stream into bytes identical to the natively indexed one.
+// requested window, and -index retrofits a legacy stream into bytes
+// identical to the natively indexed one.
 func TestRangeAndIndexCLI(t *testing.T) {
 	dir := t.TempDir()
 	in := writeTestTrajectory(t, dir)
@@ -508,34 +503,31 @@ func TestRangeAndIndexCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, pipeline := range []int{0, 4} {
-		window := filepath.Join(dir, "window.mdzd")
-		f := &cliFlags{decompress: indexed, out: window, rangeSpec: "5:9", pipeline: pipeline}
-		if err := validateFlags(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := doDecompress(f, &obs{}); err != nil {
-			t.Fatal(err)
-		}
-		got, err := dataset.Load(window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.M() != 4 {
-			t.Fatalf("pipeline %d: -range 5:9 decoded %d snapshots, want 4", pipeline, got.M())
-		}
-		for s := 0; s < 4; s++ {
-			for i := range got.Frames[s].X {
-				if got.Frames[s].X[i] != want.Frames[5+s].X[i] {
-					t.Fatalf("pipeline %d: window snapshot %d differs from full decode", pipeline, s)
-				}
+	window := filepath.Join(dir, "window.mdzd")
+	f := &cliFlags{decompress: indexed, out: window, rangeSpec: "5:9"}
+	if err := validateFlags(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := doDecompress(f, &obs{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dataset.Load(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.M() != 4 {
+		t.Fatalf("-range 5:9 decoded %d snapshots, want 4", got.M())
+	}
+	for s := 0; s < 4; s++ {
+		for i := range got.Frames[s].X {
+			if got.Frames[s].X[i] != want.Frames[5+s].X[i] {
+				t.Fatalf("window snapshot %d differs from full decode", s)
 			}
 		}
-		os.Remove(window)
 	}
 
 	// A past-the-end range is a clean error, not an empty output file.
-	f := &cliFlags{decompress: indexed, out: filepath.Join(dir, "none.mdzd"), rangeSpec: "100:200"}
+	f = &cliFlags{decompress: indexed, out: filepath.Join(dir, "none.mdzd"), rangeSpec: "100:200"}
 	if err := validateFlags(f); err != nil {
 		t.Fatal(err)
 	}

@@ -815,8 +815,9 @@ func (d *Decoder) DecodeBatchContext(ctx context.Context, blk []byte) ([][]float
 	}
 	// Every shard decoded to bs×sn codes, so decoded data backs the claimed
 	// geometry. Only now charge and allocate the output matrix, the
-	// decoder's single largest claimed-size allocation.
-	if err := tx.Reserve(8 * int64(h.bs) * int64(h.n)); err != nil {
+	// decoder's single largest claimed-size allocation. The charge includes
+	// each row's slice header: with no particles, no decoded data backs bs.
+	if err := tx.Reserve(int64(h.bs) * (rowHeaderBytes + 8*int64(h.n))); err != nil {
 		return nil, err
 	}
 	out := make([][]float64, h.bs)
@@ -1027,6 +1028,12 @@ type header struct {
 	shards    []shardSec
 }
 
+// maxBlockValues caps the geometry (bs × n) a block header may claim.
+const maxBlockValues = 1 << 33
+
+// rowHeaderBytes is the size of one output row's []float64 header.
+const rowHeaderBytes = 24
+
 func parseHeader(blk []byte) (*header, error) {
 	br := bitstream.NewByteReader(blk)
 	magic, err := br.ReadBytes(4)
@@ -1076,7 +1083,9 @@ func parseHeader(blk []byte) (*header, error) {
 		return nil, corrupt(err)
 	}
 	h.bs, h.n = int(bs64), int(n64)
-	if h.bs <= 0 || h.n < 0 || uint64(h.bs)*uint64(h.n) > 1<<33 {
+	// The cap counts an empty row as one value, so a block of zero-particle
+	// rows cannot claim an unbounded row count.
+	if h.bs <= 0 || h.n < 0 || h.bs > maxBlockValues/max(h.n, 1) {
 		return nil, ErrCorrupt
 	}
 	if h.lam, err = br.ReadFloat64(); err != nil {

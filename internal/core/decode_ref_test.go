@@ -529,3 +529,33 @@ func mustEncoder(t *testing.T, m Method) *Encoder {
 	}
 	return enc
 }
+
+// TestForgedEmptyRowsNoAlloc: a valid block of zero-particle rows, re-headed
+// to claim 2^26 of them, is refused by the decode budget before its row
+// headers are allocated, while the valid block still decodes.
+func TestForgedEmptyRowsNoAlloc(t *testing.T) {
+	valid, err := mustEncoder(t, VQ).EncodeBatch(make([][]float64, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := NewDecoder(Params{}).DecodeBatch(valid); err != nil || len(out) != 3 {
+		t.Fatalf("valid zero-particle block: %d rows, err %v", len(out), err)
+	}
+	h, err := parseHeader(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := forgedBlock(VQ, 1<<26, 0, h.shards[0].body)
+	dec := NewDecoder(Params{Budget: budget.New(1 << 20)})
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err = dec.DecodeBatch(forged)
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, budget.ErrExceeded) {
+		t.Errorf("forged empty rows: err %v, want budget.ErrExceeded", err)
+	}
+	if alloc := ms.TotalAlloc - before; alloc >= 16<<20 {
+		t.Errorf("forged empty rows: allocated %d bytes", alloc)
+	}
+}

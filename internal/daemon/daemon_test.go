@@ -285,7 +285,9 @@ func TestDaemonDrainRestart(t *testing.T) {
 // TestDaemonDrainRestartFullConfig: every SessionConfig field survives a
 // drain and restart. The resumed session must keep its fixed shard count,
 // bound mode, parallelism knobs and seek index, so its container equals an
-// uninterrupted library run with the same Config, seek table included.
+// uninterrupted library run with the same Config, seek table included. The
+// create body still carries the removed pipeline_depth key, which must be
+// ignored rather than refused.
 func TestDaemonDrainRestartFullConfig(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "mdzd.state")
 	traj := makeTraj(20, 100, 43)
@@ -295,7 +297,7 @@ func TestDaemonDrainRestartFullConfig(t *testing.T) {
 	libCfg := mdz.Config{
 		ErrorBound: 1e-3, Mode: mdz.Absolute, Method: mdz.ADP,
 		BufferSize: 3, CheckpointInterval: 2, Workers: 2, Shards: 4,
-		ADPSampleShards: 1, PipelineDepth: 2, SeekIndex: true,
+		ADPSampleShards: 1, SeekIndex: true,
 	}
 
 	srv1, tc1 := newTestEnv(t, Options{StatePath: state})
@@ -600,7 +602,8 @@ func TestDaemonBadRequests(t *testing.T) {
 // TestDaemonSessionKnobs: the parallelism knobs round-trip through the
 // session config — accepted values produce a container byte-identical to
 // the library run with the same Config, and over-cap or negative values
-// are rejected as 400s before a session exists.
+// are rejected as 400s before a session exists. The removed pipeline_depth
+// key is ignored.
 func TestDaemonSessionKnobs(t *testing.T) {
 	srv, tc := newTestEnv(t, Options{MemGlobal: 32 << 20})
 	traj := makeTraj(24, 96, 23)
@@ -608,7 +611,7 @@ func TestDaemonSessionKnobs(t *testing.T) {
 		`"workers":2,"shards":4,"adp_sample_shards":1,"pipeline_depth":2}`, traj)
 	want := libraryContainer(t, mdz.Config{
 		ErrorBound: 1e-3, BufferSize: 4, CheckpointInterval: 2,
-		Workers: 2, Shards: 4, ADPSampleShards: 1, PipelineDepth: 2,
+		Workers: 2, Shards: 4, ADPSampleShards: 1,
 	}, traj)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("session container (%d bytes) differs from library container (%d bytes)", len(got), len(want))
@@ -616,8 +619,6 @@ func TestDaemonSessionKnobs(t *testing.T) {
 	for _, body := range []string{
 		`{"error_bound":1e-3,"workers":65}`,
 		`{"error_bound":1e-3,"workers":-1}`,
-		`{"error_bound":1e-3,"pipeline_depth":9}`,
-		`{"error_bound":1e-3,"pipeline_depth":-1}`,
 		`{"error_bound":1e-3,"shards":-1}`,
 		`{"error_bound":1e-3,"shards":1000000}`,
 		`{"error_bound":1e-3,"adp_sample_shards":1000000}`,
@@ -629,9 +630,9 @@ func TestDaemonSessionKnobs(t *testing.T) {
 	}
 }
 
-// TestDaemonPipelinedDeleteActive: deleting a session whose Writer runs a
-// pipelined io goroutine must not leak the goroutine or budgeted bytes —
-// release closes the Writer best-effort.
+// TestDaemonPipelinedDeleteActive: deleting an active session returns all
+// of its budgeted bytes, here for a create body that still carries the
+// removed pipeline_depth key.
 func TestDaemonPipelinedDeleteActive(t *testing.T) {
 	srv, tc := newTestEnv(t, Options{MemGlobal: 16 << 20})
 	traj := makeTraj(12, 80, 13)

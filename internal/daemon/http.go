@@ -86,25 +86,16 @@ type SessionConfig struct {
 	// ADPSampleShards amortizes ADP re-evaluations onto a sampled shard
 	// prefix (0 = full trials; changes output bytes deterministically).
 	ADPSampleShards int `json:"adp_sample_shards,omitempty"`
-	// PipelineDepth overlaps batch compression with container framing,
-	// keeping up to N compressed batches in flight (0 = synchronous;
-	// output bytes identical). Capped at maxSessionPipeline because each
-	// in-flight batch holds compressed bytes outside the session budget.
-	PipelineDepth int `json:"pipeline_depth,omitempty"`
 	// SeekIndex appends a seek-table frame when the session closes, so
 	// ranged reads of the drained container seek straight to the window
 	// instead of decoding the prefix.
 	SeekIndex bool `json:"seek_index,omitempty"`
 }
 
-// Per-session caps on client-supplied parallelism knobs. Workers are
-// goroutines and pipeline slots are retained buffers, so both multiply per
-// session; the caps keep a single tenant's request from dimensioning the
-// whole process.
-const (
-	maxSessionWorkers  = 64
-	maxSessionPipeline = 8
-)
+// maxSessionWorkers caps a session's client-supplied worker count. Workers
+// are goroutines and multiply per session; the cap keeps a single tenant's
+// request from dimensioning the whole process.
+const maxSessionWorkers = 64
 
 func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 	m, err := mdz.ParseMethod(sc.Method)
@@ -113,9 +104,6 @@ func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 	}
 	if sc.Workers < 0 || sc.Workers > maxSessionWorkers {
 		return mdz.Config{}, fmt.Errorf("workers must be in [0, %d], got %d", maxSessionWorkers, sc.Workers)
-	}
-	if sc.PipelineDepth < 0 || sc.PipelineDepth > maxSessionPipeline {
-		return mdz.Config{}, fmt.Errorf("pipeline_depth must be in [0, %d], got %d", maxSessionPipeline, sc.PipelineDepth)
 	}
 	if sc.Shards < 0 || sc.Shards > core.MaxShards {
 		return mdz.Config{}, fmt.Errorf("shards must be in [0, %d], got %d", core.MaxShards, sc.Shards)
@@ -131,7 +119,6 @@ func (sc *SessionConfig) toConfig() (mdz.Config, error) {
 		Workers:            sc.Workers,
 		Shards:             sc.Shards,
 		ADPSampleShards:    sc.ADPSampleShards,
-		PipelineDepth:      sc.PipelineDepth,
 		SeekIndex:          sc.SeekIndex,
 	}
 	if sc.AbsoluteBound {

@@ -299,11 +299,6 @@ func (s *session) finish() error {
 func (s *session) release() {
 	s.cancel()
 	s.stopIngest()
-	// Best-effort Close so a pipelined Writer's io goroutine exits even
-	// when the session is evicted or deleted without finish(). Idempotent;
-	// the result is irrelevant because the container is discarded. Must
-	// run without mu held: Close writes through sink, which takes mu.
-	s.w.Close()
 	s.mu.Lock()
 	s.containerTx.Close()
 	s.reserved = 0

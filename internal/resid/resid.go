@@ -175,7 +175,9 @@ func (f Format) Decode(blk []byte, walk Walk) ([][]float64, error) {
 		return nil, err
 	}
 	bs, n := int(bs64), int(n64)
-	if bs <= 0 || n < 0 || (n > 0 && bs > maxValues/n) {
+	// An empty row counts as one value, so a block of zero-length rows
+	// cannot claim an unbounded row count.
+	if bs <= 0 || n < 0 || bs > maxValues/max(n, 1) {
 		return nil, ErrCorrupt
 	}
 	q, err := quant.New(eb, int(scale))

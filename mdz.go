@@ -180,14 +180,9 @@ type Config struct {
 	// round of the resumed run always trials. Ignored unless Method is
 	// ADP.
 	ADPRetrialInterval int
-	// PipelineDepth, when positive, makes Writer overlap compression of
-	// batch N+1 with framing, checksumming and io of batch N through a
-	// bounded queue of at most PipelineDepth in-flight compressed batches.
-	// Frame order, stream bytes and resume state are identical to the
-	// synchronous default (0); Flush, ExportState and Close drain the
-	// queue first. A write error surfaces on a later WriteFrame, Flush or
-	// Close — at most PipelineDepth batches late. Only Writer consults
-	// this field.
+	// PipelineDepth is ignored: Writer always writes serially.
+	//
+	// Deprecated: leave PipelineDepth zero.
 	PipelineDepth int
 	// Telemetry enables pipeline instrumentation: per-stage wall time,
 	// ADP decisions, quantization scope rates, pool utilization and (via
@@ -256,9 +251,6 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	}
 	if cfg.ADPRetrialInterval < 0 {
 		return nil, fmt.Errorf("mdz: ADPRetrialInterval must be non-negative, got %d", cfg.ADPRetrialInterval)
-	}
-	if cfg.PipelineDepth < 0 || cfg.PipelineDepth > MaxPipelineDepth {
-		return nil, fmt.Errorf("mdz: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, cfg.PipelineDepth)
 	}
 	switch cfg.FormatVersion {
 	case 0, 2:
@@ -368,7 +360,8 @@ func checkFinite(axis int, batch [][]float64) error {
 }
 
 // CompressBatch compresses one buffer of frames into a self-contained block
-// (all three axes). Frames must be non-empty and share a particle count.
+// (all three axes). The batch must be non-empty, and its frames must share
+// a particle count of at least one.
 // NaN values are legal anywhere and round-trip bit-exactly through the
 // outlier path; ±Inf in an axis's first batch is rejected with
 // ErrNonFinite (see checkFinite).
@@ -387,6 +380,9 @@ func (c *Compressor) CompressBatchContext(ctx context.Context, frames []Frame) (
 		return nil, errors.New("mdz: empty batch")
 	}
 	n := frames[0].N()
+	if n == 0 {
+		return nil, errors.New("mdz: frames carry no particles")
+	}
 	for i, f := range frames {
 		if f.N() != n || len(f.Y) != n || len(f.Z) != n {
 			return nil, fmt.Errorf("mdz: frame %d has inconsistent particle count", i)

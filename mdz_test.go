@@ -193,6 +193,11 @@ func TestBadInputs(t *testing.T) {
 	if _, err := c.CompressBatch(ragged); err == nil {
 		t.Error("ragged batch accepted")
 	}
+	// A reference stored from a 0-atom block reloads as nil, so a Writer's
+	// own Reader would refuse every checkpoint after it.
+	if _, err := c.CompressBatch([]Frame{{}, {}}); err == nil {
+		t.Error("0-atom batch accepted")
+	}
 	d := NewDecompressor()
 	if _, err := d.DecompressBatch([]byte("bogus")); err == nil {
 		t.Error("bogus block accepted")

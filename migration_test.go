@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
-	"time"
 )
 
 // migrateWriter round-trips a Writer across a simulated process boundary:
@@ -49,9 +46,8 @@ func TestWriterStateMigration(t *testing.T) {
 	for _, method := range []Method{ADP, MT} {
 		// BufferSize 4: split 10 is mid-batch (2 pending), split 8 is a
 		// block boundary, split 2 precedes the first flushed block.
-		// Depth 3 runs both writer lifetimes pipelined; the reference
-		// stays synchronous, so equality also proves the pipeline is
-		// byte-invisible across a migration.
+		// Depth 3 sets the deprecated PipelineDepth on both writer
+		// lifetimes, which must leave the bytes unchanged.
 		for _, tc := range []struct {
 			split, depth int
 		}{{10, 0}, {8, 0}, {2, 0}, {10, 3}, {8, 3}, {2, 3}} {
@@ -128,122 +124,6 @@ func TestWriterStateMigration(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// gatedSink blocks its first underlying Write until the gate is closed and
-// signals entry, so a test can hold the Writer's io goroutine inside the
-// sink while compressed batches queue up behind it.
-type gatedSink struct {
-	buf     bytes.Buffer
-	gate    chan struct{}
-	entered chan struct{}
-	once    sync.Once
-}
-
-func (g *gatedSink) Write(p []byte) (int, error) {
-	g.once.Do(func() { close(g.entered) })
-	<-g.gate
-	return g.buf.Write(p)
-}
-
-// TestWriterDrainMidPipeline is the SIGTERM-drain contract under load: with
-// the io goroutine deterministically blocked inside the sink and compressed
-// batches still queued in the pipeline, ExportState must wait for every
-// in-flight frame, flush it into the container prefix, and hand over state
-// that resumes byte-identically to an unmigrated synchronous run.
-//
-// Incompressible data (i.i.d. uniform coordinates under a tiny absolute
-// bound) makes each batch's payload exceed the Writer's 1 MiB buffer, so
-// the io goroutine hits the gated sink on the first data frame while later
-// batches are provably still in flight.
-func TestWriterDrainMidPipeline(t *testing.T) {
-	const m, n, split = 16, 15000, 12
-	rng := rand.New(rand.NewSource(41))
-	frames := make([]Frame, m)
-	for ti := range frames {
-		f := Frame{X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n)}
-		for i := 0; i < n; i++ {
-			f.X[i], f.Y[i], f.Z[i] = rng.Float64()*100, rng.Float64()*100, rng.Float64()*100
-		}
-		frames[ti] = f
-	}
-	cfg := Config{
-		ErrorBound: 1e-12, Mode: Absolute, Method: MT,
-		BufferSize: 4, CheckpointInterval: 2,
-	}
-
-	var want bytes.Buffer
-	full, err := NewWriter(&want, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames {
-		if err := full.WriteFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := full.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.PipelineDepth = 8
-	sink := &gatedSink{gate: make(chan struct{}), entered: make(chan struct{})}
-	w1, err := NewWriter(sink, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range frames[:split] {
-		if err := w1.WriteFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The io goroutine is now blocked inside sink.Write on the first data
-	// frame; the remaining batches sit in the pipeline queue.
-	<-sink.entered
-	type exported struct {
-		st  *WriterState
-		err error
-	}
-	done := make(chan exported, 1)
-	go func() {
-		st, err := w1.ExportState()
-		done <- exported{st, err}
-	}()
-	select {
-	case <-done:
-		t.Fatal("ExportState returned while the io goroutine was blocked mid-pipeline")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(sink.gate)
-	res := <-done
-	if res.err != nil {
-		t.Fatalf("export: %v", res.err)
-	}
-
-	blob, err := res.st.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := &WriterState{}
-	if err := wire.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	buf := bytes.NewBuffer(append([]byte(nil), sink.buf.Bytes()...))
-	w2, err := ResumeWriter(buf, cfg, wire)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	for _, f := range frames[split:] {
-		if err := w2.WriteFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), buf.Bytes()) {
-		t.Fatalf("drained container diverged: %d vs %d bytes", buf.Len(), want.Len())
 	}
 }
 

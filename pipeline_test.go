@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestPipelineByteIdentity: every pipeline depth produces the same container
-// bytes as the synchronous writer, with checkpoints in the stream — the
-// depth is an execution knob, never a format knob.
+// TestPipelineByteIdentity: the deprecated Config.PipelineDepth has no
+// effect — every depth produces the container bytes and Stats of a Writer
+// without it, with checkpoints in the stream.
 func TestPipelineByteIdentity(t *testing.T) {
 	frames := makeFrames(21, 120, 3)
 	cfg := Config{
@@ -29,7 +29,7 @@ func TestPipelineByteIdentity(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{1, 4, MaxPipelineDepth} {
+	for _, depth := range []int{1, 4, 64} {
 		t.Run(fmt.Sprintf("v2_depth%d", depth), func(t *testing.T) {
 			pcfg := cfg
 			pcfg.PipelineDepth = depth
@@ -47,13 +47,13 @@ func TestPipelineByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatalf("depth %d container differs from synchronous: %d vs %d bytes",
+				t.Fatalf("depth %d container differs from the default: %d vs %d bytes",
 					depth, got.Len(), want.Len())
 			}
 			wr, wc := w.Stats()
 			gr, gc := pw.Stats()
 			if wr != gr || wc != gc {
-				t.Errorf("pipelined Stats = (%d, %d), want (%d, %d)", gr, gc, wr, wc)
+				t.Errorf("depth %d Stats = (%d, %d), want (%d, %d)", depth, gr, gc, wr, wc)
 			}
 		})
 	}
@@ -64,9 +64,9 @@ type errSink struct{ err error }
 
 func (s errSink) Write([]byte) (int, error) { return 0, s.err }
 
-// TestPipelineErrorPropagation: a sink failure inside the pipelined io path
-// must surface to the caller — at the latest on Close — and never hang the
-// compress stage or get replaced by a later error.
+// TestPipelineErrorPropagation: a sink failure must surface to the caller —
+// at the latest on Close — and never get replaced by a later error, with
+// or without the deprecated PipelineDepth set.
 func TestPipelineErrorPropagation(t *testing.T) {
 	sinkErr := errors.New("disk gone")
 	frames := makeFrames(12, 100, 5)
@@ -81,7 +81,7 @@ func TestPipelineErrorPropagation(t *testing.T) {
 			}
 			// Small frames live in the 1 MiB buffer until a flush, so the
 			// sink failure may only materialize at Flush/Close — the
-			// pipelined writer must still deliver it, not swallow it.
+			// writer must still deliver it, not swallow it.
 			for _, f := range frames {
 				if err := w.WriteFrame(f); err != nil {
 					if !errors.Is(err, sinkErr) {
@@ -100,8 +100,8 @@ func TestPipelineErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestPipelineFlushSurfacesSinkError: Flush drains the pipeline and reports
-// the sink failure instead of claiming delivery.
+// TestPipelineFlushSurfacesSinkError: Flush reports the sink failure
+// instead of claiming delivery.
 func TestPipelineFlushSurfacesSinkError(t *testing.T) {
 	sinkErr := errors.New("net down")
 	w, err := NewWriter(errSink{sinkErr}, Config{
@@ -123,11 +123,10 @@ func TestPipelineFlushSurfacesSinkError(t *testing.T) {
 	}
 }
 
-// TestPipelineConfigValidation: the new knobs are range-checked up front.
+// TestPipelineConfigValidation: the scaling knobs are range-checked up
+// front.
 func TestPipelineConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
-		{ErrorBound: 1e-3, PipelineDepth: -1},
-		{ErrorBound: 1e-3, PipelineDepth: MaxPipelineDepth + 1},
 		{ErrorBound: 1e-3, ADPSampleShards: -1},
 		{ErrorBound: 1e-3, ADPSampleShards: 1 << 20},
 	} {
@@ -139,7 +138,7 @@ func TestPipelineConfigValidation(t *testing.T) {
 		}
 	}
 	if _, err := NewWriter(&bytes.Buffer{}, Config{
-		ErrorBound: 1e-3, PipelineDepth: MaxPipelineDepth, ADPSampleShards: 2,
+		ErrorBound: 1e-3, ADPSampleShards: 2,
 	}); err != nil {
 		t.Errorf("valid knobs rejected: %v", err)
 	}

@@ -3,10 +3,8 @@ package mdz
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -53,7 +51,6 @@ func (r *Reader) Seek(snapshot int) error {
 		return fmt.Errorf("mdz: negative seek target %d", snapshot)
 	}
 	r.err = nil
-	r.stopPipe()
 	if !r.opened {
 		if err := r.open(); err != nil {
 			return r.fail(err)
@@ -185,20 +182,18 @@ func (r *Reader) seedFromCheckpoint(e SeekEntry) error {
 	if err != nil {
 		return err
 	}
-	st := &CheckpointState{}
-	tx := r.d.bud.Begin()
-	err = st.unmarshalTx(payload, tx)
-	tx.Close()
+	st, err := r.d.parseCheckpoint(payload)
 	if err != nil {
 		return err
 	}
 	return r.d.ImportState(st)
 }
 
-// readFrameAt random-access reads the frame recorded by e, verifying sync
-// marker, header CRC, sequence, type and payload CRC. The returned payload
-// is a fresh allocation owned by the caller. The source position is left
-// undefined; callers reposition via jumpTo (or restore it themselves).
+// readFrameAt random-access reads the frame recorded by e, verifying it
+// with checkFrameHeader and checkFramePayload and matching its type and
+// sequence against e. The returned payload is a fresh allocation owned by
+// the caller. The source position is left undefined; callers reposition
+// via jumpTo (or restore it themselves).
 func (r *Reader) readFrameAt(e SeekEntry) ([]byte, error) {
 	if _, err := r.srcSeeker.Seek(e.Offset, io.SeekStart); err != nil {
 		return nil, err
@@ -207,28 +202,24 @@ func (r *Reader) readFrameAt(e SeekEntry) ([]byte, error) {
 	if _, err := io.ReadFull(r.srcSeeker, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: frame at offset %d cut short", ErrTruncated, e.Offset)
 	}
-	if !bytes.Equal(hdr[:4], frameSync[:]) ||
-		crc32.Checksum(hdr[4:13], crcTable) != binary.LittleEndian.Uint32(hdr[13:17]) {
+	h, ok := checkFrameHeader(hdr[:])
+	if !ok {
 		return nil, fmt.Errorf("%w: no valid frame at indexed offset %d", ErrCorruptBlock, e.Offset)
 	}
-	if hdr[4] != e.Type || binary.LittleEndian.Uint32(hdr[5:9]) != e.Seq {
+	if h.typ != e.Type || h.seq != e.Seq {
 		return nil, fmt.Errorf("%w: frame at offset %d does not match its index entry", ErrCorruptBlock, e.Offset)
-	}
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if n > maxFramePayload {
-		return nil, fmt.Errorf("%w: implausible frame length %d", ErrCorruptBlock, n)
 	}
 	tx := r.d.bud.Begin()
 	defer tx.Close()
-	if err := tx.Reserve(int64(n) + frameCRCSize); err != nil {
+	if err := tx.Reserve(int64(h.n) + frameCRCSize); err != nil {
 		return nil, err
 	}
-	body := make([]byte, int(n)+frameCRCSize)
+	body := make([]byte, h.n+frameCRCSize)
 	if _, err := io.ReadFull(r.srcSeeker, body); err != nil {
 		return nil, fmt.Errorf("%w: frame at offset %d cut short", ErrTruncated, e.Offset)
 	}
-	payload := body[:n]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(body[n:]) {
+	payload, ok := checkFramePayload(body)
+	if !ok {
 		return nil, fmt.Errorf("%w: frame payload CRC mismatch at offset %d", ErrCorruptBlock, e.Offset)
 	}
 	return payload, nil
@@ -303,23 +294,20 @@ func (r *Reader) loadIndexTail() ([]SeekEntry, bool) {
 			return nil, false
 		}
 		at = i - 1
-		hdr := tail[i:]
-		if len(hdr) < frameHeaderSize {
+		frame := tail[i:]
+		if len(frame) < frameHeaderSize {
 			continue
 		}
-		if hdr[4] != frameSeekIndex {
+		h, ok := checkFrameHeader(frame)
+		if !ok || h.typ != frameSeekIndex {
 			continue
 		}
-		if crc32.Checksum(hdr[4:13], crcTable) != binary.LittleEndian.Uint32(hdr[13:17]) {
+		total := frameHeaderSize + h.n + frameCRCSize
+		if len(frame) < total {
 			continue
 		}
-		n := binary.LittleEndian.Uint32(hdr[9:13])
-		total := frameHeaderSize + int64(n) + frameCRCSize
-		if int64(len(hdr)) < total {
-			continue
-		}
-		payload := hdr[frameHeaderSize : frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(hdr[total-frameCRCSize:total]) {
+		payload, ok := checkFramePayload(frame[frameHeaderSize:total])
+		if !ok {
 			continue
 		}
 		entries, err := parseSeekIndex(payload)
@@ -363,9 +351,9 @@ type scannedTrailer struct {
 // bytes (headers, CRCs, block geometry) — the index-rebuild and retrofit
 // engine.
 type streamScanner struct {
-	br      *bufio.Reader
-	off     int64
-	scratch []byte
+	br   *bufio.Reader
+	off  int64
+	body bytes.Buffer // frame body scratch, reused across frames
 	// hasIndex reports that the scan encountered an existing seek-table
 	// frame.
 	hasIndex bool
@@ -422,15 +410,8 @@ func (s *streamScanner) scan(strict bool) ([]SeekEntry, *scannedTrailer, error) 
 			}
 			return entries, trailer, nil
 		}
-		bad := !bytes.Equal(hdr[:4], frameSync[:]) ||
-			crc32.Checksum(hdr[4:13], crcTable) != binary.LittleEndian.Uint32(hdr[13:17]) ||
-			hdr[4] > frameSeekIndex
-		var n uint32
-		if !bad {
-			n = binary.LittleEndian.Uint32(hdr[9:13])
-			bad = n > maxFramePayload
-		}
-		if bad {
+		h, ok := checkFrameHeader(hdr)
+		if !ok {
 			if strict {
 				return nil, nil, &CorruptBlockError{
 					Block: seq, Offset: s.off,
@@ -443,13 +424,11 @@ func (s *streamScanner) scan(strict bool) ([]SeekEntry, *scannedTrailer, error) 
 			seqKnown = false
 			continue
 		}
-		typ := hdr[4]
-		fseq := binary.LittleEndian.Uint32(hdr[5:9])
-		if seqKnown && fseq != seq {
+		if seqKnown && h.seq != seq {
 			if strict {
 				return nil, nil, &CorruptBlockError{
 					Block: seq, Offset: s.off,
-					Cause: fmt.Errorf("%w: frame sequence %d (want %d)", ErrCorruptBlock, fseq, seq),
+					Cause: fmt.Errorf("%w: frame sequence %d (want %d)", ErrCorruptBlock, h.seq, seq),
 				}
 			}
 			// Sequence break on an individually valid frame: accept it and
@@ -460,63 +439,63 @@ func (s *streamScanner) scan(strict bool) ([]SeekEntry, *scannedTrailer, error) 
 			return entries, trailer, scanIOErr(strict, err)
 		}
 		s.off += frameHeaderSize
-		body := s.grow(int(n) + frameCRCSize)
-		if _, err := io.ReadFull(s.br, body); err != nil {
+		body, err := s.readBody(h.n + frameCRCSize)
+		if err != nil {
 			if strict {
-				return nil, nil, fmt.Errorf("%w: stream cut inside frame %d", ErrTruncated, fseq)
+				return nil, nil, fmt.Errorf("%w: stream cut inside frame %d", ErrTruncated, h.seq)
 			}
 			return entries, trailer, nil
 		}
 		s.off += int64(len(body))
-		payload := body[:n]
-		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(body[n:]) {
+		payload, ok := checkFramePayload(body)
+		if !ok {
 			if strict {
 				return nil, nil, &CorruptBlockError{
-					Block: fseq, Offset: frameOff,
+					Block: h.seq, Offset: frameOff,
 					Cause: fmt.Errorf("%w: frame payload CRC mismatch", ErrCorruptBlock),
 				}
 			}
 			seqKnown = false
 			continue
 		}
-		seq = fseq + 1
+		seq = h.seq + 1
 		seqKnown = true
-		switch typ {
+		switch h.typ {
 		case frameData:
 			bs, berr := blockSnapshots(payload)
 			if berr != nil {
 				if strict {
-					return nil, nil, &CorruptBlockError{Block: fseq, Offset: frameOff, Cause: berr}
+					return nil, nil, &CorruptBlockError{Block: h.seq, Offset: frameOff, Cause: berr}
 				}
 				continue
 			}
 			entries = append(entries, SeekEntry{
-				Offset: frameOff, Seq: fseq, Type: frameData,
+				Offset: frameOff, Seq: h.seq, Type: frameData,
 				SnapFrom: snaps, SnapCount: bs,
 			})
 			snaps += int64(bs)
 		case frameCheckpoint:
 			entries = append(entries, SeekEntry{
-				Offset: frameOff, Seq: fseq, Type: frameCheckpoint, SnapFrom: snaps,
+				Offset: frameOff, Seq: h.seq, Type: frameCheckpoint, SnapFrom: snaps,
 			})
 		case frameSeekIndex:
 			s.hasIndex = true
 		case frameTrailer:
 			trailer = &scannedTrailer{
-				off: frameOff, seq: fseq,
+				off: frameOff, seq: h.seq,
 				payload: append([]byte(nil), payload...),
 			}
 		}
 	}
 }
 
-// grow returns a scratch buffer of exactly n bytes, reusing the backing
-// array across frames.
-func (s *streamScanner) grow(n int) []byte {
-	if cap(s.scratch) < n {
-		s.scratch = make([]byte, n)
-	}
-	return s.scratch[:n]
+// readBody reads the next n bytes into s.body. The buffer grows only with
+// the bytes actually read, so a forged frame length cannot size an
+// allocation.
+func (s *streamScanner) readBody(n int) ([]byte, error) {
+	s.body.Reset()
+	_, err := io.CopyN(&s.body, s.br, int64(n))
+	return s.body.Bytes(), err
 }
 
 // skipToSync discards at least one byte, then everything up to the next

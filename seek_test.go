@@ -373,9 +373,9 @@ func TestSeekUnderCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// TestPipelinedReaderDifferential: for every pipeline depth × worker count,
-// the pipelined Reader delivers frames bit-identical to the serial Reader —
-// on full reads, ranged reads and after Seek.
+// TestPipelinedReaderDifferential: the deprecated ReaderOptions.Pipeline
+// has no effect. For every depth × worker count the Reader delivers frames
+// bit-identical to a default Reader, on full reads and ranged reads.
 func TestPipelinedReaderDifferential(t *testing.T) {
 	frames := makeFrames(48, 180, 67)
 	for _, cfg := range []Config{
@@ -393,7 +393,7 @@ func TestPipelinedReaderDifferential(t *testing.T) {
 					t.Fatalf("depth %d workers %d: %v", depth, workers, err)
 				}
 				if !frameSlicesEqual(got, want) {
-					t.Fatalf("depth %d workers %d: frames differ from serial decode", depth, workers)
+					t.Fatalf("depth %d workers %d: frames differ from default decode", depth, workers)
 				}
 				if _, err := r.ReadFrame(); !errors.Is(err, io.EOF) {
 					t.Fatalf("depth %d workers %d post-drain: %v", depth, workers, err)
@@ -410,8 +410,9 @@ func TestPipelinedReaderDifferential(t *testing.T) {
 	}
 }
 
-// TestPipelinedReaderErrorParity: a pipelined strict reader surfaces
-// corruption after exactly the frames a serial strict reader would deliver.
+// TestPipelinedReaderErrorParity: with the deprecated ReaderOptions.Pipeline
+// set, a strict reader surfaces corruption after exactly the frames, and at
+// the location, of a default strict reader.
 func TestPipelinedReaderErrorParity(t *testing.T) {
 	frames := makeFrames(40, 120, 31)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4})
@@ -454,7 +455,7 @@ func TestPipelinedReaderErrorParity(t *testing.T) {
 		}
 		piped.Close()
 		if !frameSlicesEqual(pipedFrames, serialFrames) {
-			t.Fatalf("workers %d: pipelined reader delivered %d frames before failing, serial %d",
+			t.Fatalf("workers %d: Pipeline reader delivered %d frames before failing, default %d",
 				workers, len(pipedFrames), len(serialFrames))
 		}
 		var want, got *CorruptBlockError
@@ -467,7 +468,8 @@ func TestPipelinedReaderErrorParity(t *testing.T) {
 	}
 }
 
-// TestPipelinedReaderTruncation: truncation surfaces in pipelined mode too.
+// TestPipelinedReaderTruncation: truncation surfaces as ErrTruncated with
+// the deprecated ReaderOptions.Pipeline set too.
 func TestPipelinedReaderTruncation(t *testing.T) {
 	frames := makeFrames(20, 100, 13)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4})
@@ -475,7 +477,7 @@ func TestPipelinedReaderTruncation(t *testing.T) {
 	defer r.Close()
 	_, err := r.ReadAll()
 	if err == nil || !errors.Is(err, ErrTruncated) {
-		t.Fatalf("truncated pipelined read: %v, want ErrTruncated", err)
+		t.Fatalf("truncated read with Pipeline set: %v, want ErrTruncated", err)
 	}
 }
 
@@ -703,6 +705,26 @@ func TestReadAllForgedSeekTotal(t *testing.T) {
 	}
 	if alloc >= 16<<20 {
 		t.Errorf("ReadAll allocated %d bytes for a 4-snapshot stream", alloc)
+	}
+}
+
+// TestScanForgedLengthNoAlloc: a data frame whose header claims 2^28
+// payload bytes under a valid header CRC fails the index scan, behind a
+// strict Seek of an unindexed stream and behind RetrofitSeekIndex, as a
+// truncation, without allocating for the claim.
+func TestScanForgedLengthNoAlloc(t *testing.T) {
+	data := writeSeekStream(t, makeFrames(8, 30, 5), Config{ErrorBound: 1e-3, BufferSize: 2})
+	forged := forgeHeader(append([]byte(nil), data...), dataFrames(parseV2Frames(t, data))[1], frameData, 1<<28)
+	var serr, rerr error
+	alloc := allocDuring(func() {
+		serr = NewReader(bytes.NewReader(forged)).Seek(0)
+		_, rerr = RetrofitSeekIndex(bytes.NewReader(forged), io.Discard)
+	})
+	if !errors.Is(serr, ErrTruncated) || !errors.Is(rerr, ErrTruncated) {
+		t.Fatalf("forged length: Seek err %v, RetrofitSeekIndex err %v, want ErrTruncated", serr, rerr)
+	}
+	if alloc >= 16<<20 {
+		t.Errorf("index scan allocated %d bytes for a forged frame length", alloc)
 	}
 }
 

@@ -1,10 +1,10 @@
 package mdz
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 )
@@ -51,63 +51,59 @@ type SeekEntry struct {
 // appendSeekIndex encodes entries into a seek-table payload.
 func appendSeekIndex(dst []byte, entries []SeekEntry) []byte {
 	dst = append(dst, seekIndexVersion)
-	dst = appendUvarint(dst, uint64(len(entries)))
+	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	var prevOff int64
 	var prevSeq uint32
 	for _, e := range entries {
 		dst = append(dst, e.Type)
-		dst = appendUvarint(dst, uint64(e.Offset-prevOff))
-		dst = appendUvarint(dst, uint64(e.Seq-prevSeq))
-		dst = appendUvarint(dst, uint64(e.SnapCount))
+		dst = binary.AppendUvarint(dst, uint64(e.Offset-prevOff))
+		dst = binary.AppendUvarint(dst, uint64(e.Seq-prevSeq))
+		dst = binary.AppendUvarint(dst, uint64(e.SnapCount))
 		prevOff, prevSeq = e.Offset, e.Seq
 	}
 	return dst
 }
+
+// errSeekVarint reports a malformed uvarint in a seek-table payload.
+var errSeekVarint = fmt.Errorf("%w: malformed varint in seek table", ErrCorruptBlock)
 
 // parseSeekIndex decodes a seek-table payload, validating monotonicity so
 // a damaged (but CRC-colliding) table can never send a seek backwards or
 // out of bounds. The per-entry floor of 4 payload bytes bounds the
 // allocation by the payload actually read.
 func parseSeekIndex(payload []byte) ([]SeekEntry, error) {
-	p := payload
-	if len(p) < 2 || p[0] != seekIndexVersion {
+	if len(payload) < 2 || payload[0] != seekIndexVersion {
 		return nil, fmt.Errorf("%w: unsupported seek-table version", ErrCorruptBlock)
 	}
-	p = p[1:]
-	count, p, err := readUvarint(p)
+	br := bytes.NewReader(payload[1:])
+	count, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, err
+		return nil, errSeekVarint
 	}
-	if count > uint64(len(p))/4+1 {
+	if count > uint64(br.Len())/4+1 {
 		return nil, fmt.Errorf("%w: seek-table entry count %d exceeds payload", ErrCorruptBlock, count)
 	}
 	entries := make([]SeekEntry, 0, count)
 	var off, snaps int64
 	var seq uint32
-	first := true
 	for i := uint64(0); i < count; i++ {
-		if len(p) == 0 {
+		typ, err := br.ReadByte()
+		if err != nil {
 			return nil, fmt.Errorf("%w: seek table cut short", ErrCorruptBlock)
 		}
-		typ := p[0]
-		p = p[1:]
 		if typ != frameData && typ != frameCheckpoint {
 			return nil, fmt.Errorf("%w: seek-table entry with frame type %d", ErrCorruptBlock, typ)
 		}
-		var dOff, dSeq, sc uint64
-		if dOff, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
-		if dSeq, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
-		if sc, p, err = readUvarint(p); err != nil {
-			return nil, err
+		dOff, err1 := binary.ReadUvarint(br)
+		dSeq, err2 := binary.ReadUvarint(br)
+		sc, err3 := binary.ReadUvarint(br)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return nil, errSeekVarint
 		}
 		if dOff > 1<<62 || dSeq > 1<<32-1 || sc > maxFramePayload {
 			return nil, fmt.Errorf("%w: implausible seek-table entry", ErrCorruptBlock)
 		}
-		if !first && (dOff == 0 || dSeq == 0) {
+		if i > 0 && (dOff == 0 || dSeq == 0) {
 			return nil, fmt.Errorf("%w: non-monotonic seek-table entry", ErrCorruptBlock)
 		}
 		if typ == frameData && sc == 0 {
@@ -123,9 +119,8 @@ func parseSeekIndex(payload []byte) ([]SeekEntry, error) {
 			SnapFrom: snaps, SnapCount: int(sc),
 		})
 		snaps += int64(sc)
-		first = false
 	}
-	if len(p) != 0 {
+	if br.Len() != 0 {
 		return nil, fmt.Errorf("%w: trailing seek-table bytes", ErrCorruptBlock)
 	}
 	return entries, nil
@@ -158,34 +153,6 @@ func findSeekEntry(entries []SeekEntry, snapshot int64) (data SeekEntry, cp *See
 		}
 	}
 	return entries[i], cp, true
-}
-
-// appendUvarint is binary.AppendUvarint without the import churn of mixing
-// encoding styles in this file.
-func appendUvarint(dst []byte, v uint64) []byte {
-	for v >= 0x80 {
-		dst = append(dst, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(dst, byte(v))
-}
-
-// readUvarint decodes one uvarint from p, returning the remainder.
-func readUvarint(p []byte) (uint64, []byte, error) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(p); i++ {
-		b := p[i]
-		if shift >= 63 && b > 1 {
-			break
-		}
-		if b < 0x80 {
-			return v | uint64(b)<<shift, p[i+1:], nil
-		}
-		v |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	return 0, p, fmt.Errorf("%w: malformed varint in seek table", ErrCorruptBlock)
 }
 
 // RetrofitSeekIndex copies a complete, healthy v2 stream from src to
@@ -229,20 +196,4 @@ func RetrofitSeekIndex(src io.ReadSeeker, dst io.Writer) (int, error) {
 		return 0, err
 	}
 	return len(entries), nil
-}
-
-// appendWireFrame appends one complete wire frame (header, payload, CRCs)
-// to dst — the same bytes Writer.emitFrame produces.
-func appendWireFrame(dst []byte, typ byte, seq uint32, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameSync[:])
-	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:9], seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(hdr[4:13], crcTable))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var pcrc [frameCRCSize]byte
-	binary.LittleEndian.PutUint32(pcrc[:], crc32.Checksum(payload, crcTable))
-	return append(dst, pcrc[:]...)
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"github.com/mdz/mdz/internal/telemetry"
 )
@@ -64,19 +63,64 @@ const (
 	maxFramePayload = 1 << 31 // sanity cap on the claimed payload length
 )
 
-// MaxPipelineDepth caps Config.PipelineDepth: beyond a few in-flight
-// batches the overlap is already complete and additional depth only holds
-// more compressed blocks in memory.
-const MaxPipelineDepth = 64
+// frameHeader builds the header of a frame carrying payload. It is the
+// only place a frame header is written.
+func frameHeader(typ byte, seq uint32, payload []byte) [frameHeaderSize]byte {
+	var hdr [frameHeaderSize]byte
+	copy(hdr[:4], frameSync[:])
+	hdr[4] = typ
+	binary.LittleEndian.PutUint32(hdr[5:9], seq)
+	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(hdr[4:13], crcTable))
+	return hdr
+}
 
-// wireItem is one framed record queued between the Writer's compress stage
-// and its io stage. The sequence number is assigned at enqueue time (in
-// deterministic caller order), so the io stage is pure framing: header
-// build, CRCs and writes.
-type wireItem struct {
-	typ     byte
-	seq     uint32
-	payload []byte
+// payloadCRC is the CRC that follows a frame's payload on the wire.
+func payloadCRC(payload []byte) [frameCRCSize]byte {
+	var pcrc [frameCRCSize]byte
+	binary.LittleEndian.PutUint32(pcrc[:], crc32.Checksum(payload, crcTable))
+	return pcrc
+}
+
+// appendWireFrame appends one complete wire frame (header, payload, CRC)
+// to dst: the bytes Writer.writeFrame emits.
+func appendWireFrame(dst []byte, typ byte, seq uint32, payload []byte) []byte {
+	hdr := frameHeader(typ, seq, payload)
+	pcrc := payloadCRC(payload)
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, payload...)
+	return append(dst, pcrc[:]...)
+}
+
+// frameHead is a verified frame header.
+type frameHead struct {
+	typ byte
+	seq uint32
+	n   int // payload length
+}
+
+// checkFrameHeader verifies the first frameHeaderSize bytes of hdr: the
+// sync marker, the header CRC, a known frame type and a payload length
+// within maxFramePayload. It is the only place a frame header is read;
+// the header CRC is checked before the length is trusted, so a corrupted
+// length can never cause an over-read.
+func checkFrameHeader(hdr []byte) (frameHead, bool) {
+	if !bytes.Equal(hdr[:4], frameSync[:]) ||
+		crc32.Checksum(hdr[4:13], crcTable) != binary.LittleEndian.Uint32(hdr[13:17]) {
+		return frameHead{}, false
+	}
+	n := binary.LittleEndian.Uint32(hdr[9:13])
+	if hdr[4] > frameSeekIndex || n > maxFramePayload {
+		return frameHead{}, false
+	}
+	return frameHead{typ: hdr[4], seq: binary.LittleEndian.Uint32(hdr[5:9]), n: int(n)}, true
+}
+
+// checkFramePayload verifies body, a frame's payload followed by its CRC,
+// and returns the payload.
+func checkFramePayload(body []byte) ([]byte, bool) {
+	payload := body[:len(body)-frameCRCSize]
+	return payload, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(body[len(payload):])
 }
 
 // Writer compresses frames onto an io.Writer as a framed MDZ stream,
@@ -111,18 +155,6 @@ type Writer struct {
 	// emitted as a frameSeekIndex frame just before the trailer at Close.
 	indexOn bool
 	index   []SeekEntry
-
-	// Pipelined mode (Config.PipelineDepth > 0): frames are enqueued on
-	// pipe — already sequence-numbered and fully accounted — and a single
-	// io goroutine performs the header/CRC/write work, overlapping it with
-	// the caller's compression of the next batch. All counters above are
-	// caller-side and deterministic; only w.w is touched by the io
-	// goroutine, so every caller-side use of w.w first drains the queue.
-	pipe     chan wireItem
-	ioDone   chan struct{}
-	inflight sync.WaitGroup // enqueued but not yet emitted items
-	ioMu     sync.Mutex
-	ioErr    error // first io-stage failure; surfaces on the next drain
 }
 
 // streamWriterTel is the Writer's instrument set. All counters are nil-safe,
@@ -134,11 +166,6 @@ type streamWriterTel struct {
 	// CRCs); checkpointBytes the checkpoint payloads. Together they are the
 	// stream's cost over the bare compressed blocks.
 	framingBytes, checkpointBytes *telemetry.Counter
-	// pipelineStalls counts enqueues that found the pipeline queue full:
-	// the compress stage outran the io stage by the full PipelineDepth and
-	// had to wait. A high rate means the sink, not compression, bounds
-	// throughput (or the depth is too small).
-	pipelineStalls *telemetry.Counter
 }
 
 func newStreamWriterTel(reg *telemetry.Registry) streamWriterTel {
@@ -147,7 +174,6 @@ func newStreamWriterTel(reg *telemetry.Registry) streamWriterTel {
 		checkpoints:     reg.Counter("stream.checkpoints"),
 		framingBytes:    reg.Counter("stream.framing.bytes"),
 		checkpointBytes: reg.Counter("stream.checkpoint.bytes"),
-		pipelineStalls:  reg.Counter("stream.pipeline.stalls"),
 	}
 }
 
@@ -165,20 +191,12 @@ func NewWriter(w io.Writer, cfg Config) (*Writer, error) {
 	if bs <= 0 {
 		bs = DefaultBufferSize
 	}
-	sw := &Writer{
+	return &Writer{
 		c: c, w: bufio.NewWriterSize(w, 1<<20), bs: bs,
 		interval: cfg.CheckpointInterval,
 		indexOn:  cfg.SeekIndex,
 		tel:      newStreamWriterTel(c.reg),
-	}
-	if cfg.PipelineDepth > 0 {
-		// One io goroutine per Writer; it owns w.w until Close. A pipelined
-		// Writer must be Closed (even after an error) to release it.
-		sw.pipe = make(chan wireItem, cfg.PipelineDepth)
-		sw.ioDone = make(chan struct{})
-		go sw.ioLoop()
-	}
-	return sw, nil
+	}, nil
 }
 
 // WriteFrame buffers one snapshot, flushing a compressed block every
@@ -213,8 +231,7 @@ func (w *Writer) flush() error {
 	if err != nil {
 		return w.fail(err)
 	}
-	// Counters are caller-side even in pipelined mode, so w.compBytes and
-	// w.seq at this point are exactly the frame's wire offset and sequence.
+	// The frame's wire offset and sequence, before writeFrame advances them.
 	entry := SeekEntry{
 		Offset: w.compBytes, Seq: w.seq, Type: frameData,
 		SnapFrom: w.frames, SnapCount: len(w.pending),
@@ -236,14 +253,11 @@ func (w *Writer) flush() error {
 }
 
 // writeFrame emits one framed record and accounts for its full wire size.
-// All accounting is caller-side (and therefore deterministic): in pipelined
-// mode only the header/CRC/write work of emitFrame is deferred to the io
-// goroutine, so the wire bytes are identical in both modes.
 func (w *Writer) writeFrame(typ byte, payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return w.fail(fmt.Errorf("mdz: frame payload of %d bytes exceeds format limit", len(payload)))
 	}
-	seq := w.seq
+	hdr := frameHeader(typ, w.seq, payload)
 	w.seq++
 	w.compBytes += int64(frameHeaderSize + len(payload) + frameCRCSize)
 	w.tel.frames.Inc()
@@ -252,99 +266,13 @@ func (w *Writer) writeFrame(typ byte, payload []byte) error {
 		w.tel.checkpoints.Inc()
 		w.tel.checkpointBytes.Add(int64(len(payload)))
 	}
-	if w.pipe != nil {
-		if err := w.ioFailure(); err != nil {
+	pcrc := payloadCRC(payload)
+	for _, b := range [][]byte{hdr[:], payload, pcrc[:]} {
+		if _, err := w.w.Write(b); err != nil {
 			return w.fail(err)
 		}
-		it := wireItem{typ: typ, seq: seq, payload: payload}
-		w.inflight.Add(1)
-		select {
-		case w.pipe <- it:
-		default:
-			// Full queue: the io stage is the bottleneck right now.
-			w.tel.pipelineStalls.Inc()
-			w.pipe <- it
-		}
-		return nil
-	}
-	if err := w.emitFrame(wireItem{typ: typ, seq: seq, payload: payload}); err != nil {
-		return w.fail(err)
 	}
 	return nil
-}
-
-// emitFrame performs the io-stage work of one frame: header build, CRCs and
-// the three writes. It runs on the caller in synchronous mode and on the io
-// goroutine in pipelined mode, and never touches Writer state beyond w.w.
-func (w *Writer) emitFrame(it wireItem) error {
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], frameSync[:])
-	hdr[4] = it.typ
-	binary.LittleEndian.PutUint32(hdr[5:9], it.seq)
-	binary.LittleEndian.PutUint32(hdr[9:13], uint32(len(it.payload)))
-	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(hdr[4:13], crcTable))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(it.payload); err != nil {
-		return err
-	}
-	var pcrc [frameCRCSize]byte
-	binary.LittleEndian.PutUint32(pcrc[:], crc32.Checksum(it.payload, crcTable))
-	if _, err := w.w.Write(pcrc[:]); err != nil {
-		return err
-	}
-	return nil
-}
-
-// ioLoop is the pipelined Writer's io stage: it frames and writes queued
-// items in enqueue order. After the first failure it keeps draining the
-// queue — dropping writes — so the compress stage never blocks on a dead
-// sink; the error surfaces through ioFailure on the next caller-side drain.
-func (w *Writer) ioLoop() {
-	defer close(w.ioDone)
-	for it := range w.pipe {
-		if w.ioFailure() == nil {
-			if err := w.emitFrame(it); err != nil {
-				w.ioMu.Lock()
-				w.ioErr = err
-				w.ioMu.Unlock()
-			}
-		}
-		w.inflight.Done()
-	}
-}
-
-// ioFailure reports the io stage's first failure, if any.
-func (w *Writer) ioFailure() error {
-	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	return w.ioErr
-}
-
-// drain blocks until every enqueued frame has been emitted (or dropped by a
-// failed io stage) and reports the io stage's first failure. After a clean
-// drain the caller may touch w.w: the io goroutine is parked on an empty
-// queue.
-func (w *Writer) drain() error {
-	if w.pipe == nil {
-		return nil
-	}
-	w.inflight.Wait()
-	return w.ioFailure()
-}
-
-// stopPipeline shuts the io stage down: closes the queue, waits for the io
-// goroutine to exit and reports its first failure. Idempotent; a no-op for
-// synchronous Writers.
-func (w *Writer) stopPipeline() error {
-	if w.pipe == nil {
-		return nil
-	}
-	close(w.pipe)
-	<-w.ioDone
-	w.pipe = nil
-	return w.ioFailure()
 }
 
 // writeCheckpoint embeds the compressor's current cross-batch state so a
@@ -388,9 +316,6 @@ func (w *Writer) Flush() error {
 	}
 	if w.closed {
 		return errors.New("mdz: Flush after Close")
-	}
-	if err := w.drain(); err != nil {
-		return w.fail(err)
 	}
 	if err := w.w.Flush(); err != nil {
 		return w.fail(err)
@@ -440,12 +365,6 @@ func (w *Writer) ExportState() (*WriterState, error) {
 	}
 	if w.closed {
 		return nil, errors.New("mdz: ExportState after Close")
-	}
-	// In-flight pipelined frames are part of the exported container prefix:
-	// drain them into w.w before flushing it, so the caller's copy of the
-	// container matches the exported cursor exactly.
-	if err := w.drain(); err != nil {
-		return nil, w.fail(err)
 	}
 	if err := w.w.Flush(); err != nil {
 		return nil, w.fail(err)
@@ -531,43 +450,46 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
-	if w.err != nil {
-		w.stopPipeline() // release the io goroutine; original error wins
-		w.w.Flush()      // best-effort: don't strand buffered bytes
-		return w.err
+	err := w.err
+	if err == nil {
+		err = w.finish()
 	}
-	if err := w.flush(); err != nil {
-		w.stopPipeline()
-		w.w.Flush()
+	if ferr := w.w.Flush(); err == nil {
+		err = ferr
+	}
+	return err
+}
+
+// finish writes the last partial batch, the seek table (if enabled) and
+// the trailer.
+func (w *Writer) finish() error {
+	if err := w.flush(); err != nil || !w.opened {
 		return err
 	}
-	if w.opened {
-		if w.indexOn {
-			if err := w.writeFrame(frameSeekIndex, appendSeekIndex(nil, w.index)); err != nil {
-				w.stopPipeline()
-				w.w.Flush()
-				return err
-			}
-		}
-		trailer := bitstreamAppendTrailer(nil, w.frames, w.blocks)
-		if err := w.writeFrame(frameTrailer, trailer); err != nil {
-			w.stopPipeline()
-			w.w.Flush()
+	if w.indexOn {
+		if err := w.writeFrame(frameSeekIndex, appendSeekIndex(nil, w.index)); err != nil {
 			return err
 		}
 	}
-	if err := w.stopPipeline(); err != nil {
-		w.w.Flush()
-		return w.fail(err)
-	}
-	return w.w.Flush()
+	return w.writeFrame(frameTrailer, appendTrailer(nil, w.frames, w.blocks))
 }
 
-// bitstreamAppendTrailer encodes the trailer payload: total snapshots and
-// total data blocks, as uvarints.
-func bitstreamAppendTrailer(dst []byte, frames, blocks int64) []byte {
+// appendTrailer encodes the trailer payload: total snapshots and total
+// data blocks, as uvarints.
+func appendTrailer(dst []byte, frames, blocks int64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(frames))
 	return binary.AppendUvarint(dst, uint64(blocks))
+}
+
+// parseTrailer decodes a trailer payload.
+func parseTrailer(payload []byte) (snapTotal, blockTotal int64, err error) {
+	br := bytes.NewReader(payload)
+	s, err1 := binary.ReadUvarint(br)
+	b, err2 := binary.ReadUvarint(br)
+	if err1 != nil || err2 != nil || br.Len() != 0 || s > 1<<62 || b > 1<<62 {
+		return 0, 0, fmt.Errorf("%w: malformed trailer", ErrCorruptBlock)
+	}
+	return int64(s), int64(b), nil
 }
 
 // Stats reports raw and compressed byte totals, including the stream
@@ -579,14 +501,9 @@ type ReaderOptions struct {
 	// Workers bounds decompression parallelism (0 = GOMAXPROCS,
 	// 1 = serial); decoded frames are identical for any worker count.
 	Workers int
-	// Pipeline, when positive, overlaps frame fetch with decode: a
-	// read-ahead goroutine parses and CRC-checks up to Pipeline frames
-	// while groups of independent data frames decode concurrently on the
-	// Workers pool, delivered strictly in order — the read-side mirror of
-	// Config.PipelineDepth. Decoded frames are byte-identical to a serial
-	// read. Ignored in Resync mode (salvage accounting needs the serial
-	// scan) and for v1 streams. A pipelined Reader holds a goroutine until
-	// the stream is drained or Close is called.
+	// Pipeline is ignored: the Reader always reads serially.
+	//
+	// Deprecated: leave Pipeline zero.
 	Pipeline int
 	// Resync makes corruption survivable: instead of failing on the first
 	// corrupt frame, the Reader scans forward for the next sync marker,
@@ -680,16 +597,6 @@ type Reader struct {
 	indexLoaded bool
 	seeked      bool
 	skipSnaps   int
-
-	// Pipelined decode-ahead (see readpipe.go). pipePending holds a fetched
-	// frame pulled while assembling a decode group but not yet processed;
-	// pipeDefer holds an error discovered mid-group, surfaced once the
-	// frames decoded before it are consumed.
-	pipeDepth   int
-	pipe        *readPipe
-	pipePending *pipeItem
-	pipeDefer   error
-	clones      []*Decompressor
 }
 
 // streamReaderTel mirrors SalvageStats into live instruments. All fields
@@ -737,24 +644,12 @@ func NewReaderWith(r io.Reader, opts ReaderOptions) *Reader {
 	if rs, ok := r.(io.ReadSeeker); ok {
 		rd.srcSeeker = rs
 	}
-	if opts.Pipeline > 0 && !opts.Resync {
-		rd.pipeDepth = opts.Pipeline
-		if rd.pipeDepth > MaxPipelineDepth {
-			rd.pipeDepth = MaxPipelineDepth
-		}
-	}
 	return rd
 }
 
-// Close releases the Reader's resources — today, the read-ahead goroutine
-// of a pipelined Reader. It never touches the underlying source and is a
-// no-op for serial Readers; a Reader read to io.EOF (or a sticky error)
-// has already wound down, but callers abandoning a pipelined Reader
-// mid-stream must Close it.
-func (r *Reader) Close() error {
-	r.stopPipe()
-	return nil
-}
+// Close makes Reader an io.Closer. A Reader holds no goroutine or other
+// resource, so Close does nothing; it never touches the underlying source.
+func (r *Reader) Close() error { return nil }
 
 // SalvageStats reports what a Resync reader skipped, dropped and
 // recovered so far. The result is a snapshot; LostRanges is a copy.
@@ -860,12 +755,9 @@ func (r *Reader) ReadFrame() (Frame, error) {
 			}
 		}
 		var err error
-		switch {
-		case r.v2 && r.pipeDepth > 0:
-			err = r.nextBatchPiped()
-		case r.v2:
+		if r.v2 {
 			err = r.nextBatchV2()
-		default:
+		} else {
 			err = r.nextBatchV1()
 		}
 		if err != nil {
@@ -965,8 +857,7 @@ func (r *Reader) v1Corrupt(err error) error {
 
 // frameParse is one verified v2 frame.
 type frameParse struct {
-	typ     byte
-	seq     uint32
+	frameHead
 	payload []byte // aliases the window; use before the next fillTo
 	size    int    // total wire size
 }
@@ -979,8 +870,7 @@ var (
 )
 
 // parseFrame attempts to parse one complete frame at the cursor without
-// consuming it. The header CRC is checked before the payload is fetched,
-// so a corrupted length field can never cause an over-read.
+// consuming it. The payload is fetched only after checkFrameHeader.
 func (r *Reader) parseFrame() (frameParse, error) {
 	var fp frameParse
 	if !r.fillTo(frameHeaderSize) {
@@ -992,39 +882,23 @@ func (r *Reader) parseFrame() (frameParse, error) {
 		}
 		return fp, errFrameTruncated
 	}
-	hdr := r.view(frameHeaderSize)
-	if !bytes.Equal(hdr[:4], frameSync[:]) {
+	h, ok := checkFrameHeader(r.view(frameHeaderSize))
+	if !ok {
 		return fp, errNotFrame
 	}
-	if crc32.Checksum(hdr[4:13], crcTable) != binary.LittleEndian.Uint32(hdr[13:17]) {
-		return fp, errNotFrame
-	}
-	if hdr[4] > frameSeekIndex {
-		return fp, errNotFrame
-	}
-	n := binary.LittleEndian.Uint32(hdr[9:13])
-	if n > maxFramePayload {
-		return fp, errNotFrame
-	}
-	total := frameHeaderSize + int(n) + frameCRCSize
+	total := frameHeaderSize + h.n + frameCRCSize
 	if !r.fillTo(total) {
 		if r.srcErr != nil && r.srcErr != io.EOF {
 			return fp, r.srcErr
 		}
 		return fp, errFrameTruncated
 	}
-	frame := r.view(total) // re-view: fillTo may have compacted the window
-	payload := frame[frameHeaderSize : frameHeaderSize+int(n)]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[total-frameCRCSize:]) {
+	// Re-view: fillTo may have compacted the window.
+	payload, ok := checkFramePayload(r.view(total)[frameHeaderSize:])
+	if !ok {
 		return fp, errNotFrame
 	}
-	fp = frameParse{
-		typ:     frame[4],
-		seq:     binary.LittleEndian.Uint32(frame[5:9]),
-		payload: payload,
-		size:    total,
-	}
-	return fp, nil
+	return frameParse{frameHead: h, payload: payload, size: total}, nil
 }
 
 // nextFrameV2 returns the next acceptable frame, handling corruption per
@@ -1220,10 +1094,7 @@ func (r *Reader) nextBatchV2() error {
 			continue
 
 		case frameCheckpoint:
-			st := &CheckpointState{}
-			tx := r.d.bud.Begin()
-			derr := st.unmarshalTx(fp.payload, tx)
-			tx.Close()
+			st, derr := r.d.parseCheckpoint(fp.payload)
 			if derr != nil {
 				cbe := &CorruptBlockError{Block: fp.seq, Offset: frameOff, Cause: derr}
 				if !r.resync {
@@ -1257,14 +1128,9 @@ func (r *Reader) nextBatchV2() error {
 			continue
 
 		case frameTrailer:
-			br := bytes.NewReader(fp.payload)
-			snapTotal, err1 := binary.ReadUvarint(br)
-			blockTotal, err2 := binary.ReadUvarint(br)
-			if err1 != nil || err2 != nil || br.Len() != 0 {
-				cbe := &CorruptBlockError{
-					Block: fp.seq, Offset: frameOff,
-					Cause: fmt.Errorf("%w: malformed trailer", ErrCorruptBlock),
-				}
+			snapTotal, blockTotal, terr := parseTrailer(fp.payload)
+			if terr != nil {
+				cbe := &CorruptBlockError{Block: fp.seq, Offset: frameOff, Cause: terr}
 				if !r.resync {
 					return cbe
 				}
@@ -1277,13 +1143,13 @@ func (r *Reader) nextBatchV2() error {
 				// After a Seek the undelivered prefix is intentional, so the
 				// totals can only be bounds-checked, not matched exactly.
 				if r.seeked {
-					if int64(snapTotal) < r.delivered || int64(blockTotal) < r.blocks {
+					if snapTotal < r.delivered || blockTotal < r.blocks {
 						return fmt.Errorf("%w: trailer claims %d snapshots in %d blocks, decoded %d in %d after a seek",
 							ErrCorruptBlock, snapTotal, blockTotal, r.delivered, r.blocks)
 					}
 					return io.EOF
 				}
-				if int64(snapTotal) != r.delivered || int64(blockTotal) != r.blocks {
+				if snapTotal != r.delivered || blockTotal != r.blocks {
 					return fmt.Errorf("%w: trailer claims %d snapshots in %d blocks, decoded %d in %d",
 						ErrCorruptBlock, snapTotal, blockTotal, r.delivered, r.blocks)
 				}
@@ -1292,8 +1158,8 @@ func (r *Reader) nextBatchV2() error {
 			// With the trailer's exact totals, replace the header-derived
 			// loss estimate (not after a seek: the skipped prefix is not a
 			// loss).
-			if !r.seeked && int64(snapTotal) >= r.delivered {
-				r.stats.DroppedFrames = int(int64(snapTotal) - r.delivered)
+			if !r.seeked && snapTotal >= r.delivered {
+				r.stats.DroppedFrames = int(snapTotal - r.delivered)
 				r.tel.droppedFrames.Set(int64(r.stats.DroppedFrames))
 			}
 			return io.EOF

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"testing"
 
@@ -59,6 +60,21 @@ func fixPCRC(data []byte, m streamFrameMeta) {
 	binary.LittleEndian.PutUint32(data[m.pay+m.plen:], crc)
 }
 
+// forgeHeader rewrites a frame's type or length field and recomputes the
+// header CRC, so only the frame checks on the field's value can catch it.
+func forgeHeader(data []byte, m streamFrameMeta, typ byte, length uint32) []byte {
+	hdr := data[m.off : m.off+frameHeaderSize]
+	hdr[4] = typ
+	binary.LittleEndian.PutUint32(hdr[9:13], length)
+	binary.LittleEndian.PutUint32(hdr[13:17], crc32.Checksum(hdr[4:13], crcTable))
+	return data
+}
+
+// typedStreamErr reports whether err carries one of the stream sentinels.
+func typedStreamErr(err error) bool {
+	return errors.Is(err, ErrCorruptBlock) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrStateDesync)
+}
+
 func framesExactEqual(a, b Frame) bool {
 	if len(a.X) != len(b.X) {
 		return false
@@ -100,6 +116,10 @@ type faultCase struct {
 	lost func(metas []streamFrameMeta) []int
 	// truncated marks cases that cut the stream (no trailer survives).
 	truncated bool
+	// payloadOnly marks damage that only decoding a payload can see. The
+	// index scan and the seek-table retrofit decode nothing, so they check
+	// every other case too.
+	payloadOnly bool
 }
 
 func dataFrames(metas []streamFrameMeta) []streamFrameMeta {
@@ -154,6 +174,34 @@ func TestStreamFaultMatrix(t *testing.T) {
 				out := faultio.Corrupt(data, faultio.Fault{Kind: faultio.FlipBit, Offset: int64(m.pay + m.plen/2), Bit: 5})
 				fixPCRC(out, m)
 				return out
+			},
+			lost:        func(metas []streamFrameMeta) []int { return []int{8, 9} },
+			payloadOnly: true,
+		},
+		{
+			// A bad header CRC hides the frame; the next one resyncs.
+			name: "flip-header-crc",
+			mutate: func(data []byte, metas []streamFrameMeta) []byte {
+				m := dataFrames(metas)[4]
+				return faultio.Corrupt(data, faultio.Fault{Kind: faultio.FlipBit, Offset: int64(m.off + 13), Bit: 1})
+			},
+			lost: func(metas []streamFrameMeta) []int { return []int{8, 9} },
+		},
+		{
+			// An unknown frame type under a valid header CRC.
+			name: "forged-type-4",
+			mutate: func(data []byte, metas []streamFrameMeta) []byte {
+				m := dataFrames(metas)[4]
+				return forgeHeader(data, m, 4, uint32(m.plen))
+			},
+			lost: func(metas []streamFrameMeta) []int { return []int{8, 9} },
+		},
+		{
+			// A length past maxFramePayload under a valid header CRC.
+			name: "forged-length-over-2^31",
+			mutate: func(data []byte, metas []streamFrameMeta) []byte {
+				m := dataFrames(metas)[4]
+				return forgeHeader(data, m, frameData, maxFramePayload+1)
 			},
 			lost: func(metas []streamFrameMeta) []int { return []int{8, 9} },
 		},
@@ -252,8 +300,19 @@ func TestStreamFaultMatrix(t *testing.T) {
 					if serr == nil {
 						t.Fatal("strict reader accepted corrupt stream")
 					}
-					if !errors.Is(serr, ErrCorruptBlock) && !errors.Is(serr, ErrTruncated) && !errors.Is(serr, ErrStateDesync) {
+					if !typedStreamErr(serr) {
 						t.Fatalf("strict reader error not typed: %v", serr)
+					}
+					if !tc.payloadOnly {
+						// The header-only index scan of an unindexed
+						// stream, and the retrofit built on it.
+						sr := NewReaderWith(bytes.NewReader(corrupt), ReaderOptions{Workers: 2})
+						if err := sr.Seek(0); !typedStreamErr(err) {
+							t.Errorf("strict Seek error not typed: %v", err)
+						}
+						if _, err := RetrofitSeekIndex(bytes.NewReader(corrupt), io.Discard); !typedStreamErr(err) {
+							t.Errorf("RetrofitSeekIndex error not typed: %v", err)
+						}
 					}
 
 					// Resync mode: salvage and account.
