@@ -46,6 +46,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntsReference$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSection$$' -fuzztime $(FUZZTIME) ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) ./internal/lossless
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterDifferential$$' -fuzztime $(FUZZTIME) ./internal/kmeans
 	$(GO) test -run '^$$' -fuzz '^FuzzSZFamilyErrorBound$$' -fuzztime $(FUZZTIME) ./internal/codec

@@ -5,54 +5,112 @@ import (
 	"github.com/mdz/mdz/internal/budget"
 )
 
-// Budget-aware decode variants. Each reserves the stream's *claimed* sizes
-// against tx before allocating for them, so a forged table or payload
-// length is rejected with budget.ErrExceeded instead of ballooning into a
-// huge allocation. A nil tx disables accounting.
+// Section decoding with budget accounting. Each decode reserves the
+// stream's *claimed* sizes against tx before allocating for them, so a
+// forged table or payload length is rejected with budget.ErrExceeded
+// instead of ballooning into a huge allocation. A nil tx disables
+// accounting.
 //
 // Accounting is by claimed size, independent of buffer reuse: a pooled
 // destination with spare capacity is charged the same as a fresh
 // allocation, so acceptance is deterministic for a given input. Charges:
 // 8 bytes per claimed int symbol, 1 per claimed byte symbol, and
-// tableEntryCost per declared table entry (the symbol list, the
-// symbol→length map or counting-sort scratch, and the entry's amortized
-// share of the bounded LUT/subtables).
+// tableEntryCost per declared table entry (the parsed entry, its slot in
+// the canonical symbol list, and its amortized share of the bounded
+// LUT/subtables). Claims no input of that size could hold are refused as
+// ErrCorrupt before anything is charged: a table entry takes at least two
+// bytes, and a symbol at least one payload bit.
 
 // tableEntryCost is the accounted bytes per declared code-table entry.
 const tableEntryCost = 48
 
-// ReadTableTx is DecodeScratch.ReadTable with the declared entry count
-// charged to tx before parsing.
-func (s *DecodeScratch) ReadTableTx(br *bitstream.ByteReader, tx *budget.Tx) (*Decoder, error) {
-	if err := reserveTable(br, tx); err != nil {
-		return nil, err
-	}
-	return s.ReadTable(br)
+// DecodeScratch holds the reusable state of section decoding, int and byte:
+// a pooled Decoder whose tables rebuild in place, plus parse and reader
+// scratch. A DecodeScratch must not be used concurrently, and a Decoder
+// obtained through it is only valid until the scratch's next use. The zero
+// value is ready to use.
+type DecodeScratch struct {
+	dec  Decoder
+	list []symLen
+	r    bitstream.Reader
+	br   bitstream.ByteReader
 }
 
-// reserveTable peeks the table's entry count by reading the leading
-// uvarint and charges it, leaving br positioned after the count. It
-// mirrors the count validation of the table parsers so a rejection here is
-// byte-equivalent to one there.
-func reserveTable(br *bitstream.ByteReader, tx *budget.Tx) error {
-	if tx == nil {
-		return nil
-	}
-	save := *br
+// symLen is one parsed table entry: a symbol and its code length.
+type symLen struct {
+	sym int
+	l   uint8
+}
+
+// ReadTable parses a code table in AppendTable's layout and rebuilds the
+// scratch's Decoder from it; it is the only table parser. The symbols must
+// be strictly ascending, as AppendTable writes them: a delta after the first
+// that is not positive, or that overflows the symbol, is ErrCorrupt. The
+// entry count is bounded by the bytes after it and then charged to tx.
+func (s *DecodeScratch) ReadTable(br *bitstream.ByteReader, tx *budget.Tx) (*Decoder, error) {
 	n, err := br.ReadUvarint()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*br = save
-	if n > 1<<24 {
-		return ErrCorrupt
+	if n > uint64(br.Len()/2) || n > 1<<24 {
+		return nil, ErrCorrupt
 	}
-	return tx.Reserve(int64(n) * tableEntryCost)
+	if err := tx.Reserve(int64(n) * tableEntryCost); err != nil {
+		return nil, err
+	}
+	d := &s.dec
+	*d = Decoder{symbols: d.symbols[:0], lut: d.lut, sub: d.sub, ext: d.ext, pair: d.pair}
+	list := s.list[:0]
+	sym := int64(0)
+	for i := uint64(0); i < n; i++ {
+		delta, err := br.ReadVarint()
+		if err != nil {
+			return nil, err
+		}
+		next := sym + delta
+		if i > 0 && (delta <= 0 || next < sym) {
+			return nil, ErrCorrupt
+		}
+		sym = next
+		l, err := br.ReadByte()
+		if err != nil {
+			return nil, err
+		}
+		if l == 0 || l > MaxCodeLen {
+			return nil, ErrCorrupt
+		}
+		list = append(list, symLen{int(sym), l})
+		d.count[l]++
+		d.maxLen = max(d.maxLen, l)
+	}
+	s.list = list
+	if err := firstCodes(&d.count, d.maxLen, &d.firstCode); err != nil {
+		return nil, err
+	}
+	// Counting sort by length: symbols stay ascending within each length,
+	// which is the canonical (length, symbol) order.
+	idx := 0
+	for l := uint8(1); l <= d.maxLen; l++ {
+		d.firstIndex[l] = idx
+		idx += d.count[l]
+	}
+	d.symbols = resize(d.symbols, len(list))
+	pos := d.firstIndex
+	for _, it := range list {
+		d.symbols[pos[it.l]] = it.sym
+		pos[it.l]++
+	}
+	if len(list) != 0 {
+		// Stale lut/sub/pair buffers of an empty code, or of a table that
+		// failed to parse, are never read: every decode entry point checks
+		// len(d.symbols) first.
+		d.buildLUT()
+	}
+	return d, nil
 }
 
 // DecodeIntsTx inverts EncodeInts, consuming one section from br into buf
-// (reused when it has capacity), with budget accounting on tx. The code
-// table parses by counting sort into the scratch's reusable tables.
+// (reused when it has capacity), with budget accounting on tx.
 func (s *DecodeScratch) DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
 	dec, n, err := s.openSection(br, tx, 8)
 	if err != nil {
@@ -69,7 +127,12 @@ func (s *DecodeScratch) DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *bu
 	return out, err
 }
 
-// DecodeBytesTx is DecodeScratch.DecodeBytes with budget accounting on tx.
+// DecodeBytesTx inverts EncodeBytes, consuming one section from br into buf
+// (reused when it has capacity), with budget accounting on tx. It accepts
+// exactly the streams for which DecodeIntsTx succeeds with all symbols in
+// 0..255, and fails with the same error sequencing: stream and table errors
+// surface first, and ErrByteRange is returned only when the symbol stream
+// itself decoded cleanly.
 func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
 	dec, n, err := s.openSection(br, tx, 1)
 	if err != nil {
@@ -88,17 +151,17 @@ func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *
 
 // openSection reads one section's code table, symbol count and payload
 // from br, rebuilding the scratch's Decoder and pointing s.r at the
-// payload. A nonzero count is checked against the payload size and charged
-// to tx at symbolCost bytes per symbol. The caller resets s.r once the
-// payload is decoded: scratches live on in pools, and must not pin the
-// buffers they decoded from.
+// payload. A nonzero count must fit the payload at one bit per symbol, and
+// is charged to tx at symbolCost bytes per symbol. The caller resets s.r
+// once the payload is decoded: scratches live on in pools, and must not pin
+// the buffers they decoded from.
 func (s *DecodeScratch) openSection(br *bitstream.ByteReader, tx *budget.Tx, symbolCost int64) (*Decoder, int, error) {
 	table, err := br.ReadSection()
 	if err != nil {
 		return nil, 0, err
 	}
 	s.br.Reset(table)
-	dec, err := s.ReadTableTx(&s.br, tx)
+	dec, err := s.ReadTable(&s.br, tx)
 	s.br.Reset(nil)
 	if err != nil {
 		return nil, 0, err
@@ -114,7 +177,7 @@ func (s *DecodeScratch) openSection(br *bitstream.ByteReader, tx *budget.Tx, sym
 	if n == 0 {
 		return dec, 0, nil
 	}
-	if n > uint64(len(payload))*64+64 {
+	if n > 8*uint64(len(payload)) {
 		return nil, 0, ErrCorrupt
 	}
 	if err := tx.Reserve(symbolCost * int64(n)); err != nil {

@@ -2,32 +2,24 @@ package huffman
 
 import (
 	"errors"
-	"slices"
 	"sync"
 
 	"github.com/mdz/mdz/internal/bitstream"
 )
 
 // This file holds the byte-oriented fast paths over the canonical codec:
-// EncodeBytes/DecodeBytes produce and consume exactly the same wire bytes as
-// Scratch.EncodeInts/DecodeScratch.DecodeIntsTx over the widened []int data,
-// but operate on []byte end to end with pooled scratch state, so the
-// dictionary-coder hot path (internal/lossless.LZ) never round-trips its
-// sections through an 8×-larger integer slice.
+// EncodeBytes and DecodeScratch.DecodeBytesTx produce and consume exactly
+// the same wire bytes as Scratch.EncodeInts/DecodeScratch.DecodeIntsTx over
+// the widened []int data, but operate on []byte end to end with pooled
+// scratch state, so the dictionary-coder hot path (internal/lossless.LZ)
+// never round-trips its sections through an 8×-larger integer slice.
 //
-// Byte-for-byte identity with the generic path is load-bearing (the LZ wire
-// format is pinned by golden hashes) and rests on three facts, each checked
-// by tests in bytes_test.go and the equivalence fuzzer:
-//
-//   - tree build: the byte builder's two-queue merge pops nodes in the same
-//     strict (weight, order) total order as the generic path's heap, with
-//     the same leaf numbering (symbols ascending), so it derives identical
-//     code lengths;
-//   - canonical assignment: iterating lengths ascending and symbols
-//     ascending within a length visits (l, sym) pairs in exactly the order
-//     fromLengths sorts them into;
-//   - serialization: the table walk emits symbols ascending, matching
-//     AppendTable's sort, and payload bits come from the same codes.
+// Byte-for-byte identity with the int path (the LZ wire format is pinned by
+// golden hashes) holds by construction: both list their alphabet ascending
+// with its counts, build the code with Scratch.build and write the table
+// with Encoder.AppendTable. Only the counting (a striped 256-entry
+// histogram) and the packing loop (a 256-entry code array) are the byte
+// path's own.
 
 // ErrByteRange is returned by the byte-oriented decode paths when a decoded
 // symbol falls outside 0..255. It is reported only after the symbol stream
@@ -39,22 +31,10 @@ var ErrByteRange = errors.New("huffman: decoded symbol out of byte range")
 // four partial histograms summed into freq: striping the counts breaks the
 // store-to-load dependency a single table suffers on runs of equal bytes.
 type byteEncScratch struct {
-	freq   [256]uint64
-	freq4  [4][256]uint32
-	lens   [256]uint8
-	codes  [256]code
-	leaves [256]leafNode
-	keys   [256]uint64       // packed weight<<8|sym sort keys
-	tw     [2*256 - 1]uint64 // tree node weights: sorted leaves, then merges
-	par    [2*256 - 1]int32  // tree parent indices (root's is unset)
-	table  []byte
-	w      bitstream.Writer
-}
-
-// leafNode is one pre-merge Huffman leaf in the byte builder.
-type leafNode struct {
-	w   uint64
-	sym int32
+	freq  [256]uint64
+	freq4 [4][256]uint32
+	codes [256]code // the built code, indexed by byte
+	sc    Scratch   // code builder, table and payload buffers
 }
 
 var byteEncPool = sync.Pool{
@@ -69,42 +49,40 @@ func EncodeBytes(dst []byte, data []byte) ([]byte, error) {
 	s := byteEncPool.Get().(*byteEncScratch)
 	defer byteEncPool.Put(s)
 
-	nsym := s.histogram(data)
-	if err := s.buildCodes(nsym); err != nil {
+	s.histogram(data)
+	sc := &s.sc
+	enc, err := sc.build(sc.syms, sc.weights)
+	if err != nil {
 		return nil, err
 	}
-	s.appendCodeTable(nsym)
+	for i, sym := range enc.symbols {
+		s.codes[sym] = enc.codes[i]
+	}
 
 	// Payload: pack codes through a local 64-bit accumulator so the Writer
 	// is called once per ~64 bits instead of once per symbol. MSB-first
 	// concatenation makes the flushed words bit-identical to per-code writes.
-	s.w.Reset()
+	sc.w.Reset()
 	var acc uint64
 	var na uint
 	for _, b := range data {
 		c := s.codes[b]
 		if na+uint(c.n) > 64 {
-			s.w.WriteBits(acc, na)
+			sc.w.WriteBits(acc, na)
 			acc, na = 0, 0
 		}
 		acc = acc<<c.n | c.bits
 		na += uint(c.n)
 	}
 	if na > 0 {
-		s.w.WriteBits(acc, na)
+		sc.w.WriteBits(acc, na)
 	}
-
-	dst = bitstream.AppendSection(dst, s.table)
-	dst = bitstream.AppendUvarint(dst, uint64(len(data)))
-	dst = bitstream.AppendSection(dst, s.w.Bytes())
-	return dst, nil
+	return sc.appendSection(dst, enc, len(data)), nil
 }
 
-// histogram fills s.freq with data's byte frequencies and returns the number
-// of distinct symbols. freq4 holds four partial histograms summed into freq:
-// striping the counts breaks the store-to-load dependency a single table
-// suffers on runs of equal bytes.
-func (s *byteEncScratch) histogram(data []byte) int {
+// histogram counts data's byte frequencies into s.freq and lists the bytes
+// that occur, ascending, with their counts in s.sc.syms and s.sc.weights.
+func (s *byteEncScratch) histogram(data []byte) {
 	clear(s.freq[:])
 	if len(data) < 512 {
 		// Striping doesn't amortize its table clears on short sections.
@@ -141,261 +119,14 @@ func (s *byteEncScratch) histogram(data []byte) int {
 			s.freq[sym] += uint64(f0[sym]) + uint64(f1[sym]) + uint64(f2[sym]) + uint64(f3[sym])
 		}
 	}
-	nsym := 0
-	for _, f := range s.freq {
-		if f != 0 {
-			nsym++
-		}
-	}
-	return nsym
-}
-
-// appendCodeTable serializes the built code into s.table: uvarint symbol
-// count, then (zigzag symbol delta, length byte) pairs in ascending symbol
-// order — AppendTable's exact layout.
-func (s *byteEncScratch) appendCodeTable(nsym int) {
-	table := bitstream.AppendUvarint(s.table[:0], uint64(nsym))
-	prev := int64(0)
-	for sym := 0; sym < 256; sym++ {
-		if s.lens[sym] == 0 {
-			continue
-		}
-		table = bitstream.AppendVarint(table, int64(sym)-prev)
-		prev = int64(sym)
-		table = append(table, s.lens[sym])
-	}
-	s.table = table
-}
-
-// buildCodes derives canonical code lengths and codes for the nsym symbols
-// with nonzero frequency in s.freq, into s.lens and s.codes.
-func (s *byteEncScratch) buildCodes(nsym int) error {
-	clear(s.lens[:])
-	switch nsym {
-	case 0:
-		return nil
-	case 1:
-		// Degenerate alphabet: one-bit code, matching buildSorted.
-		for sym, f := range s.freq {
-			if f != 0 {
-				s.lens[sym] = 1
-				s.codes[sym] = code{bits: 0, n: 1}
-				return nil
-			}
-		}
-	}
-	// Two-queue Huffman merge, pop-for-pop identical to buildSorted's heap:
-	// that heap removes the global minimum of the live node multiset under
-	// the strict (weight, order) total order, and here the live multiset is
-	// always the union of two queues each already sorted by that order —
-	// the leaves sorted below (leaves enumerate symbols ascending, so the
-	// symbol tie-break equals the order tie-break), and the merged nodes in
-	// creation order (merge weights are non-decreasing, creation orders
-	// increasing). Taking the smaller head, leaf on ties (every leaf order
-	// precedes every merge order), therefore pops the same node sequence
-	// and yields the same depths, without any sift work.
-	lq := s.leaves[:0]
-	big := false
+	syms, weights := s.sc.syms[:0], s.sc.weights[:0]
 	for sym, f := range s.freq {
 		if f != 0 {
-			if f >= 1<<56 {
-				big = true
-			}
-			lq = append(lq, leafNode{w: f, sym: int32(sym)})
+			syms = append(syms, sym)
+			weights = append(weights, f)
 		}
 	}
-	if big {
-		// Weights this large (>= 2^56 occurrences) cannot share a packed
-		// key with the symbol byte; sort the structs directly.
-		slices.SortFunc(lq, func(a, b leafNode) int {
-			if a.w != b.w {
-				if a.w < b.w {
-					return -1
-				}
-				return 1
-			}
-			return int(a.sym) - int(b.sym)
-		})
-	} else {
-		// weight<<8|sym orders exactly like (weight, sym) and sorts as bare
-		// uint64s, avoiding the comparison closure.
-		keys := s.keys[:len(lq)]
-		for i, lf := range lq {
-			keys[i] = lf.w<<8 | uint64(lf.sym)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			lq[i] = leafNode{w: k >> 8, sym: int32(k & 0xff)}
-		}
-	}
-	n := nsym
-	tw, par := &s.tw, &s.par
-	for i, lf := range lq {
-		tw[i] = lf.w
-	}
-	li, ii := 0, n
-	for next := n; next < 2*n-1; next++ {
-		var a, b int
-		if li < n && (ii >= next || tw[li] <= tw[ii]) {
-			a, li = li, li+1
-		} else {
-			a, ii = ii, ii+1
-		}
-		if li < n && (ii >= next || tw[li] <= tw[ii]) {
-			b, li = li, li+1
-		} else {
-			b, ii = ii, ii+1
-		}
-		tw[next] = tw[a] + tw[b]
-		par[a], par[b] = int32(next), int32(next)
-	}
-	// Leaf depth via parent walk replaces assignDepths' recursion; the same
-	// clamps apply (unreachable for byte alphabets, kept for fidelity).
-	root := int32(2*n - 2)
-	for i := 0; i < n; i++ {
-		depth := 0
-		for j := int32(i); j != root; j = par[j] {
-			depth++
-		}
-		l := depth
-		if l > MaxCodeLen {
-			l = MaxCodeLen
-		} else if l == 0 {
-			l = 1
-		}
-		s.lens[lq[i].sym] = uint8(l)
-	}
-	// Canonical assignment: lengths ascending, symbols ascending within a
-	// length — the exact (l, sym) order fromLengths sorts into — done
-	// counting-style (first code per length, one ascending-symbol pass)
-	// instead of one 256-symbol sweep per distinct length.
-	var cnt [MaxCodeLen + 1]uint32
-	for _, l := range s.lens {
-		cnt[l]++ // cnt[0] counts absent symbols and is never read
-	}
-	var next [MaxCodeLen + 1]uint64
-	for l := 2; l <= MaxCodeLen; l++ {
-		next[l] = (next[l-1] + uint64(cnt[l-1])) << 1
-	}
-	for l := 1; l <= MaxCodeLen; l++ {
-		if cnt[l] != 0 && next[l]+uint64(cnt[l]) > 1<<uint(l) {
-			return ErrCorrupt // over-subscribed code space
-		}
-	}
-	for sym, l := range s.lens {
-		if l == 0 {
-			continue
-		}
-		s.codes[sym] = code{bits: next[l], n: l}
-		next[l]++
-	}
-	return nil
-}
-
-// DecodeScratch holds the reusable state of section decoding, int and byte:
-// a pooled Decoder whose tables rebuild in place, plus parse and reader
-// scratch. A DecodeScratch must not be used concurrently, and a Decoder
-// obtained through it is only valid until the scratch's next use. The zero
-// value is ready to use.
-type DecodeScratch struct {
-	dec     Decoder
-	lengths map[int]uint8
-	list    []symLen
-	sorted  []symLen
-	ext     []uint8
-	r       bitstream.Reader
-	br      bitstream.ByteReader
-}
-
-// ReadTable parses a serialized code table (AppendTable's layout) and
-// returns a Decoder backed by the scratch's reusable tables.
-//
-// Tables our encoders write list symbols strictly ascending, so the common
-// path skips the symbol→length map entirely: parsed pairs go through a
-// stable counting sort by code length, which lands them in exactly the
-// (length, symbol) order the map path sorts into. Non-ascending tables
-// (only reachable from corrupt or adversarial streams) fall back to the
-// map to keep its last-entry-wins semantics.
-func (s *DecodeScratch) ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
-	n, err := br.ReadUvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > 1<<24 {
-		return nil, ErrCorrupt
-	}
-	list := s.list[:0]
-	prev := int64(0)
-	ascending := true
-	for i := uint64(0); i < n; i++ {
-		d, err := br.ReadVarint()
-		if err != nil {
-			return nil, err
-		}
-		if d <= 0 && i > 0 {
-			ascending = false
-		}
-		prev += d
-		l, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if l == 0 || l > MaxCodeLen {
-			return nil, ErrCorrupt
-		}
-		list = append(list, symLen{int(prev), l})
-	}
-	s.list = list
-	if !ascending {
-		if s.lengths == nil {
-			s.lengths = make(map[int]uint8, 64)
-		} else {
-			clear(s.lengths)
-		}
-		for _, it := range list {
-			s.lengths[it.sym] = it.l
-		}
-		if err := s.dec.init(s.lengths, s); err != nil {
-			return nil, err
-		}
-		return &s.dec, nil
-	}
-	// Stable counting sort by length; symbols stay ascending within each
-	// length, so the result is the canonical (length, symbol) order.
-	var pos [MaxCodeLen + 1]int32
-	for _, it := range list {
-		pos[it.l]++
-	}
-	off := int32(0)
-	for l := 1; l <= MaxCodeLen; l++ {
-		c := pos[l]
-		pos[l] = off
-		off += c
-	}
-	sorted := s.sorted
-	if cap(sorted) < len(list) {
-		sorted = make([]symLen, len(list))
-		s.sorted = sorted
-	} else {
-		sorted = sorted[:len(list)]
-	}
-	for _, it := range list {
-		sorted[pos[it.l]] = it
-		pos[it.l]++
-	}
-	if err := s.dec.initSorted(sorted, s); err != nil {
-		return nil, err
-	}
-	return &s.dec, nil
-}
-
-// DecodeBytes inverts EncodeBytes, consuming one section from br into buf
-// (reused when it has capacity). It accepts exactly the streams for which
-// DecodeIntsTx succeeds with all symbols in 0..255, and fails with the same
-// error sequencing: stream/table errors surface first, and ErrByteRange is
-// returned only when the symbol stream itself decoded cleanly.
-func (s *DecodeScratch) DecodeBytes(br *bitstream.ByteReader, buf []byte) ([]byte, error) {
-	return s.DecodeBytesTx(br, buf, nil)
+	s.sc.syms, s.sc.weights = syms, weights
 }
 
 // DecodeAllBytesBuf reads exactly n symbols as bytes, reusing buf when it
@@ -404,12 +135,7 @@ func (s *DecodeScratch) DecodeBytes(br *bitstream.ByteReader, buf []byte) ([]byt
 // after all n symbols decode — so stream errors (ErrShortStream/ErrCorrupt)
 // take precedence exactly as in the historical decode-then-narrow path.
 func (d *Decoder) DecodeAllBytesBuf(r *bitstream.Reader, n int, buf []byte) ([]byte, error) {
-	var out []byte
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]byte, n)
-	}
+	out := resize(buf, n)
 	if n == 0 {
 		return out, nil
 	}
@@ -482,11 +208,4 @@ outer:
 		return nil, ErrByteRange
 	}
 	return out, nil
-}
-
-// DecodeBytes is the convenience form of DecodeScratch.DecodeBytes with
-// fresh state.
-func DecodeBytes(br *bitstream.ByteReader) ([]byte, error) {
-	var s DecodeScratch
-	return s.DecodeBytes(br, nil)
 }

@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -73,9 +74,9 @@ func TestEncodeBytesMatchesEncodeInts(t *testing.T) {
 	}
 }
 
-// TestDecodeBytesMatchesDecodeInts checks both decode paths (pooled scratch
-// and the convenience wrapper) against DecodeInts on shared streams, with
-// the scratch reused across cases as the LZ hot path reuses it.
+// TestDecodeBytesMatchesDecodeInts checks DecodeBytesTx, on a scratch
+// reused across cases as the LZ hot path reuses it and on fresh scratches,
+// against DecodeIntsTx on shared streams.
 func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 	var s DecodeScratch
 	var buf []byte
@@ -84,19 +85,19 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), buf[:0])
+		buf, err = s.DecodeBytesTx(bitstream.NewByteReader(enc), buf[:0], nil)
 		if err != nil {
-			t.Fatalf("case %d: scratch DecodeBytes: %v", ci, err)
+			t.Fatalf("case %d: reused scratch: %v", ci, err)
 		}
 		if !bytes.Equal(buf, data) {
-			t.Errorf("case %d: scratch decode mismatch", ci)
+			t.Errorf("case %d: reused scratch decode mismatch", ci)
 		}
-		out, err := DecodeBytes(bitstream.NewByteReader(enc))
+		out, err := new(DecodeScratch).DecodeBytesTx(bitstream.NewByteReader(enc), nil, nil)
 		if err != nil {
-			t.Fatalf("case %d: DecodeBytes: %v", ci, err)
+			t.Fatalf("case %d: fresh scratch: %v", ci, err)
 		}
 		if !bytes.Equal(out, data) {
-			t.Errorf("case %d: DecodeBytes mismatch", ci)
+			t.Errorf("case %d: fresh scratch decode mismatch", ci)
 		}
 		ints, err := decodeInts(bitstream.NewByteReader(enc))
 		if err != nil {
@@ -114,8 +115,8 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 }
 
 // TestDecodeBytesWideSymbol: a stream whose alphabet leaves the byte range
-// decodes via DecodeInts but must fail DecodeBytes with ErrByteRange — and
-// only after the stream itself parsed cleanly.
+// decodes via DecodeIntsTx but must fail DecodeBytesTx with ErrByteRange —
+// and only after the stream itself parsed cleanly.
 func TestDecodeBytesWideSymbol(t *testing.T) {
 	syms := []int{300, 1, 2, 1, 300, 2, 1, 1}
 	enc, err := encodeInts(nil, syms)
@@ -126,74 +127,46 @@ func TestDecodeBytesWideSymbol(t *testing.T) {
 		t.Fatalf("DecodeInts: %v", err)
 	}
 	var s DecodeScratch
-	if _, err := s.DecodeBytes(bitstream.NewByteReader(enc), nil); err != ErrByteRange {
-		t.Errorf("scratch DecodeBytes: err = %v, want ErrByteRange", err)
-	}
-	if _, err := DecodeBytes(bitstream.NewByteReader(enc)); err != ErrByteRange {
-		t.Errorf("DecodeBytes: err = %v, want ErrByteRange", err)
+	if _, err := s.DecodeBytesTx(bitstream.NewByteReader(enc), nil, nil); err != ErrByteRange {
+		t.Errorf("DecodeBytesTx: err = %v, want ErrByteRange", err)
 	}
 }
 
-// appendTableEntry serializes one (delta, length) table pair.
-func appendTableEntry(dst []byte, delta int64, l uint8) []byte {
-	dst = bitstream.AppendVarint(dst, delta)
-	return append(dst, l)
-}
-
-// TestReadTableNonAscendingFallback: tables whose symbols are not strictly
-// ascending (unreachable from our encoders, but valid input) must take the
-// map fallback and agree exactly with the historical map-based ReadTable —
-// including last-entry-wins on duplicate symbols.
-func TestReadTableNonAscendingFallback(t *testing.T) {
+// TestReadTableRefusesNonAscending: a table whose symbols are not strictly
+// ascending — descending, repeated, or past the top of the symbol range —
+// is corrupt through both section decoders. No encoder writes one:
+// AppendTable lists the alphabet ascending.
+func TestReadTableRefusesNonAscending(t *testing.T) {
 	cases := []struct {
-		name  string
-		pairs []struct {
-			sym int64
-			l   uint8
-		}
+		name   string
+		deltas []int64
+		lens   []uint8
 	}{
-		{"descending", []struct {
-			sym int64
-			l   uint8
-		}{{5, 1}, {3, 2}, {7, 2}}},
-		{"duplicate-last-wins", []struct {
-			sym int64
-			l   uint8
-		}{{5, 2}, {3, 1}, {5, 3}, {5, 2}, {6, 2}}},
+		// Symbols 5, 3, 7: a complete code, decodable but for the order.
+		{"descending", []int64{5, -2, 4}, []uint8{1, 2, 2}},
+		// Symbols 5, 3, 5, 5, 6.
+		{"duplicate", []int64{5, -2, 2, 0, 1}, []uint8{2, 1, 3, 2, 2}},
+		// Symbol 3 twice: a complete code with no negative delta.
+		{"repeated", []int64{3, 0}, []uint8{1, 1}},
+		// Symbols 2^62, then 2^63, which wraps below the first.
+		{"overflow", []int64{1 << 62, 1 << 62}, []uint8{1, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			table := bitstream.AppendUvarint(nil, uint64(len(tc.pairs)))
-			prev := int64(0)
-			for _, p := range tc.pairs {
-				table = appendTableEntry(table, p.sym-prev, p.l)
-				prev = p.sym
+			table := bitstream.AppendUvarint(nil, uint64(len(tc.deltas)))
+			for i, d := range tc.deltas {
+				table = bitstream.AppendVarint(table, d)
+				table = append(table, tc.lens[i])
 			}
-			want, err := ReadTable(bitstream.NewByteReader(table))
-			if err != nil {
-				t.Fatalf("ReadTable: %v", err)
-			}
+			sec := bitstream.AppendSection(nil, table)
+			sec = bitstream.AppendUvarint(sec, 4)
+			sec = bitstream.AppendSection(sec, []byte{0x5A, 0xC3})
 			var s DecodeScratch
-			got, err := s.ReadTable(bitstream.NewByteReader(table))
-			if err != nil {
-				t.Fatalf("scratch ReadTable: %v", err)
+			if _, err := s.DecodeIntsTx(bitstream.NewByteReader(sec), nil, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DecodeIntsTx: err = %v, want ErrCorrupt", err)
 			}
-			// Equivalent decoders decode identical symbol sequences from
-			// identical bits (and fail at the same point).
-			rng := rand.New(rand.NewSource(99))
-			raw := make([]byte, 64)
-			rng.Read(raw)
-			r1 := bitstream.NewReader(raw)
-			r2 := bitstream.NewReader(raw)
-			for i := 0; i < 200; i++ {
-				s1, e1 := want.Decode(r1)
-				s2, e2 := got.Decode(r2)
-				if s1 != s2 || (e1 == nil) != (e2 == nil) {
-					t.Fatalf("symbol %d: map decoder (%d, %v) vs scratch decoder (%d, %v)", i, s1, e1, s2, e2)
-				}
-				if e1 != nil {
-					break
-				}
+			if _, err := s.DecodeBytesTx(bitstream.NewByteReader(sec), nil, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DecodeBytesTx: err = %v, want ErrCorrupt", err)
 			}
 		})
 	}
@@ -219,9 +192,9 @@ func FuzzEncodeBytesEquivalence(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encodings differ for %d input bytes", len(data))
 		}
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(got), buf[:0])
+		buf, err = s.DecodeBytesTx(bitstream.NewByteReader(got), buf[:0], nil)
 		if err != nil {
-			t.Fatalf("DecodeBytes: %v", err)
+			t.Fatalf("DecodeBytesTx: %v", err)
 		}
 		if !bytes.Equal(buf, data) {
 			t.Fatal("round trip mismatch")
@@ -270,7 +243,7 @@ func BenchmarkDecodeBytes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = s.DecodeBytes(bitstream.NewByteReader(enc), buf[:0])
+		buf, err = s.DecodeBytesTx(bitstream.NewByteReader(enc), buf[:0], nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -171,13 +171,13 @@ func alphabetOf(lengths map[int]uint8) []int {
 }
 
 func lengthsOf(freq map[int]uint64) map[int]uint8 {
-	enc, err := Build(freq)
+	enc, err := buildFreq(freq)
 	if err != nil {
 		panic(err)
 	}
 	lengths := map[int]uint8{}
 	for i, s := range enc.symbols {
-		lengths[s] = enc.lengths[i]
+		lengths[s] = enc.codes[i].n
 	}
 	return lengths
 }
@@ -188,7 +188,7 @@ func lengthsOf(freq map[int]uint64) map[int]uint8 {
 func TestDecodeIntsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for ti, lengths := range refTables(rng) {
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengths)
 		if err != nil {
 			t.Fatalf("table %d: %v", ti, err)
 		}
@@ -269,7 +269,7 @@ func TestDecodeScratchIntsReuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: fresh scratch: %v", trial, err)
 		}
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengths)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,13 +340,13 @@ func FuzzDecodeIntsReference(f *testing.F) {
 			sec := intsSection(t, lengths, count, payload)
 			got, gotErr := s.DecodeIntsTx(bitstream.NewByteReader(sec), nil, nil)
 
-			d, err := NewDecoder(lengths)
+			d, err := newDecoder(lengths)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var want []int
 			var wantErr error
-			if uint64(count) > uint64(len(payload))*64+64 {
+			if uint64(count) > 8*uint64(len(payload)) {
 				wantErr = ErrCorrupt
 			} else {
 				want, wantErr = refDecodeAll(d, bitstream.NewReader(payload), count)

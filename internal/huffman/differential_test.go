@@ -78,9 +78,9 @@ func runDecodeDifferential(t *testing.T, d *Decoder, payload []byte, n int) {
 }
 
 // buildRandomDecoder makes a valid decoder from a random alphabet. Roughly
-// half the trials go through Build (realistic skewed tables); the rest
-// assemble explicit length maps, including long-code tables that exercise
-// the second-level subtables and the slow-path fallback.
+// half the trials go through the code builder (realistic skewed tables);
+// the rest assemble explicit length maps, including long-code tables that
+// exercise the second-level subtables and the slow-path fallback.
 func buildRandomDecoder(rng *rand.Rand) *Decoder {
 	if rng.Intn(2) == 0 {
 		freq := map[int]uint64{}
@@ -88,15 +88,7 @@ func buildRandomDecoder(rng *rand.Rand) *Decoder {
 		for i := 0; i < n; i++ {
 			freq[rng.Intn(1000)-500] = uint64(1 + rng.Intn(1<<uint(rng.Intn(20))))
 		}
-		enc, err := Build(freq)
-		if err != nil {
-			panic(err)
-		}
-		lengths := map[int]uint8{}
-		for i, s := range enc.symbols {
-			lengths[s] = enc.lengths[i]
-		}
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengthsOf(freq))
 		if err != nil {
 			panic(err)
 		}
@@ -110,7 +102,7 @@ func buildRandomDecoder(rng *rand.Rand) *Decoder {
 		lengths[s] = l
 		l += uint8(1 + rng.Intn(4))
 	}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		panic(err)
 	}
@@ -163,7 +155,7 @@ func TestDecodeLongCodesTwoLevel(t *testing.T) {
 	// the slow path inside the fast loop. Encode by hand from the canonical
 	// assignment.
 	lengths := map[int]uint8{0: 1, 1: 58}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +193,7 @@ func TestSubtableBudgetBounded(t *testing.T) {
 		lengths[s] = 23
 		s++
 	}
-	d, err := NewDecoder(lengths)
+	d, err := newDecoder(lengths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +240,7 @@ func FuzzDecodeDifferential(f *testing.F) {
 		for i, b := range tbl {
 			lengths[i] = b%MaxCodeLen + 1
 		}
-		d, err := NewDecoder(lengths)
+		d, err := newDecoder(lengths)
 		if err != nil {
 			t.Skip() // oversubscribed random table
 		}

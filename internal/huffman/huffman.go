@@ -1,18 +1,30 @@
 // Package huffman implements a canonical Huffman codec over integer symbol
 // alphabets. It is the entropy-coding stage of the SZ-style pipeline used by
 // MDZ and the reimplemented baselines: quantization bins and level-index
-// codes are Huffman coded before the dictionary (lossless) stage.
+// codes are Huffman coded before the dictionary (lossless) stage, and that
+// stage (internal/lossless.LZ), fpzip and ZFP code their byte streams with
+// it too.
 //
-// The code table is serialized compactly as (symbol, code length) pairs and
-// rebuilt canonically on decode, so encoder and decoder never need to share
-// the tree itself.
+// A section is code table || symbol count || bit-packed payload. The table
+// lists the alphabet in ascending symbol order as (zigzag symbol delta, code
+// length) pairs, and encoder and decoder derive the same canonical code from
+// those lengths, so neither needs the tree itself.
+//
+// Each job has one path. Scratch.build is the only code builder: a
+// two-queue merge turns symbol weights into code lengths, and
+// Encoder.assign turns lengths into canonical codes and the encode lookup.
+// Int sections (Scratch.EncodeInts) and byte sections (EncodeBytes) differ
+// only in how they count symbols and pack codes. Encoder.AppendTable is the
+// only table writer, and DecodeScratch.ReadTable the only table parser; it
+// refuses a table whose symbols are not strictly ascending. Encoder and
+// decoder start each code length at the first code firstCodes gives.
 package huffman
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/mdz/mdz/internal/bitstream"
 )
@@ -30,14 +42,14 @@ var (
 
 // Encoder holds a canonical code table for a fixed symbol set.
 type Encoder struct {
-	codes map[int]code
-	// table serialization, cached at build time
+	// symbols lists the alphabet in ascending order, the order the table is
+	// serialized in; codes[i] is the code of symbols[i].
 	symbols []int
-	lengths []uint8
-	// dense, when non-nil, maps symbol s to its code at index s-denseMin,
-	// replacing the per-symbol map lookup on the encode hot path. Built when
-	// the alphabet is near-contiguous — the common case for quantization
-	// bins, which cluster around the zero bin. Holes have code length 0.
+	codes   []code
+	// dense, when non-empty, maps symbol s to its code at index s-denseMin.
+	// It is built when the alphabet is near-contiguous — the common case
+	// for quantization bins, which cluster around the zero bin. Holes have
+	// code length 0. Sparser alphabets binary-search symbols.
 	denseMin int
 	dense    []code
 }
@@ -47,361 +59,19 @@ type code struct {
 	n    uint8
 }
 
-// Build constructs a canonical Huffman code for the given symbol frequency
-// map. Symbols with zero frequency are ignored. Build is deterministic: the
-// same frequency map always produces the same code.
-func Build(freq map[int]uint64) (*Encoder, error) {
-	if len(freq) == 0 {
-		return &Encoder{codes: map[int]code{}}, nil
-	}
-	syms := make([]int, 0, len(freq))
-	for s, f := range freq {
-		if f > 0 {
-			syms = append(syms, s)
-		}
-	}
-	if len(syms) == 0 {
-		return &Encoder{codes: map[int]code{}}, nil
-	}
-	sort.Ints(syms)
-	weights := make([]uint64, len(syms))
-	for i, s := range syms {
-		weights[i] = freq[s]
-	}
-	return buildSorted(syms, weights)
-}
-
-// buildSorted constructs the canonical code for symbols given in strictly
-// ascending order with positive weights. It is the common backend of Build
-// and the dense (map-free) counting path in EncodeInts, and produces
-// identical codes for identical (symbol, weight) multisets. The slices are
-// not retained.
-func buildSorted(syms []int, weights []uint64) (*Encoder, error) {
-	return buildSortedSc(syms, weights, nil)
-}
-
-// buildSortedSc is buildSorted with optional scratch reuse: with a non-nil
-// Scratch the sort keys, tree arrays, and the returned Encoder's tables all
-// come from pooled buffers, so the per-shard encode path builds its code with
-// zero steady-state allocations. The produced code is byte-identical to the
-// historical heap-based builder: leaves enter the merge in (weight, symbol
-// order) and internal nodes in creation order, which reproduces the heap's
-// (weight, order) pop sequence exactly — on a weight tie every leaf order
-// precedes every merge order, ties among leaves resolve by ascending symbol
-// (the stable weight sort over an ascending-symbol input), and ties among
-// merges resolve by creation order (merge weights are non-decreasing, so the
-// queue front is the earliest minimum). huffman_ref_test.go pins this
-// equivalence against the kept heap implementation.
-func buildSortedSc(syms []int, weights []uint64, s *Scratch) (*Encoder, error) {
-	n := len(syms)
-	var e *Encoder
-	if s != nil {
-		e = &s.enc
-		old := *e
-		*e = Encoder{}
-		e.symbols, e.lengths, e.dense = old.symbols[:0], old.lengths[:0], old.dense[:0]
-	} else {
-		e = &Encoder{}
-	}
-	if n == 0 {
-		return e, nil
-	}
-	if n == 1 {
-		// Degenerate alphabet: one-bit code.
-		e.symbols = append(e.symbols, syms[0])
-		e.lengths = append(e.lengths, 1)
-		e.denseMin = syms[0]
-		e.dense = append(e.dense[:0], code{bits: 0, n: 1})
-		return e, nil
-	}
-	// Leaves in merge-pop order: a stable sort by weight over the ascending
-	// symbol list. When weights and alphabet size fit, weight and original
-	// index pack into one uint64 so the sort is a primitive slices.Sort
-	// (pdqsort, no comparator calls); the fallback sorts index handles
-	// stably.
-	var keys []uint64
-	if s != nil && cap(s.keys) >= n {
-		keys = s.keys[:n]
-	} else {
-		keys = make([]uint64, n)
-		if s != nil {
-			s.keys = keys
-		}
-	}
-	packed := n < 1<<24
-	if packed {
-		for _, w := range weights {
-			if w >= 1<<40 {
-				packed = false
-				break
-			}
-		}
-	}
-	if packed {
-		for i, w := range weights {
-			keys[i] = w<<24 | uint64(i)
-		}
-		slices.Sort(keys)
-	} else {
-		for i := range keys {
-			keys[i] = uint64(i)
-		}
-		slices.SortStableFunc(keys, func(a, b uint64) int {
-			wa, wb := weights[a], weights[b]
-			if wa < wb {
-				return -1
-			}
-			if wa > wb {
-				return 1
-			}
-			return 0
-		})
-	}
-	ordOf := func(j int) int {
-		if packed {
-			return int(keys[j] & (1<<24 - 1))
-		}
-		return int(keys[j])
-	}
-	// Two-queue Huffman merge over a flat node array: nodes 0..n-1 are the
-	// sorted leaves, nodes n..2n-2 the merges in creation order. Each step
-	// pops the two smallest weights, preferring the leaf queue on ties.
-	nodes := 2*n - 1
-	var tw []uint64
-	var par []int32
-	if s != nil && cap(s.tw) >= nodes {
-		tw = s.tw[:nodes]
-	} else {
-		tw = make([]uint64, nodes)
-		if s != nil {
-			s.tw = tw
-		}
-	}
-	if s != nil && cap(s.par) >= nodes {
-		par = s.par[:nodes]
-	} else {
-		par = make([]int32, nodes)
-		if s != nil {
-			s.par = par
-		}
-	}
-	for j := 0; j < n; j++ {
-		tw[j] = weights[ordOf(j)]
-	}
-	li, mi := 0, n
-	for created := n; created < nodes; created++ {
-		var a, b int
-		if li < n && (mi >= created || tw[li] <= tw[mi]) {
-			a, li = li, li+1
-		} else {
-			a, mi = mi, mi+1
-		}
-		if li < n && (mi >= created || tw[li] <= tw[mi]) {
-			b, li = li, li+1
-		} else {
-			b, mi = mi, mi+1
-		}
-		tw[created] = tw[a] + tw[b]
-		par[a], par[b] = int32(created), int32(created)
-	}
-	// Leaf depths via a reverse parent walk (parents are always created after
-	// their children, so one descending pass resolves every depth), saturated
-	// at 255 ahead of the MaxCodeLen clamp.
-	var depth []uint8
-	if s != nil && cap(s.depth) >= nodes {
-		depth = s.depth[:nodes]
-	} else {
-		depth = make([]uint8, nodes)
-		if s != nil {
-			s.depth = depth
-		}
-	}
-	depth[nodes-1] = 0
-	for j := nodes - 2; j >= 0; j-- {
-		d := depth[par[j]]
-		if d < 255 {
-			d++
-		}
-		depth[j] = d
-	}
-	// Code lengths per original (ascending-symbol) position, clamped to
-	// MaxCodeLen exactly as the historical builder clamped.
-	var lens []uint8
-	if s != nil && cap(s.ordLens) >= n {
-		lens = s.ordLens[:n]
-	} else {
-		lens = make([]uint8, n)
-		if s != nil {
-			s.ordLens = lens
-		}
-	}
-	var cnt [MaxCodeLen + 1]int32
-	maxLen := uint8(0)
-	for j := 0; j < n; j++ {
-		l := depth[j]
-		if l > MaxCodeLen {
-			l = MaxCodeLen
-		}
-		lens[ordOf(j)] = l
-		cnt[l]++
-		if l > maxLen {
-			maxLen = l
-		}
-	}
-	// Canonical first-code/first-index per length, with the same
-	// over-subscription guard fromLengths applies per symbol (reachable only
-	// through the depth clamp, i.e. never for realistic weights).
-	var first [MaxCodeLen + 1]uint64
-	var fidx [MaxCodeLen + 1]int32
-	var next [MaxCodeLen + 1]int32
-	var c uint64
-	var idx int32
-	for l := uint8(1); l <= maxLen; l++ {
-		first[l] = c
-		fidx[l] = idx
-		c += uint64(cnt[l])
-		idx += cnt[l]
-		if cnt[l] > 0 && c > 1<<l {
-			return nil, ErrCorrupt // over-subscribed code space
-		}
-		c <<= 1
-	}
-	// Assign codes by ascending symbol: position fidx[l]+k within the
-	// canonical (length, symbol) order, code first[l]+k — the exact
-	// assignment fromLengths produces.
-	if cap(e.symbols) >= n {
-		e.symbols = e.symbols[:n]
-	} else {
-		e.symbols = make([]int, n)
-	}
-	if cap(e.lengths) >= n {
-		e.lengths = e.lengths[:n]
-	} else {
-		e.lengths = make([]uint8, n)
-	}
-	lo, hi := syms[0], syms[n-1]
-	diff := uint64(hi) - uint64(lo)
-	if diff < uint64(2*n+1024) {
-		span := int(diff) + 1
-		var dense []code
-		if cap(e.dense) >= span {
-			dense = e.dense[:span]
-			clear(dense)
-		} else {
-			dense = make([]code, span)
-		}
-		for i := 0; i < n; i++ {
-			l := lens[i]
-			k := next[l]
-			next[l]++
-			pos := fidx[l] + k
-			e.symbols[pos] = syms[i]
-			e.lengths[pos] = l
-			dense[syms[i]-lo] = code{bits: first[l] + uint64(k), n: l}
-		}
-		e.denseMin = lo
-		e.dense = dense
-	} else {
-		codes := make(map[int]code, n)
-		for i := 0; i < n; i++ {
-			l := lens[i]
-			k := next[l]
-			next[l]++
-			pos := fidx[l] + k
-			e.symbols[pos] = syms[i]
-			e.lengths[pos] = l
-			codes[syms[i]] = code{bits: first[l] + uint64(k), n: l}
-		}
-		e.codes = codes
-		e.dense = nil
-	}
-	return e, nil
-}
-
-// fromLengths builds the canonical code assignment from code lengths:
-// symbols sorted by (length, symbol) receive consecutive codes.
-func fromLengths(lengths map[int]uint8) (*Encoder, error) {
-	type sl struct {
-		sym int
-		l   uint8
-	}
-	list := make([]sl, 0, len(lengths))
-	for s, l := range lengths {
-		if l == 0 || l > MaxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d for symbol %d", l, s)
-		}
-		list = append(list, sl{s, l})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].l != list[j].l {
-			return list[i].l < list[j].l
-		}
-		return list[i].sym < list[j].sym
-	})
-	e := &Encoder{codes: make(map[int]code, len(list))}
-	var next uint64
-	var prevLen uint8
-	for _, it := range list {
-		next <<= (it.l - prevLen)
-		prevLen = it.l
-		if it.l < 64 && next >= (1<<it.l) {
-			return nil, ErrCorrupt // over-subscribed code space
-		}
-		e.codes[it.sym] = code{bits: next, n: it.l}
-		e.symbols = append(e.symbols, it.sym)
-		e.lengths = append(e.lengths, it.l)
-		next++
-	}
-	e.buildDense()
-	return e, nil
-}
-
-// buildDense materializes the slice-indexed code lookup covering
-// [denseMin, denseMin+len(dense)) when the alphabet is dense enough for the
-// table to be small; very sparse alphabets keep the map-only lookup.
-func (e *Encoder) buildDense() {
-	if len(e.symbols) == 0 {
-		return
-	}
-	lo, hi := e.symbols[0], e.symbols[0]
-	for _, s := range e.symbols[1:] {
-		if s < lo {
-			lo = s
-		}
-		if s > hi {
-			hi = s
-		}
-	}
-	// Unsigned difference is exact even when hi-lo overflows int.
-	diff := uint64(hi) - uint64(lo)
-	if diff >= uint64(2*len(e.symbols)+1024) {
-		return
-	}
-	e.denseMin = lo
-	e.dense = make([]code, int(diff)+1)
-	for i, s := range e.symbols {
-		e.dense[s-lo] = code{bits: e.codes[s].bits, n: e.lengths[i]}
-	}
-}
-
-// lookup resolves the code for symbol s via the dense table when present.
+// lookup resolves the code for symbol s.
 func (e *Encoder) lookup(s int) (code, bool) {
-	if e.dense != nil {
+	if len(e.dense) != 0 {
 		if idx := s - e.denseMin; uint(idx) < uint(len(e.dense)) {
 			c := e.dense[idx]
 			return c, c.n != 0
 		}
 		return code{}, false
 	}
-	c, ok := e.codes[s]
-	return c, ok
-}
-
-// CodeLen returns the code length in bits for symbol s, or 0 if s is not in
-// the alphabet.
-func (e *Encoder) CodeLen(s int) int {
-	c, _ := e.lookup(s)
-	return int(c.n)
+	if i, ok := slices.BinarySearch(e.symbols, s); ok {
+		return e.codes[i], true
+	}
+	return code{}, false
 }
 
 // NumSymbols reports the alphabet size.
@@ -427,7 +97,7 @@ func (e *Encoder) Encode(w *bitstream.Writer, s int) error {
 // condition (na+c.n > 64) guarantees no code ever straddles the local
 // accumulator.
 func (e *Encoder) EncodeAll(w *bitstream.Writer, syms []int) error {
-	if e.dense != nil {
+	if len(e.dense) != 0 {
 		// Hot path: slice-indexed code lookup, no per-symbol call overhead.
 		lo, dense := e.denseMin, e.dense
 		var acc uint64
@@ -458,41 +128,16 @@ func (e *Encoder) EncodeAll(w *bitstream.Writer, syms []int) error {
 	return nil
 }
 
-// AppendTable serializes the code table: uvarint count, then per symbol a
-// zigzag-varint symbol delta (sorted canonical order) and a byte length.
+// AppendTable serializes the code table: uvarint count, then per symbol in
+// ascending order a zigzag-varint symbol delta and a byte length. It is the
+// only table writer, for int and byte sections alike.
 func (e *Encoder) AppendTable(dst []byte) []byte {
 	dst = bitstream.AppendUvarint(dst, uint64(len(e.symbols)))
 	prev := int64(0)
-	if e.dense != nil {
-		// The dense table already covers the alphabet in ascending symbol
-		// order (holes have length 0), so the serialized-by-symbol emission
-		// needs no sort and no per-call list allocation.
-		for i := range e.dense {
-			n := e.dense[i].n
-			if n == 0 {
-				continue
-			}
-			sym := int64(e.denseMin + i)
-			dst = bitstream.AppendVarint(dst, sym-prev)
-			prev = sym
-			dst = append(dst, n)
-		}
-		return dst
-	}
-	// Serialize sorted by symbol so deltas are small and non-negative-ish.
-	type sl struct {
-		sym int
-		l   uint8
-	}
-	list := make([]sl, len(e.symbols))
 	for i, s := range e.symbols {
-		list[i] = sl{s, e.lengths[i]}
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].sym < list[j].sym })
-	for _, it := range list {
-		dst = bitstream.AppendVarint(dst, int64(it.sym)-prev)
-		prev = int64(it.sym)
-		dst = append(dst, it.l)
+		dst = bitstream.AppendVarint(dst, int64(s)-prev)
+		prev = int64(s)
+		dst = append(dst, e.codes[i].n)
 	}
 	return dst
 }
@@ -541,8 +186,8 @@ type pairEntry struct {
 	n    uint8
 }
 
-// Decoder rebuilds a canonical code from a serialized table and decodes
-// symbol streams.
+// Decoder holds the canonical decode tables of one code, rebuilt in place
+// from a serialized table by DecodeScratch.ReadTable.
 type Decoder struct {
 	// canonical decode tables indexed by code length
 	firstCode  [MaxCodeLen + 1]uint64
@@ -552,8 +197,10 @@ type Decoder struct {
 	maxLen     uint8
 	// lut is the lutBits-wide root table; sub holds the overflow subtables
 	// for codes longer than lutBits, one contiguous region per root prefix.
+	// ext is buildLUT's per-prefix subtable width scratch.
 	lut []lutEntry
 	sub []lutEntry
+	ext []uint8
 	// pair is the int decode loop's root table, derived from lut. Only int
 	// sections read it, so it is built on their first decode after a
 	// (re)build of the code: pairOK is false until then, and every rebuild
@@ -563,116 +210,15 @@ type Decoder struct {
 	pairOK bool
 }
 
-// ReadTable parses a table serialized by AppendTable from br and returns the
-// Decoder. It is DecodeScratch.ReadTable on a fresh scratch, with the int
-// pair table built up front so the Decoder is read-only from here on.
-func ReadTable(br *bitstream.ByteReader) (*Decoder, error) {
-	var s DecodeScratch
-	d, err := s.ReadTable(br)
-	if err != nil {
-		return nil, err
-	}
-	d.buildPair()
-	return d, nil
-}
-
-// NewDecoder builds a Decoder directly from a symbol→length map.
-func NewDecoder(lengths map[int]uint8) (*Decoder, error) {
-	d := &Decoder{}
-	if err := d.init(lengths, nil); err != nil {
-		return nil, err
-	}
-	d.buildPair()
-	return d, nil
-}
-
-// symLen is a (symbol, code length) pair, the unit of canonical table
-// construction.
-type symLen struct {
-	sym int
-	l   uint8
-}
-
-// init (re)builds the decoder from a symbol→length map. When sc is non-nil
-// its scratch buffers are reused, so a pooled Decoder rebuilds with no
-// steady-state allocations; the resulting tables are identical either way.
-func (d *Decoder) init(lengths map[int]uint8, sc *DecodeScratch) error {
-	var list []symLen
-	if sc != nil {
-		list = sc.list[:0]
-	} else {
-		list = make([]symLen, 0, len(lengths))
-	}
-	for s, l := range lengths {
-		list = append(list, symLen{s, l})
-	}
-	if sc != nil {
-		sc.list = list
-	}
-	// (l, sym) is a strict total order, so any comparison sort yields the
-	// same sequence the historical sort.Slice produced.
-	slices.SortFunc(list, func(a, b symLen) int {
-		if a.l != b.l {
-			return int(a.l) - int(b.l)
-		}
-		return a.sym - b.sym
-	})
-	return d.initSorted(list, sc)
-}
-
-// initSorted (re)builds the decoder from a list of distinct (symbol, length)
-// pairs already in ascending (length, symbol) order — the canonical
-// assignment order. Callers must guarantee both properties; init sorts an
-// arbitrary map into it, and the table parser's counting sort preserves it.
-func (d *Decoder) initSorted(list []symLen, sc *DecodeScratch) error {
-	symbols, lut, sub, pair := d.symbols[:0], d.lut, d.sub, d.pair
-	*d = Decoder{symbols: symbols, lut: lut, sub: sub, pair: pair}
-	if len(list) == 0 {
-		// Stale lut/sub/pair buffers (pooled reuse) are never read: every
-		// decode entry point checks len(d.symbols) first.
-		return nil
-	}
-	for _, it := range list {
-		if it.l == 0 || it.l > MaxCodeLen {
-			return ErrCorrupt
-		}
-	}
-	for _, it := range list {
-		d.symbols = append(d.symbols, it.sym)
-		d.count[it.l]++
-		if it.l > d.maxLen {
-			d.maxLen = it.l
-		}
-	}
-	var c uint64
-	idx := 0
-	for l := uint8(1); l <= d.maxLen; l++ {
-		d.firstCode[l] = c
-		d.firstIndex[l] = idx
-		c += uint64(d.count[l])
-		idx += d.count[l]
-		if l < 64 && c > (1<<l) {
-			return ErrCorrupt
-		}
-		c <<= 1
-	}
-	d.buildLUT(sc)
-	return nil
-}
-
 // buildLUT fills the two-level decode table. Level one: every lutBits-wide
 // prefix whose leading bits form a complete code of length <= lutBits maps
 // directly to its symbol. Level two: each prefix shared by longer codes
 // gets a subtable sized for its longest code (capped at subMaxBits and the
 // global maxSubEntries budget); codes past the caps keep len==0 entries and
-// decode via the canonical bitwise walk. A non-nil sc contributes reusable
-// backing arrays for the tables.
-func (d *Decoder) buildLUT(sc *DecodeScratch) {
-	if cap(d.lut) >= 1<<lutBits {
-		d.lut = d.lut[:1<<lutBits]
-	} else {
-		d.lut = make([]lutEntry, 1<<lutBits)
-	}
+// decode via the canonical bitwise walk. The tables reuse the Decoder's
+// backing arrays.
+func (d *Decoder) buildLUT() {
+	d.lut = resize(d.lut, 1<<lutBits)
 	for i := range d.lut {
 		d.lut[i] = lutEntry{index: -1}
 	}
@@ -702,16 +248,9 @@ func (d *Decoder) buildLUT(sc *DecodeScratch) {
 	}
 	// Width (bits beyond the root prefix) each prefix's subtable needs to
 	// cover its longest code.
-	var ext []uint8
-	if sc != nil && cap(sc.ext) >= 1<<lutBits {
-		ext = sc.ext[:1<<lutBits]
-		clear(ext)
-	} else {
-		ext = make([]uint8, 1<<lutBits)
-		if sc != nil {
-			sc.ext = ext
-		}
-	}
+	d.ext = resize(d.ext, 1<<lutBits)
+	ext := d.ext
+	clear(ext)
 	for l := lutBits + 1; l <= int(d.maxLen); l++ {
 		for k := 0; k < d.count[l]; k++ {
 			code := d.firstCode[l] + uint64(k)
@@ -735,11 +274,7 @@ func (d *Decoder) buildLUT(sc *DecodeScratch) {
 		d.lut[p] = lutEntry{index: int32(total), sub: w}
 		total += 1 << w
 	}
-	if cap(d.sub) >= total {
-		d.sub = d.sub[:total]
-	} else {
-		d.sub = make([]lutEntry, total)
-	}
+	d.sub = resize(d.sub, total)
 	for i := range d.sub {
 		d.sub[i] = lutEntry{index: -1}
 	}
@@ -778,11 +313,7 @@ func (d *Decoder) buildPair() {
 	if len(d.symbols) == 0 {
 		return
 	}
-	if cap(d.pair) >= 1<<lutBits {
-		d.pair = d.pair[:1<<lutBits]
-	} else {
-		d.pair = make([]pairEntry, 1<<lutBits)
-	}
+	d.pair = resize(d.pair, 1<<lutBits)
 	for p, e := range d.lut {
 		var ent pairEntry
 		if e.len != 0 {
@@ -856,11 +387,6 @@ func (d *Decoder) decodeSlow(r *bitstream.Reader) (int, error) {
 	return 0, ErrCorrupt
 }
 
-// DecodeAll reads exactly n symbols into a new slice.
-func (d *Decoder) DecodeAll(r *bitstream.Reader, n int) ([]int, error) {
-	return d.DecodeAllBuf(r, n, nil)
-}
-
 // DecodeAllBuf reads exactly n symbols, reusing buf when it has capacity.
 //
 // The fast loop keeps the reader's 64-bit buffer topped up with at least
@@ -870,12 +396,7 @@ func (d *Decoder) DecodeAll(r *bitstream.Reader, n int) ([]int, error) {
 // back to the checked per-symbol Decode, which preserves the historical
 // error semantics exactly.
 func (d *Decoder) DecodeAllBuf(r *bitstream.Reader, n int, buf []int) ([]int, error) {
-	var out []int
-	if cap(buf) >= n {
-		out = buf[:n]
-	} else {
-		out = make([]int, n)
-	}
+	out := resize(buf, n)
 	if n == 0 {
 		return out, nil
 	}
@@ -962,26 +483,28 @@ outer:
 	return nil
 }
 
-// Scratch holds reusable buffers for EncodeInts so repeated encodes (one
-// per shard per batch in the MDZ pipeline) stop churning the allocator. A
-// Scratch must not be used from multiple goroutines concurrently; the zero
-// value is ready to use.
+// Scratch holds the reusable state of section encoding: symbol counts, the
+// code builder's buffers and the Encoder it builds, and the table and
+// payload buffers. Repeated encodes (one per shard per batch in the MDZ
+// pipeline) therefore stop churning the allocator. A Scratch must not be
+// used from multiple goroutines concurrently; the zero value is ready to
+// use.
 type Scratch struct {
-	freq    map[int]uint64
-	counts  []uint64 // dense frequency buffer, indexed by symbol-min
-	counts4 []uint32 // 4-way striped counting stripes (summed into counts)
-	syms    []int    // dense alphabet scratch (ascending)
-	weights []uint64 // weights parallel to syms
+	freq    map[int]uint64 // sparse-range counts
+	counts  []uint64       // dense frequency buffer, indexed by symbol-min
+	counts4 []uint32       // 4-way striped counting stripes (summed into counts)
+	syms    []int          // the counted alphabet, ascending
+	weights []uint64       // weights parallel to syms
 	table   []byte
 	w       bitstream.Writer
 	stats   EncodeStats
-	// code-builder scratch (see buildSortedSc)
-	keys    []uint64
-	tw      []uint64
-	par     []int32
-	depth   []uint8
-	ordLens []uint8
-	enc     Encoder
+	// code-builder scratch (see build)
+	keys  []uint64
+	tw    []uint64
+	par   []int32
+	depth []uint8
+	lens  []uint8
+	enc   Encoder
 }
 
 // EncodeStats describes the most recent EncodeInts call on a Scratch: the
@@ -1005,34 +528,42 @@ func (s *Scratch) LastStats() EncodeStats { return s.stats }
 // bit-packed payload, and returns table||payload as length-prefixed
 // sections appended to dst, reusing the Scratch's internal buffers.
 func (s *Scratch) EncodeInts(dst []byte, syms []int) ([]byte, error) {
-	enc, err := s.buildFor(syms)
+	s.count(syms)
+	enc, err := s.build(s.syms, s.weights)
 	if err != nil {
 		return nil, err
 	}
-	s.table = enc.AppendTable(s.table[:0])
 	s.w.Reset()
 	if err := enc.EncodeAll(&s.w, syms); err != nil {
 		return nil, err
 	}
+	dst = s.appendSection(dst, enc, len(syms))
 	s.stats = EncodeStats{
 		Symbols:      enc.NumSymbols(),
 		TableBytes:   len(s.table),
 		PayloadBytes: len(s.w.Bytes()),
 	}
-	dst = bitstream.AppendSection(dst, s.table)
-	dst = bitstream.AppendUvarint(dst, uint64(len(syms)))
-	dst = bitstream.AppendSection(dst, s.w.Bytes())
 	return dst, nil
 }
 
-// buildFor computes symbol frequencies and builds the canonical code. When
-// the symbol range is near-contiguous — the common case for quantization
-// bins — counting uses a dense slice instead of a map (one array increment
-// per value); the resulting code is byte-identical to the map path because
-// a dense ascending scan visits symbols in exactly sorted order.
-func (s *Scratch) buildFor(syms []int) (*Encoder, error) {
+// appendSection appends one section to dst: enc's table, the symbol count
+// and the payload packed in s.w.
+func (s *Scratch) appendSection(dst []byte, enc *Encoder, count int) []byte {
+	s.table = enc.AppendTable(s.table[:0])
+	dst = bitstream.AppendSection(dst, s.table)
+	dst = bitstream.AppendUvarint(dst, uint64(count))
+	return bitstream.AppendSection(dst, s.w.Bytes())
+}
+
+// count lists the distinct values of syms in ascending order in s.syms,
+// with their occurrence counts in s.weights. When the symbol range is
+// near-contiguous — the common case for quantization bins — counting uses a
+// dense slice (one array increment per value); a sparse range counts in a
+// map and sorts its keys. Both list the same (symbol, count) pairs.
+func (s *Scratch) count(syms []int) {
+	s.syms, s.weights = s.syms[:0], s.weights[:0]
 	if len(syms) == 0 {
-		return Build(nil)
+		return
 	}
 	lo, hi := syms[0], syms[0]
 	for _, v := range syms[1:] {
@@ -1046,68 +577,237 @@ func (s *Scratch) buildFor(syms []int) (*Encoder, error) {
 	// hi-lo as a uint64 is exact even when the int subtraction would
 	// overflow (e.g. extreme sentinel codes at both ends of the range).
 	diff := uint64(hi) - uint64(lo)
-	if diff < uint64(4*len(syms)+1024) && diff < 1<<20 {
-		span := int(diff) + 1
-		var counts []uint64
-		if cap(s.counts) >= span {
-			counts = s.counts[:span]
+	if diff >= uint64(4*len(syms)+1024) || diff >= 1<<20 {
+		if s.freq == nil {
+			s.freq = make(map[int]uint64, 64)
 		} else {
-			counts = make([]uint64, span)
-			s.counts = counts
+			clear(s.freq)
 		}
-		if len(syms) >= 4*span && len(syms) >= 2048 && len(syms) < 1<<28 {
-			// 4-way striped counting, ported from the byte-section encoder:
-			// quantization bins arrive in long runs of the same symbol, and
-			// four independent stripes break the same-address
-			// increment-to-increment dependency those runs create. The input
-			// bound keeps every uint32 stripe overflow-free, and the summed
-			// counts are exactly the serial counts, so the built code is
-			// byte-identical. Gated on len >= 4*span so clearing and summing
-			// the stripes stays amortized.
-			var c4 []uint32
-			if cap(s.counts4) >= 4*span {
-				c4 = s.counts4[:4*span]
-				clear(c4)
-			} else {
-				c4 = make([]uint32, 4*span)
-				s.counts4 = c4
-			}
-			n4 := len(syms) &^ 3
-			for i := 0; i < n4; i += 4 {
-				c4[syms[i]-lo]++
-				c4[span+syms[i+1]-lo]++
-				c4[2*span+syms[i+2]-lo]++
-				c4[3*span+syms[i+3]-lo]++
-			}
-			for _, v := range syms[n4:] {
-				c4[v-lo]++
-			}
-			for j := 0; j < span; j++ {
-				counts[j] = uint64(c4[j]) + uint64(c4[span+j]) + uint64(c4[2*span+j]) + uint64(c4[3*span+j])
-			}
-		} else {
-			clear(counts)
-			for _, v := range syms {
-				counts[v-lo]++
-			}
+		for _, v := range syms {
+			s.freq[v]++
 		}
-		alph, wts := s.syms[:0], s.weights[:0]
-		for i, c := range counts {
-			if c != 0 {
-				alph = append(alph, lo+i)
-				wts = append(wts, c)
-			}
+		for v := range s.freq {
+			s.syms = append(s.syms, v)
 		}
-		s.syms, s.weights = alph, wts
-		return buildSortedSc(alph, wts, s)
+		slices.Sort(s.syms)
+		for _, v := range s.syms {
+			s.weights = append(s.weights, s.freq[v])
+		}
+		return
 	}
-	if s.freq == nil {
-		s.freq = make(map[int]uint64, 64)
+	span := int(diff) + 1
+	s.counts = resize(s.counts, span)
+	counts := s.counts
+	if len(syms) >= 4*span && len(syms) >= 2048 && len(syms) < 1<<28 {
+		// 4-way striped counting, as in the byte-section histogram:
+		// quantization bins arrive in long runs of the same symbol, and
+		// four independent stripes break the same-address
+		// increment-to-increment dependency those runs create. The input
+		// bound keeps every uint32 stripe overflow-free, and the summed
+		// counts are exactly the serial counts. Gated on len >= 4*span so
+		// clearing and summing the stripes stays amortized.
+		s.counts4 = resize(s.counts4, 4*span)
+		c4 := s.counts4
+		clear(c4)
+		n4 := len(syms) &^ 3
+		for i := 0; i < n4; i += 4 {
+			c4[syms[i]-lo]++
+			c4[span+syms[i+1]-lo]++
+			c4[2*span+syms[i+2]-lo]++
+			c4[3*span+syms[i+3]-lo]++
+		}
+		for _, v := range syms[n4:] {
+			c4[v-lo]++
+		}
+		for j := 0; j < span; j++ {
+			counts[j] = uint64(c4[j]) + uint64(c4[span+j]) + uint64(c4[2*span+j]) + uint64(c4[3*span+j])
+		}
 	} else {
-		clear(s.freq)
+		clear(counts)
+		for _, v := range syms {
+			counts[v-lo]++
+		}
 	}
-	for _, sym := range syms {
-		s.freq[sym]++
+	for i, c := range counts {
+		if c != 0 {
+			s.syms = append(s.syms, lo+i)
+			s.weights = append(s.weights, c)
+		}
 	}
-	return Build(s.freq)
+}
+
+// build constructs the canonical code for symbols given in strictly
+// ascending order with positive weights. It is the only code builder: int
+// and byte sections both build here, so equal (symbol, weight) lists give
+// equal codes. codeLengths turns the weights into code lengths and assign
+// turns those into codes. The returned Encoder is the scratch's own and is
+// valid until its next build; the slices are not retained.
+func (s *Scratch) build(syms []int, weights []uint64) (*Encoder, error) {
+	s.lens = resize(s.lens, len(syms))
+	s.codeLengths(weights, s.lens)
+	if err := s.enc.assign(syms, s.lens); err != nil {
+		return nil, err
+	}
+	return &s.enc, nil
+}
+
+// codeLengths sets lens[i] to the code length of the i'th symbol of an
+// ascending alphabet with the given weights: its leaf depth in the Huffman
+// tree, clamped to MaxCodeLen (a one-symbol alphabet gets a one-bit code).
+//
+// The merge gives the same tree as the heap builder kept in
+// huffman_ref_test.go, which pops nodes by (weight, order) with leaves
+// numbered by ascending symbol and merges in creation order. Leaves enter
+// here sorted stably by weight, and merges queue up in creation order;
+// merge weights never decrease, so each queue's front is its earliest
+// minimum, and taking the leaf queue on a weight tie matches the heap,
+// where every leaf order precedes every merge order.
+func (s *Scratch) codeLengths(weights []uint64, lens []uint8) {
+	n := len(weights)
+	if n <= 1 {
+		if n == 1 {
+			lens[0] = 1
+		}
+		return
+	}
+	// keys[j] becomes the position of the j'th leaf in merge-pop order: a
+	// stable sort by weight. When weights and alphabet size fit, weight and
+	// position pack into one uint64 so the sort is a primitive slices.Sort
+	// (pdqsort, no comparator calls); the fallback sorts positions stably.
+	s.keys = resize(s.keys, n)
+	keys := s.keys
+	packed := n < 1<<24
+	for _, w := range weights {
+		if w >= 1<<40 {
+			packed = false
+			break
+		}
+	}
+	if packed {
+		for i, w := range weights {
+			keys[i] = w<<24 | uint64(i)
+		}
+		slices.Sort(keys)
+		for j := range keys {
+			keys[j] &= 1<<24 - 1
+		}
+	} else {
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		slices.SortStableFunc(keys, func(a, b uint64) int {
+			return cmp.Compare(weights[a], weights[b])
+		})
+	}
+	// Two-queue Huffman merge over a flat node array: nodes 0..n-1 are the
+	// sorted leaves, nodes n..2n-2 the merges in creation order. Each step
+	// pops the two smallest weights, preferring the leaf queue on ties.
+	nodes := 2*n - 1
+	s.tw = resize(s.tw, nodes)
+	s.par = resize(s.par, nodes)
+	s.depth = resize(s.depth, nodes)
+	tw, par, depth := s.tw, s.par, s.depth
+	for j, k := range keys {
+		tw[j] = weights[k]
+	}
+	li, mi := 0, n
+	for created := n; created < nodes; created++ {
+		var a, b int
+		if li < n && (mi >= created || tw[li] <= tw[mi]) {
+			a, li = li, li+1
+		} else {
+			a, mi = mi, mi+1
+		}
+		if li < n && (mi >= created || tw[li] <= tw[mi]) {
+			b, li = li, li+1
+		} else {
+			b, mi = mi, mi+1
+		}
+		tw[created] = tw[a] + tw[b]
+		par[a], par[b] = int32(created), int32(created)
+	}
+	// Leaf depths via a reverse parent walk (parents are always created after
+	// their children, so one descending pass resolves every depth), saturated
+	// at 255 ahead of the MaxCodeLen clamp.
+	depth[nodes-1] = 0
+	for j := nodes - 2; j >= 0; j-- {
+		d := depth[par[j]]
+		if d < 255 {
+			d++
+		}
+		depth[j] = d
+	}
+	for j, k := range keys {
+		lens[k] = min(depth[j], MaxCodeLen)
+	}
+}
+
+// assign gives the symbols of an ascending alphabet their canonical codes
+// from their code lengths: in (length, symbol) order, symbols of one length
+// take consecutive codes starting at firstCodes. It also builds the dense
+// lookup when the alphabet spans few enough values; lookups in sparser
+// alphabets binary-search the ascending symbols.
+func (e *Encoder) assign(syms []int, lens []uint8) error {
+	n := len(syms)
+	e.symbols = append(e.symbols[:0], syms...)
+	e.codes = resize(e.codes, n)
+	e.dense = e.dense[:0]
+	if n == 0 {
+		return nil
+	}
+	var cnt [MaxCodeLen + 1]int
+	maxLen := uint8(0)
+	for _, l := range lens {
+		cnt[l]++
+		maxLen = max(maxLen, l)
+	}
+	// next[l] starts at the first code of length l. The Kraft check can
+	// fail only through the MaxCodeLen clamp, i.e. never for realistic
+	// weights.
+	var next [MaxCodeLen + 1]uint64
+	if err := firstCodes(&cnt, maxLen, &next); err != nil {
+		return err
+	}
+	for i, l := range lens {
+		e.codes[i] = code{bits: next[l], n: l}
+		next[l]++
+	}
+	lo, hi := syms[0], syms[n-1]
+	// Unsigned difference is exact even when hi-lo overflows int.
+	if diff := uint64(hi) - uint64(lo); diff < uint64(2*n+1024) {
+		e.denseMin = lo
+		e.dense = resize(e.dense, int(diff)+1)
+		clear(e.dense)
+		for i, s := range syms {
+			e.dense[s-lo] = e.codes[i]
+		}
+	}
+	return nil
+}
+
+// firstCodes sets first[l] to the canonical first code of length l for
+// l in 1..maxLen, given count[l] codes of each length: it follows the last
+// code of the length before, shifted left by one bit per length step.
+// Encoder and decoder both start their codes here. Lengths that
+// over-subscribe the code space are ErrCorrupt.
+func firstCodes(count *[MaxCodeLen + 1]int, maxLen uint8, first *[MaxCodeLen + 1]uint64) error {
+	c := uint64(0)
+	for l := uint8(1); l <= maxLen; l++ {
+		first[l] = c
+		c += uint64(count[l])
+		if c > 1<<l {
+			return ErrCorrupt
+		}
+		c <<= 1
+	}
+	return nil
+}
+
+// resize returns buf resliced to length n, allocating a new array only when
+// its capacity is short. Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }

@@ -3,14 +3,17 @@ package huffman
 import (
 	"bytes"
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/mdz/mdz/internal/bitstream"
 )
 
-// This file keeps the historical heap-based tree builder as a reference
-// oracle: the production two-queue builder in buildSortedSc must produce the
+// This file keeps the historical heap-based tree builder and map-based
+// canonical assignment as a reference oracle: the production builder
+// (Scratch.build: the two-queue merge, then Encoder.assign) must produce the
 // exact same canonical code (and therefore the same serialized table and the
 // same payload bits) for every (symbol, weight) input. The heap pops nodes by
 // (weight, order) with leaves ordered 0..n-1 by ascending symbol and merges
@@ -57,14 +60,10 @@ func refAssignDepths(n *refNode, depth uint8, out map[int]uint8) {
 // lengths handed to fromLengths.
 func refBuildSorted(syms []int, weights []uint64) (*Encoder, error) {
 	if len(syms) == 0 {
-		return &Encoder{codes: map[int]code{}}, nil
+		return &Encoder{}, nil
 	}
 	if len(syms) == 1 {
-		e := &Encoder{codes: map[int]code{syms[0]: {0, 1}}}
-		e.symbols = []int{syms[0]}
-		e.lengths = []uint8{1}
-		e.buildDense()
-		return e, nil
+		return fromLengths(map[int]uint8{syms[0]: 1})
 	}
 	slab := make([]refNode, 2*len(syms)-1)
 	h := make(refHeap, 0, len(syms))
@@ -98,14 +97,55 @@ func refBuildSorted(syms []int, weights []uint64) (*Encoder, error) {
 	return fromLengths(lengths)
 }
 
+// fromLengths is the historical canonical assignment from code lengths:
+// symbols sorted by (length, symbol) receive consecutive codes. The Encoder
+// it returns has no dense table, so it encodes through the binary search.
+func fromLengths(lengths map[int]uint8) (*Encoder, error) {
+	type sl struct {
+		sym int
+		l   uint8
+	}
+	list := make([]sl, 0, len(lengths))
+	for s, l := range lengths {
+		if l == 0 || l > MaxCodeLen {
+			return nil, fmt.Errorf("huffman: invalid code length %d for symbol %d", l, s)
+		}
+		list = append(list, sl{s, l})
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].l != list[j].l {
+			return list[i].l < list[j].l
+		}
+		return list[i].sym < list[j].sym
+	})
+	codes := make(map[int]code, len(list))
+	var next uint64
+	var prevLen uint8
+	for _, it := range list {
+		next <<= (it.l - prevLen)
+		prevLen = it.l
+		if it.l < 64 && next >= (1<<it.l) {
+			return nil, ErrCorrupt // over-subscribed code space
+		}
+		codes[it.sym] = code{bits: next, n: it.l}
+		next++
+	}
+	e := &Encoder{}
+	for _, s := range alphabetOf(lengths) {
+		e.symbols = append(e.symbols, s)
+		e.codes = append(e.codes, codes[s])
+	}
+	return e, nil
+}
+
 // compareBuilders asserts the production builder and the heap oracle agree on
 // the serialized table and on the encoded payload for the given alphabet.
 func compareBuilders(t *testing.T, syms []int, weights []uint64, payload []int) {
 	t.Helper()
 	var sc Scratch
-	got, err := buildSortedSc(syms, weights, &sc)
+	got, err := sc.build(syms, weights)
 	if err != nil {
-		t.Fatalf("buildSortedSc: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	want, err := refBuildSorted(syms, weights)
 	if err != nil {
@@ -207,7 +247,7 @@ func TestScratchBuilderReuse(t *testing.T) {
 		for i := range wts {
 			wts[i] = uint64(1 + rng.Intn(1000))
 		}
-		got, err := buildSortedSc(syms, wts, &sc)
+		got, err := sc.build(syms, wts)
 		if err != nil {
 			t.Fatal(err)
 		}

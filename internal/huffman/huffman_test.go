@@ -3,6 +3,7 @@ package huffman
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -77,15 +78,15 @@ func TestRoundTripSkewed(t *testing.T) {
 
 func TestSkewedCodesShorter(t *testing.T) {
 	freq := map[int]uint64{0: 1000, 1: 100, 2: 10, 3: 1}
-	e, err := Build(freq)
+	e, err := buildFreq(freq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.CodeLen(0) > e.CodeLen(3) {
-		t.Errorf("frequent symbol has longer code: len(0)=%d len(3)=%d", e.CodeLen(0), e.CodeLen(3))
+	if codeLen(e, 0) > codeLen(e, 3) {
+		t.Errorf("frequent symbol has longer code: len(0)=%d len(3)=%d", codeLen(e, 0), codeLen(e, 3))
 	}
-	if e.CodeLen(0) != 1 {
-		t.Errorf("dominant symbol should get a 1-bit code, got %d", e.CodeLen(0))
+	if codeLen(e, 0) != 1 {
+		t.Errorf("dominant symbol should get a 1-bit code, got %d", codeLen(e, 0))
 	}
 }
 
@@ -97,13 +98,13 @@ func TestKraftInequality(t *testing.T) {
 		for i := 0; i < n; i++ {
 			freq[rng.Intn(2000)-1000] = uint64(1 + rng.Intn(10000))
 		}
-		e, err := Build(freq)
+		e, err := buildFreq(freq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var kraft float64
-		for _, l := range e.lengths {
-			kraft += 1.0 / float64(uint64(1)<<l)
+		for _, c := range e.codes {
+			kraft += 1.0 / float64(uint64(1)<<c.n)
 		}
 		if kraft > 1.0000001 {
 			t.Fatalf("trial %d: Kraft sum %v > 1", trial, kraft)
@@ -113,15 +114,15 @@ func TestKraftInequality(t *testing.T) {
 
 func TestDeterministicBuild(t *testing.T) {
 	freq := map[int]uint64{5: 3, -2: 3, 9: 3, 0: 7}
-	a, _ := Build(freq)
-	b, _ := Build(freq)
+	a, _ := buildFreq(freq)
+	b, _ := buildFreq(freq)
 	if !reflect.DeepEqual(a.AppendTable(nil), b.AppendTable(nil)) {
-		t.Error("Build is not deterministic")
+		t.Error("build is not deterministic")
 	}
 }
 
 func TestEncodeUnknownSymbol(t *testing.T) {
-	e, _ := Build(map[int]uint64{1: 1, 2: 1})
+	e, _ := buildFreq(map[int]uint64{1: 1, 2: 1})
 	w := &bitstream.Writer{}
 	if err := e.Encode(w, 99); err == nil {
 		t.Error("expected error encoding unknown symbol")
@@ -134,14 +135,14 @@ func TestCorruptTable(t *testing.T) {
 	buf = bitstream.AppendUvarint(buf, 1)
 	buf = bitstream.AppendVarint(buf, 5)
 	buf = append(buf, 0)
-	if _, err := ReadTable(bitstream.NewByteReader(buf)); err == nil {
+	if _, err := new(DecodeScratch).ReadTable(bitstream.NewByteReader(buf), nil); err == nil {
 		t.Error("expected error on zero code length")
 	}
 }
 
 func TestCorruptOversubscribed(t *testing.T) {
 	// Three symbols of length 1 oversubscribe the code space.
-	_, err := NewDecoder(map[int]uint8{1: 1, 2: 1, 3: 1})
+	_, err := newDecoder(map[int]uint8{1: 1, 2: 1, 3: 1})
 	if err == nil {
 		t.Error("expected error on oversubscribed lengths")
 	}
@@ -184,6 +185,49 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestScratchEncodeIntsAllocs pins the reuse of a Scratch across encodes
+// with a reused dst: an empty stream (the level section of every MT-coded
+// shard), a near-contiguous alphabet, the two alternating as core's shards
+// encode bins then levels, and a sparse alphabet (37 symbols spread over
+// 3.6 million, counted in a map) all allocate nothing.
+func TestScratchEncodeIntsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dense := make([]int, 100000)
+	for i := range dense {
+		dense[i] = 512 + int(rng.NormFloat64()*5)
+	}
+	sparse := make([]int, 10000)
+	for i := range sparse {
+		sparse[i] = rng.Intn(37) * 100000
+	}
+	cases := []struct {
+		name   string
+		inputs [][]int
+	}{
+		{"empty", [][]int{{}}},
+		{"dense", [][]int{dense}},
+		{"dense-then-empty", [][]int{dense, {}}},
+		{"sparse", [][]int{sparse}},
+	}
+	for _, tc := range cases {
+		var s Scratch
+		var dst []byte
+		var err error
+		run := func() {
+			dst = dst[:0]
+			for _, in := range tc.inputs {
+				if dst, err = s.EncodeInts(dst, in); err != nil {
+					return
+				}
+			}
+		}
+		run() // warm the scratch and dst
+		if got := testing.AllocsPerRun(20, run); got != 0 || err != nil {
+			t.Errorf("%s: %v allocs/op (err %v), want 0", tc.name, got, err)
+		}
 	}
 }
 
@@ -236,4 +280,46 @@ func encodeInts(dst []byte, syms []int) ([]byte, error) {
 
 func decodeInts(br *bitstream.ByteReader) ([]int, error) {
 	return new(DecodeScratch).DecodeIntsTx(br, nil, nil)
+}
+
+// buildFreq builds the code of a symbol→frequency map through a fresh
+// Scratch, ignoring zero frequencies.
+func buildFreq(freq map[int]uint64) (*Encoder, error) {
+	syms := make([]int, 0, len(freq))
+	for s, f := range freq {
+		if f > 0 {
+			syms = append(syms, s)
+		}
+	}
+	sort.Ints(syms)
+	weights := make([]uint64, len(syms))
+	for i, s := range syms {
+		weights[i] = freq[s]
+	}
+	return new(Scratch).build(syms, weights)
+}
+
+// codeLen reports the code length of symbol s, 0 outside the alphabet.
+func codeLen(e *Encoder, s int) int {
+	c, _ := e.lookup(s)
+	return int(c.n)
+}
+
+// lengthsTable serializes a symbol→length map in AppendTable's layout,
+// whether or not the lengths form a valid code.
+func lengthsTable(lengths map[int]uint8) []byte {
+	table := bitstream.AppendUvarint(nil, uint64(len(lengths)))
+	prev := int64(0)
+	for _, s := range alphabetOf(lengths) {
+		table = bitstream.AppendVarint(table, int64(s)-prev)
+		prev = int64(s)
+		table = append(table, lengths[s])
+	}
+	return table
+}
+
+// newDecoder parses the table of a symbol→length map through a fresh
+// DecodeScratch.
+func newDecoder(lengths map[int]uint8) (*Decoder, error) {
+	return new(DecodeScratch).ReadTable(bitstream.NewByteReader(lengthsTable(lengths)), nil)
 }

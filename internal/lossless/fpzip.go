@@ -63,7 +63,7 @@ func (FPZip) DecompressFloats(src []byte) ([]float64, error) {
 	if n > 1<<32 {
 		return nil, ErrCorrupt
 	}
-	resid, err := huffman.DecodeBytes(br)
+	resid, err := new(huffman.DecodeScratch).DecodeBytesTx(br, nil, nil)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt

@@ -2,10 +2,14 @@ package lossless
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/mdz/mdz/internal/bitstream"
+	"github.com/mdz/mdz/internal/huffman"
 )
 
 func backends() []Backend {
@@ -107,6 +111,45 @@ func TestLZOverlappingMatch(t *testing.T) {
 	}
 	if !bytes.Equal(out, in) {
 		t.Fatal("overlapping-match round trip failed")
+	}
+}
+
+// TestLZRefusesNonAscendingTable: a literal section whose code table lists
+// its symbols out of order, or one symbol twice, is corrupt, as it is for
+// the Huffman section decoders, although the code it describes is complete
+// and the rest of the stream is valid.
+func TestLZRefusesNonAscendingTable(t *testing.T) {
+	cases := []struct {
+		name   string
+		deltas []int64
+		lens   []byte
+	}{
+		// Symbols 5, 3, 7 with code lengths 1, 2, 2; 0x5A decodes to
+		// 5, 3, 7, 5.
+		{"descending", []int64{5, -2, 4}, []byte{1, 2, 2}},
+		// Symbol 3 twice with one-bit codes; 0x5A decodes to 3, 3, 3, 3.
+		{"repeated", []int64{3, 0}, []byte{1, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			table := bitstream.AppendUvarint(nil, uint64(len(tc.deltas)))
+			for i, d := range tc.deltas {
+				table = append(bitstream.AppendVarint(table, d), tc.lens[i])
+			}
+			src := bitstream.AppendUvarint(nil, 4)
+			src = bitstream.AppendSection(src, table)
+			src = bitstream.AppendUvarint(src, 4)
+			src = bitstream.AppendSection(src, []byte{0x5A})
+			// One sequence: a 4-literal run, no match.
+			src, err := huffman.EncodeBytes(src, []byte{4, 0, 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := (LZ{}).Decompress(src); !errors.Is(err, huffman.ErrCorrupt) {
+				t.Errorf("Decompress: err = %v, want huffman.ErrCorrupt", err)
+			}
+			checkLZDecompressDifferential(t, LZ{}, src)
+		})
 	}
 }
 

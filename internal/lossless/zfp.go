@@ -67,7 +67,7 @@ func (ZFP) DecompressFloats(src []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := huffman.DecodeBytes(br)
+	body, err := new(huffman.DecodeScratch).DecodeBytesTx(br, nil, nil)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt
