@@ -38,11 +38,6 @@ type CheckpointState struct {
 
 const checkpointVersion = 1
 
-// checkpointBackend compresses the reference snapshots inside checkpoint
-// payloads. The reference values are quantized reconstructions, so their
-// byte patterns repeat and LZ shrinks them well.
-var checkpointBackend = lossless.LZ{}
-
 // MarshalBinary encodes the checkpoint into the self-contained payload
 // format carried by checkpoint blocks.
 func (st *CheckpointState) MarshalBinary() ([]byte, error) {
@@ -59,8 +54,10 @@ func (st *CheckpointState) MarshalBinary() ([]byte, error) {
 		out = bitstream.AppendFloat64(out, ax.LevelDistance)
 		out = bitstream.AppendFloat64(out, ax.LevelOrigin)
 		out = append(out, byte(ax.Method))
+		// The reference values are quantized reconstructions, so their byte
+		// patterns repeat and LZ shrinks them well.
 		refBytes := bitstream.AppendFloat64s(nil, ax.Ref)
-		packed, err := checkpointBackend.Compress(refBytes)
+		packed, err := lossless.LZ{}.Compress(refBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +119,7 @@ func (st *CheckpointState) unmarshalTx(data []byte, tx *budget.Tx) error {
 			return fmt.Errorf("%w: bad checkpoint reference length", ErrCorruptBlock)
 		}
 		// Charge the float slice up front; the packed bytes' own expansion is
-		// charged inside the budget-aware backend.
+		// charged inside LZ.DecompressTx.
 		if err := tx.Reserve(8 * int64(n)); err != nil {
 			return err
 		}
@@ -130,7 +127,7 @@ func (st *CheckpointState) unmarshalTx(data []byte, tx *budget.Tx) error {
 		if err != nil {
 			return mapBlockErr(err)
 		}
-		refBytes, err := lossless.DecompressTx(checkpointBackend, packed, tx)
+		refBytes, err := lossless.LZ{}.DecompressTx(packed, tx)
 		if err != nil {
 			if errors.Is(err, ErrBudgetExceeded) {
 				return err

@@ -3,27 +3,16 @@ package bench
 import (
 	"testing"
 
+	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/core"
 	"github.com/mdz/mdz/internal/kmeans"
 	"github.com/mdz/mdz/internal/lossless"
 )
 
-// capturingBackend wraps LZ and records every payload the pipeline hands it,
-// so the backend can be re-benchmarked on the exact bytes the VQ pipeline
-// produces rather than on synthetic data.
-type capturingBackend struct {
-	lossless.LZ
-	payloads *[][]byte
-}
-
-func (c capturingBackend) Compress(src []byte) ([]byte, error) {
-	cp := append([]byte(nil), src...)
-	*c.payloads = append(*c.payloads, cp)
-	return c.LZ.Compress(src)
-}
-
 // vqPayloads runs the Copper-B analog through the VQ pipeline (the entropy
-// benchmark's configuration) and returns every lossless-stage input payload.
+// benchmark's configuration) and returns every lossless-stage input
+// payload, so LZ can be re-benchmarked on the exact bytes the VQ pipeline
+// produces rather than on synthetic data.
 func vqPayloads(tb testing.TB) [][]byte {
 	d, err := load("Copper-B", Config{Scale: 1.0, Seed: 42})
 	if err != nil {
@@ -37,7 +26,6 @@ func vqPayloads(tb testing.TB) [][]byte {
 			Method:     core.VQ,
 			Shards:     1,
 			KMeans:     kmeans.Options{Seed: int64(axis) + 1},
-			Backend:    capturingBackend{payloads: &payloads},
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -52,12 +40,44 @@ func vqPayloads(tb testing.TB) [][]byte {
 			axes[2] = append(axes[2], f.Z)
 		}
 		for axis, enc := range encs {
-			if _, err := enc.EncodeBatch(axes[axis]); err != nil {
+			blk, err := enc.EncodeBatch(axes[axis])
+			if err != nil {
 				tb.Fatalf("axis %d: %v", axis, err)
 			}
+			payloads = append(payloads, lzPayload(tb, blk))
 		}
 	}
 	return payloads
+}
+
+// lzPayload returns the lossless-stage input of a single-shard (version 1)
+// block: its one section, LZ-decompressed.
+func lzPayload(tb testing.TB, blk []byte) []byte {
+	br := bitstream.NewByteReader(blk)
+	// Magic, version, method, sequence, first predictor and error bound,
+	// then the quantization scale, snapshot and particle counts, then the
+	// level distance and origin.
+	head, err := br.ReadBytes(16)
+	if err != nil || string(head[:4]) != "MDZB" || head[4] != 1 {
+		tb.Fatalf("not a version-1 block: %v", err)
+	}
+	for i := 0; i < 3 && err == nil; i++ {
+		_, err = br.ReadUvarint()
+	}
+	if err == nil {
+		_, err = br.ReadBytes(16)
+	}
+	var sec, payload []byte
+	if err == nil {
+		sec, err = br.ReadSection()
+	}
+	if err == nil {
+		payload, err = lossless.LZ{}.Decompress(sec)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return payload
 }
 
 func BenchmarkLZCompressVQPayload(b *testing.B) {

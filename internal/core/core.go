@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
@@ -155,8 +154,6 @@ type Params struct {
 	Sequence Sequence
 	// AdaptInterval is the ADP re-evaluation period in batches (default 50).
 	AdaptInterval int
-	// Backend is the final lossless stage (default lossless.LZ).
-	Backend lossless.Backend
 	// KMeans tunes the sampled 1-D clustering for the VQ level model.
 	KMeans kmeans.Options
 	// Shards splits each batch into K contiguous particle shards encoded
@@ -199,7 +196,7 @@ type Params struct {
 	Tel *Telemetry
 	// Budget, when non-nil, bounds the decoder's in-flight allocations that
 	// are driven by claimed lengths in untrusted blocks (output matrices,
-	// entropy payload counts, code tables, backend original sizes). Each
+	// entropy payload counts, code tables, LZ original sizes). Each
 	// DecodeBatch opens one transaction against it; rejections surface as
 	// errors wrapping budget.ErrExceeded, never as corruption. Encoding is
 	// not governed — encoder allocations are proportional to caller input.
@@ -233,9 +230,6 @@ func (p *Params) fill() error {
 	}
 	if p.ADPRetrialInterval < 0 {
 		return fmt.Errorf("core: ADPRetrialInterval must be non-negative, got %d", p.ADPRetrialInterval)
-	}
-	if p.Backend == nil {
-		p.Backend = lossless.LZ{}
 	}
 	return nil
 }
@@ -306,8 +300,6 @@ type Encoder struct {
 type Stats struct {
 	// Batches counts encoded batches; Evaluations counts ADP trials.
 	Batches, Evaluations int
-	// MethodBatches counts batches emitted per concrete method.
-	MethodBatches [4]int
 	// RawBytes and CompressedBytes accumulate totals.
 	RawBytes, CompressedBytes int64
 }
@@ -328,11 +320,6 @@ func NewEncoder(p Params) (*Encoder, error) {
 	e := &Encoder{p: p, q: q, cur: cur}
 	if p.Tel != nil {
 		e.tel = *p.Tel
-		e.p.Backend = lossless.Timed{B: e.p.Backend, OnCompress: func(d time.Duration, in, out int) {
-			e.tel.BackendNS.Observe(d.Nanoseconds())
-			e.tel.BackendInBytes.Add(int64(in))
-			e.tel.BackendOutBytes.Add(int64(out))
-		}}
 	}
 	return e, nil
 }
@@ -403,7 +390,7 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 			e.evalsSinceTrial < e.p.ADPRetrialInterval-1 && e.trialRatio > 0
 		if reuse {
 			var err error
-			out, recon0, err = e.encodeWith(ctx, e.cur, batch)
+			out, recon0, err = e.encodeWith(ctx, e.cur, batch, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -420,7 +407,8 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 		if reuse {
 			// Reused round: no trial ran, so no Evals/Wins/Transitions.
 		} else {
-			if err := e.adaptTrial(ctx, batch, &out, &recon0); err != nil {
+			var err error
+			if out, recon0, err = e.adaptTrial(ctx, batch); err != nil {
 				return nil, err
 			}
 			e.evalsSinceTrial = 0
@@ -432,7 +420,7 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 			m = e.p.Method
 		}
 		var err error
-		out, recon0, err = e.encodeWith(ctx, m, batch)
+		out, recon0, err = e.encodeWith(ctx, m, batch, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +430,6 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 	}
 	e.batch++
 	e.Stats.Batches++
-	e.Stats.MethodBatches[e.cur]++
 	e.Stats.RawBytes += int64(len(batch) * n * 8)
 	e.Stats.CompressedBytes += int64(len(out))
 	e.tel.Batches.Inc()
@@ -450,67 +437,56 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 	return out, nil
 }
 
-// adaptTrial runs one full ADP evaluation round — the VQ/VQT/MT trio
-// (sampled when Params.ADPSampleShards allows) — selects the winner into
-// e.cur and stores the winning full-batch block into *out/*recon0.
-func (e *Encoder) adaptTrial(ctx context.Context, batch [][]float64, out *[]byte, recon0 *[]float64) error {
+// adaptTrial runs one ADP evaluation round. The VQ/VQT/MT trio runs on a
+// shard-prefix sample of the batch when Params.ADPSampleShards allows, else
+// on the whole batch, and the first smallest trial block in VQ, VQT, MT
+// order selects e.cur. A sampled round then encodes the whole batch with
+// the winner; a full round returns the winner's trial block.
+func (e *Encoder) adaptTrial(ctx context.Context, batch [][]float64) (out []byte, recon0 []float64, err error) {
 	e.Stats.Evaluations++
 	e.tel.Evals.Inc()
 	prev := e.cur
-	// The three candidate trial compressions are independent; run them
-	// concurrently on the shared pool and pick the winner in fixed
-	// method order so the selection is deterministic.
-	methods := [...]Method{VQ, VQT, MT}
-	if sub, ok := e.sampleBatch(batch); ok {
-		// Amortized evaluation (Params.ADPSampleShards): judge the trio
-		// on a shard-prefix sub-batch, then encode the full batch once
-		// with the winner. Trial blocks are discarded — only their sizes
-		// compete — so the sub-batch sharing real shard sizes is what
-		// keeps the per-shard overhead fraction representative.
+	trial, shards := batch, 0
+	sub, sampled := e.sampleBatch(batch)
+	if sampled {
+		// Amortized evaluation: only the trial sizes compete, so the
+		// sub-batch keeps the full batch's shard size to keep the per-shard
+		// overhead fraction representative.
 		e.tel.SampledEvals.Inc()
-		var sizes [3]int
-		err := e.p.Pool.RunContext(ctx, len(methods), func(i int) error {
-			blk, _, terr := e.encodeWithShards(ctx, methods[i], sub, e.p.ADPSampleShards)
-			sizes[i] = len(blk)
-			return terr
-		})
-		if err != nil {
-			return err
+		trial, shards = sub, e.p.ADPSampleShards
+	}
+	// The three trial compressions are independent; run them concurrently
+	// on the shared pool and pick the winner in fixed method order so the
+	// selection is deterministic.
+	methods := [...]Method{VQ, VQT, MT}
+	var blks [3][]byte
+	var r0s [3][]float64
+	err = e.p.Pool.RunContext(ctx, len(methods), func(i int) error {
+		var terr error
+		blks[i], r0s[i], terr = e.encodeWith(ctx, methods[i], trial, shards)
+		return terr
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	best := 0
+	for i := range methods {
+		if len(blks[i]) < len(blks[best]) {
+			best = i
 		}
-		bestLen := math.MaxInt
-		for i, m := range methods {
-			if sizes[i] < bestLen {
-				bestLen, e.cur = sizes[i], m
-			}
-		}
-		*out, *recon0, err = e.encodeWith(ctx, e.cur, batch)
-		if err != nil {
-			return err
-		}
-	} else {
-		var blks [3][]byte
-		var r0s [3][]float64
-		err := e.p.Pool.RunContext(ctx, len(methods), func(i int) error {
-			var terr error
-			blks[i], r0s[i], terr = e.encodeWith(ctx, methods[i], batch)
-			return terr
-		})
-		if err != nil {
-			return err
-		}
-		bestLen := math.MaxInt
-		for i, m := range methods {
-			if len(blks[i]) < bestLen {
-				bestLen = len(blks[i])
-				*out, *recon0, e.cur = blks[i], r0s[i], m
-			}
+	}
+	e.cur = methods[best]
+	out, recon0 = blks[best], r0s[best]
+	if sampled {
+		if out, recon0, err = e.encodeWith(ctx, e.cur, batch, 0); err != nil {
+			return nil, nil, err
 		}
 	}
 	e.tel.Wins[e.cur].Inc()
 	if e.cur != prev {
 		e.tel.Transitions.Inc()
 	}
-	return nil
+	return out, recon0, nil
 }
 
 // initLevels runs the sampled optimal k-means once per encoder lifetime.
@@ -558,17 +534,11 @@ func (e *Encoder) sampleBatch(batch [][]float64) ([][]float64, bool) {
 // encoder state: it shards the batch along the particle axis, encodes the
 // shards concurrently (assembled in index order, so bytes are
 // deterministic), and returns the block plus the reconstruction of the
-// batch's first snapshot (the MT reference candidate for batch 0).
-func (e *Encoder) encodeWith(ctx context.Context, m Method, batch [][]float64) (blk []byte, recon0 []float64, err error) {
-	return e.encodeWithShards(ctx, m, batch, 0)
-}
-
-// encodeWithShards is encodeWith with an explicit shard count; shards <= 0
-// resolves the configured count. Sampled ADP trials pass the sample count so
-// trial shards keep the full batch's shard size.
-func (e *Encoder) encodeWithShards(ctx context.Context, m Method, batch [][]float64, shardsOverride int) (blk []byte, recon0 []float64, err error) {
+// batch's first snapshot (the MT reference candidate for batch 0). k is
+// the shard count, k <= 0 resolving the configured one; sampled ADP trials
+// pass the sample count so trial shards keep the full batch's shard size.
+func (e *Encoder) encodeWith(ctx context.Context, m Method, batch [][]float64, k int) (blk []byte, recon0 []float64, err error) {
 	bs, n := len(batch), len(batch[0])
-	k := shardsOverride
 	if k <= 0 {
 		k = e.shardCount(n)
 	} else if k > n {
@@ -639,7 +609,7 @@ func (e *Encoder) encodeWithShards(ctx context.Context, m Method, batch [][]floa
 }
 
 // encodeShard compresses the particle range [lo, hi) of batch with method m
-// into one backend-compressed payload carrying its own Huffman tables and
+// into one LZ-compressed payload carrying its own Huffman tables and
 // level-delta chain. recon0 (length hi-lo) receives the reconstruction of
 // the shard's first snapshot. encodeShard reads but never mutates encoder
 // state, so shards and ADP trials can run concurrently. sc is the calling
@@ -708,7 +678,7 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 				ci += stride
 			}
 		default: // time-based prediction from the previous snapshot
-			rowOut = e.q.QuantizeBlockTime(data, recon, bins, base, stride)
+			rowOut = e.q.QuantizeBlock(data, recon, bins, base, stride, recon)
 		}
 		if rowOut > 0 {
 			// Out-of-scope fix-up: the kernels left the original value in
@@ -734,7 +704,7 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 	sc.recon = recon
 	sc.levels, sc.outliers = levels, outliers
 
-	// Assemble payload sections, then run the lossless backend.
+	// Assemble payload sections, then run the lossless stage.
 	hsw := e.tel.HuffNS.Start()
 	payload, err := sc.huff.EncodeInts(sc.payload[:0], bins)
 	if err != nil {
@@ -749,7 +719,12 @@ func (e *Encoder) encodeShard(ctx context.Context, sc *encodeScratch, m Method, 
 	hsw.Stop()
 	payload = bitstream.AppendSection(payload, outliers)
 	sc.payload = payload
-	return e.p.Backend.Compress(payload)
+	lsw := e.tel.BackendNS.Start()
+	out, err := lossless.LZ{}.Compress(payload)
+	lsw.Stop()
+	e.tel.BackendInBytes.Add(int64(len(payload)))
+	e.tel.BackendOutBytes.Add(int64(len(out)))
+	return out, err
 }
 
 // Decoder decompresses blocks produced by an Encoder. Blocks must be fed in
@@ -760,21 +735,13 @@ type Decoder struct {
 	tel Telemetry // by value: zero struct (all-nil fields) when disabled
 }
 
-// NewDecoder returns a Decoder. Only Backend, Pool and Tel are consulted
-// from p (other parameters are read from block headers); a zero Params
-// selects defaults.
+// NewDecoder returns a Decoder. Only Pool, Tel, Budget and FaultHook are
+// consulted from p (other parameters are read from block headers); a zero
+// Params selects defaults.
 func NewDecoder(p Params) *Decoder {
-	if p.Backend == nil {
-		p.Backend = lossless.LZ{}
-	}
 	d := &Decoder{p: p}
 	if p.Tel != nil {
 		d.tel = *p.Tel
-		d.p.Backend = lossless.Timed{B: d.p.Backend, OnDecompress: func(dur time.Duration, in, out int) {
-			d.tel.BackendNS.Observe(dur.Nanoseconds())
-			d.tel.BackendInBytes.Add(int64(in))
-			d.tel.BackendOutBytes.Add(int64(out))
-		}}
 	}
 	return d
 }
@@ -1134,7 +1101,11 @@ func parseHeader(blk []byte) (*header, error) {
 // claimed values. sc's streams alias its buffers and the payload, and must
 // not outlive its use.
 func (d *Decoder) sections(sc *decodeScratch, body []byte, values int, tx *budget.Tx) error {
-	payload, err := lossless.DecompressTx(d.p.Backend, body, tx)
+	lsw := d.tel.BackendNS.Start()
+	payload, err := lossless.LZ{}.DecompressTx(body, tx)
+	lsw.Stop()
+	d.tel.BackendInBytes.Add(int64(len(body)))
+	d.tel.BackendOutBytes.Add(int64(len(payload)))
 	if err != nil {
 		return corrupt(err)
 	}
@@ -1160,12 +1131,4 @@ func (d *Decoder) sections(sc *decodeScratch, body []byte, values int, tx *budge
 		return ErrCorrupt
 	}
 	return nil
-}
-
-// BlockMethod peeks at a block's concrete method without decoding it.
-func BlockMethod(blk []byte) (Method, error) {
-	if len(blk) < 6 || string(blk[:4]) != blockMagic {
-		return 0, ErrCorrupt
-	}
-	return Method(blk[5]), nil
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"github.com/mdz/mdz/internal/lossless"
 )
 
 // crystalBatch mimics crystalline MD data: values vibrate around
@@ -401,34 +399,12 @@ func TestBlockMethodPeek(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BlockMethod(blk)
+	m, _, _, err := BlockInfo(blk)
 	if err != nil || m != VQT {
-		t.Errorf("BlockMethod = %v, %v", m, err)
+		t.Errorf("BlockInfo method = %v, %v", m, err)
 	}
-	if _, err := BlockMethod([]byte("xx")); err == nil {
+	if _, _, _, err := BlockInfo([]byte("xx")); err == nil {
 		t.Error("short block accepted")
-	}
-}
-
-func TestBackendPluggability(t *testing.T) {
-	data := crystalBatch(10, 200, 16)
-	for _, b := range []lossless.Backend{lossless.Raw{}, lossless.Flate{Level: 6}, lossless.LZ{}} {
-		enc, err := NewEncoder(Params{ErrorBound: 1e-3, Method: VQ, Backend: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := NewDecoder(Params{Backend: b})
-		blk, err := enc.EncodeBatch(data)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		got, err := dec.DecodeBatch(blk)
-		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		if e := maxAbsErr(data, got); e > 1e-3 {
-			t.Errorf("%s: error %v", b.Name(), e)
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ type Telemetry struct {
 	// Values counts quantized values; Outliers the subset that fell out of
 	// quantization scope (the paper's unpredictable points). Encode side.
 	Values, Outliers *telemetry.Counter
-	// Lossless-backend byte flow (uncompressed in, compressed out on
+	// Lossless-stage byte flow (uncompressed in, compressed out on
 	// encode; reversed on decode).
 	BackendInBytes, BackendOutBytes *telemetry.Counter
 	// Batches counts per-axis batch operations (3 per block).

@@ -28,8 +28,6 @@ import (
 	"io"
 	"math"
 	"sync"
-
-	"github.com/mdz/mdz/internal/budget"
 )
 
 // ErrCorrupt is returned when a compressed stream is malformed.
@@ -46,52 +44,11 @@ type Backend interface {
 	Decompress(src []byte) ([]byte, error)
 }
 
-// BudgetedBackend is the optional extension of Backend implemented by
-// codecs that can charge a stream's claimed decode sizes against a budget
-// transaction before allocating for them. DecompressTx with a nil tx must
-// behave exactly like Decompress. Callers discover it by type assertion
-// and fall back to Decompress (ungoverned) when it is absent.
-type BudgetedBackend interface {
-	Backend
-	DecompressTx(src []byte, tx *budget.Tx) ([]byte, error)
-}
-
-// DecompressTx dispatches to b's budget-aware decompressor when it has
-// one, otherwise to plain Decompress. A nil tx always takes the plain
-// path's semantics.
-func DecompressTx(b Backend, src []byte, tx *budget.Tx) ([]byte, error) {
-	if bb, ok := b.(BudgetedBackend); ok {
-		return bb.DecompressTx(src, tx)
-	}
-	return b.Decompress(src)
-}
-
 // FloatCompressor compresses float64 arrays losslessly.
 type FloatCompressor interface {
 	Name() string
 	CompressFloats(src []float64) ([]byte, error)
 	DecompressFloats(src []byte) ([]float64, error)
-}
-
-// Raw is the identity Backend, useful for isolating earlier pipeline stages
-// in benchmarks.
-type Raw struct{}
-
-// Name implements Backend.
-func (Raw) Name() string { return "raw" }
-
-// Compress implements Backend (identity).
-func (Raw) Compress(src []byte) ([]byte, error) {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
-}
-
-// Decompress implements Backend (identity).
-func (Raw) Decompress(src []byte) ([]byte, error) {
-	out := make([]byte, len(src))
-	copy(out, src)
-	return out, nil
 }
 
 // Flate is a DEFLATE Backend at a configurable level. Level 9 serves as the

@@ -60,15 +60,17 @@ func (FPZip) DecompressFloats(src []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<32 {
-		return nil, ErrCorrupt
-	}
 	resid, err := new(huffman.DecodeScratch).DecodeBytesTx(br, nil, nil)
 	if err != nil {
 		if errors.Is(err, huffman.ErrByteRange) {
 			err = ErrCorrupt
 		}
 		return nil, err
+	}
+	// Every value has a residual varint of at least one byte, so the
+	// residuals bound the count before it sizes the output.
+	if n > uint64(len(resid)) {
+		return nil, ErrCorrupt
 	}
 	rr := bitstream.NewByteReader(resid)
 	out := make([]float64, n)

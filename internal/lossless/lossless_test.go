@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +14,7 @@ import (
 )
 
 func backends() []Backend {
-	return []Backend{Raw{}, Flate{Level: 6}, Flate{Level: 9, Label: "brotli*"}, Zlib{}, LZ{}}
+	return []Backend{Flate{Level: 6}, Flate{Level: 9, Label: "brotli*"}, Zlib{}, LZ{}}
 }
 
 func floatCompressors() []FloatCompressor {
@@ -287,8 +288,11 @@ func TestZFPSmoothBeatsRaw(t *testing.T) {
 }
 
 func TestFloatAdapterRejectsMisaligned(t *testing.T) {
-	a := FloatAdapter{B: Raw{}}
-	if _, err := a.DecompressFloats([]byte{1, 2, 3}); err == nil {
+	comp, err := Zlib{}.Compress([]byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (FloatAdapter{B: Zlib{}}).DecompressFloats(comp); err == nil {
 		t.Error("expected error for misaligned byte count")
 	}
 }
@@ -297,6 +301,37 @@ func TestFPCCorrupt(t *testing.T) {
 	comp, _ := FPC{}.CompressFloats(mdLikeFloats(100, 1))
 	if _, err := (FPC{}).DecompressFloats(comp[:len(comp)/2]); err == nil {
 		t.Error("expected error on truncated FPC stream")
+	}
+}
+
+// TestForgedValueCountNoAlloc: a ZFP or fpzip stream claiming 2^22 values
+// that its bytes cannot hold (a ZFP flag byte per four values, an fpzip
+// varint byte per value) is corrupt before its output is sized.
+func TestForgedValueCountNoAlloc(t *testing.T) {
+	const claim = 1 << 22
+	zfp := bitstream.AppendSection(bitstream.AppendUvarint(nil, claim), []byte{1})
+	zfp, err := huffman.EncodeBytes(zfp, []byte{0, 0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpz, err := huffman.EncodeBytes(bitstream.AppendUvarint(nil, claim), []byte{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		c   FloatCompressor
+		src []byte
+	}{{ZFP{}, zfp}, {FPZip{}, fpz}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.c.DecompressFloats(tc.src)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %d values claimed in %d bytes: err %v, want ErrCorrupt", tc.c.Name(), claim, len(tc.src), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %d values claimed in %d bytes: allocated %d bytes", tc.c.Name(), claim, len(tc.src), got)
+		}
 	}
 }
 

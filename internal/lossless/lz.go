@@ -233,9 +233,9 @@ func (z LZ) Decompress(src []byte) ([]byte, error) {
 	return z.AppendDecompress(nil, src)
 }
 
-// DecompressTx implements BudgetedBackend: the stream's declared original
-// size and its literal/sequence section lengths are charged against tx
-// before being allocated for.
+// DecompressTx is Decompress with the stream's declared original size and
+// its literal/sequence section lengths charged against tx before being
+// allocated for. A nil tx charges nothing.
 func (z LZ) DecompressTx(src []byte, tx *budget.Tx) ([]byte, error) {
 	return z.appendDecompressTx(nil, src, tx)
 }

@@ -60,12 +60,14 @@ func (ZFP) DecompressFloats(src []byte) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<32 {
-		return nil, ErrCorrupt
-	}
 	flags, err := br.ReadSection()
 	if err != nil {
 		return nil, err
+	}
+	// Every block of zfpBlock values has a flag byte, so the flags bound the
+	// count before it sizes the output.
+	if n > zfpBlock*uint64(len(flags)) {
+		return nil, ErrCorrupt
 	}
 	body, err := new(huffman.DecodeScratch).DecodeBytesTx(br, nil, nil)
 	if err != nil {

@@ -24,38 +24,16 @@ import (
 
 // QuantizeBlock quantizes data[i] against preds[i], writing the bin code to
 // codes[base+i*stride] and the reconstruction to recon[i]. It returns the
-// number of out-of-scope values (code Reserved, recon[i] = data[i]).
+// number of out-of-scope values (code Reserved, recon[i] = data[i]). preds
+// and recon may be the same slice: preds[i] is read before recon[i] is
+// written, so time-chained rows predict from the previous row's
+// reconstruction and overwrite it in place.
 func (q *Quantizer) QuantizeBlock(data, preds []float64, codes []int, base, stride int, recon []float64) int {
 	eb, twoEB, maxMag, mid := q.eb, q.twoEB, float64(q.maxMag), q.mid
 	nOut := 0
 	ci := base
 	for i, d := range data {
 		pred := preds[i]
-		k := math.Round((d - pred) / twoEB)
-		rec := pred + k*twoEB
-		if math.Abs(k) > maxMag || math.IsNaN(k) || math.Abs(rec-d) > eb || math.IsInf(rec, 0) {
-			codes[ci] = Reserved
-			recon[i] = d
-			nOut++
-		} else {
-			codes[ci] = int(k) + mid
-			recon[i] = rec
-		}
-		ci += stride
-	}
-	return nOut
-}
-
-// QuantizeBlockTime is QuantizeBlock fused with previous-snapshot
-// prediction: recon holds the reconstructed previous row on entry and the
-// reconstructed current row on return, so time-chained encoding needs just
-// one reconstruction buffer and no swap.
-func (q *Quantizer) QuantizeBlockTime(data []float64, recon []float64, codes []int, base, stride int) int {
-	eb, twoEB, maxMag, mid := q.eb, q.twoEB, float64(q.maxMag), q.mid
-	nOut := 0
-	ci := base
-	for i, d := range data {
-		pred := recon[i]
 		k := math.Round((d - pred) / twoEB)
 		rec := pred + k*twoEB
 		if math.Abs(k) > maxMag || math.IsNaN(k) || math.Abs(rec-d) > eb || math.IsInf(rec, 0) {

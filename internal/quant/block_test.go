@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,6 +37,49 @@ func encodedRow(q *Quantizer, n, stride int, vq bool) (codes, levels []int, pred
 		}
 	}
 	return codes, levels, preds, outliers
+}
+
+// TestQuantizeBlockInPlace: predicting from recon and overwriting it, as
+// time-chained rows do, gives the codes and reconstruction of a call with
+// separate prediction and output buffers, outliers included.
+func TestQuantizeBlockInPlace(t *testing.T) {
+	q, err := New(1e-3, DefaultScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, stride = 4096, 3
+	rng := rand.New(rand.NewSource(2))
+	prev := make([]float64, n)
+	data := make([]float64, n)
+	for i := range data {
+		prev[i] = rng.Float64() * 10
+		data[i] = prev[i] + rng.NormFloat64()*0.05
+		if rng.Float64() < 0.01 {
+			data[i] += rng.NormFloat64() * 1e12
+		}
+	}
+	codes := make([]int, n*stride)
+	recon := make([]float64, n)
+	wantOut := q.QuantizeBlock(data, prev, codes, 1, stride, recon)
+
+	inPlace := append([]float64(nil), prev...)
+	got := make([]int, n*stride)
+	if out := q.QuantizeBlock(data, inPlace, got, 1, stride, inPlace); out != wantOut {
+		t.Fatalf("in place: %d out-of-scope values, want %d", out, wantOut)
+	}
+	if wantOut == 0 {
+		t.Fatal("no out-of-scope values exercised")
+	}
+	for i := range codes {
+		if got[i] != codes[i] {
+			t.Fatalf("in place: code %d = %d, want %d", i, got[i], codes[i])
+		}
+	}
+	for i := range recon {
+		if math.Float64bits(inPlace[i]) != math.Float64bits(recon[i]) {
+			t.Fatalf("in place: recon %d = %v, want %v", i, inPlace[i], recon[i])
+		}
+	}
 }
 
 // BenchmarkDequantizeBlock times both dequantize kernels on one Seq-2 row

@@ -1,6 +1,7 @@
 package mdz
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -24,6 +25,7 @@ var kernelGolden = map[string]string{
 	"MT/Seq-1":     "1772fbf67670ec1a3b168f615adb852193a1e374d23f11cf2b56fa0038c79dc9",
 	"MT/Seq-2":     "6347859375efaba9fb54fa476fcf24fc4be961d34751a063e69dcb69fc2ec109",
 	"ADP/shards=4": "c18871cb17f48a341adac9bcef51d0057c484e4b2b8e403b4c93baf8298e003f",
+	"ADP/sampled":  "2833b59f9ee8e80cc39965832b8de7b56fe6409faa6f87d6c8ce1e627fd5bf69",
 	"MT/outliers":  "4b26293f10e7838ba545f8743602ad5c8e008dc150d98c9ff1ac28fcddb5d36d",
 	"VQ/outliers":  "d084c53f0477c263bbce720c487696d294a9380871e46b71c70948c9538d014d",
 }
@@ -55,6 +57,9 @@ func kernelCases() map[string][]byte {
 		panic(err)
 	}
 	out["ADP/shards=4"] = blk
+	// A multi-batch stream whose ADP rounds run on a one-shard sample, then
+	// re-encode the whole batch with the winner.
+	out["ADP/sampled"] = sampledADPStream(frames)
 	// Outlier-heavy input: NaNs and huge jumps force the out-of-scope path
 	// (Reserved codes + exact storage) through the kernels' fix-up pass.
 	spiky := makeFrames(4, 256, 8)
@@ -78,6 +83,27 @@ func kernelCases() map[string][]byte {
 		out[fmt.Sprintf("%v/outliers", m)] = blk
 	}
 	return out
+}
+
+// sampledADPStream writes frames as a stream of two-snapshot batches with
+// ADP re-evaluated every other batch on a one-shard sample.
+func sampledADPStream(frames []Frame) []byte {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Config{
+		ErrorBound: 1e-3, Shards: 4, ADPSampleShards: 1, AdaptInterval: 2, BufferSize: 2,
+	})
+	if err != nil {
+		panic(err)
+	}
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
+			panic(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // TestKernelByteInvariance asserts the fused predict+quantize kernels and

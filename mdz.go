@@ -39,7 +39,6 @@ import (
 	"github.com/mdz/mdz/internal/budget"
 	"github.com/mdz/mdz/internal/core"
 	"github.com/mdz/mdz/internal/kmeans"
-	"github.com/mdz/mdz/internal/lossless"
 	"github.com/mdz/mdz/internal/pool"
 	"github.com/mdz/mdz/internal/quant"
 	"github.com/mdz/mdz/internal/telemetry"
@@ -526,7 +525,7 @@ func NewDecompressorWith(opts DecompressorOptions) *Decompressor {
 	d.bud.SetTelemetry(d.reg.Counter("budget.rejections"))
 	tel := core.DecoderInstruments(d.reg)
 	for i := range d.dec {
-		d.dec[i] = core.NewDecoder(core.Params{Backend: lossless.LZ{}, Pool: d.pool, Tel: tel, Budget: d.bud})
+		d.dec[i] = core.NewDecoder(core.Params{Pool: d.pool, Tel: tel, Budget: d.bud})
 	}
 	return d
 }

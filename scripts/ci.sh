@@ -75,5 +75,7 @@ make fuzz-short FUZZTIME=10s
 
 # Seek and ReadRange under the race detector, twice: each jump reseeds the
 # per-axis decoders from a checkpoint and then decodes on the shared worker
-# pool, so a reseed that raced with a shard decode would show here.
-go test -race -count=2 -run 'TestSeekIndexedStream|TestReadRangeWindows' .
+# pool, so a reseed that raced with a shard decode would show here. The
+# replayed-frame case seeks through a Resync index rebuild of a damaged
+# stream.
+go test -race -count=2 -run 'TestSeekIndexedStream|TestReadRangeWindows|TestSeekReplayedFrame' .

@@ -1,7 +1,6 @@
 package mdz
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -11,8 +10,8 @@ import (
 // Random access
 //
 // Seek and ReadRange give O(1) windowed access to a framed stream on an
-// io.ReadSeeker: the seek table (or a header-only scan rebuild for streams
-// written without one) maps a snapshot index to the data frame holding it;
+// io.ReadSeeker: the seek table (or an index walk of the frame headers for
+// streams written without one) maps a snapshot index to the data frame holding it;
 // the nearest preceding checkpoint frame is fetched by offset and imported
 // to reseed decoder state; and the reader jumps straight to the target
 // frame — nothing in the skipped prefix is decoded. The only cross-block
@@ -33,8 +32,8 @@ const seekTailWindow = 1 << 20
 // Seek positions the Reader so the next ReadFrame returns the snapshot
 // with the given stream-wide index (0-based). It requires the source to be
 // an io.ReadSeeker and the stream to be v2 framed. The frame index is
-// loaded from the stream's seek table when present, else rebuilt by a
-// header-only scan (no payload is decoded); decoder state is reseeded from
+// loaded from the stream's seek table when present, else rebuilt by an
+// index walk (no payload is decoded); decoder state is reseeded from
 // the nearest checkpoint at or before the target, falling back — in Resync
 // mode, with the damage accounted in SalvageStats — to earlier checkpoints
 // or to decoding block 0 when a checkpoint is corrupt. Seeking past the
@@ -232,15 +231,10 @@ func (r *Reader) jumpTo(e SeekEntry, skip int) error {
 	if _, err := r.srcSeeker.Seek(e.Offset, io.SeekStart); err != nil {
 		return r.fail(err)
 	}
-	r.buf = r.buf[:0]
-	r.pos = 0
-	r.off = e.Offset
-	r.srcErr = nil
+	r.frameWalker = frameWalker{src: r.src, buf: r.buf[:0], off: e.Offset, nextSeq: e.Seq}
 	r.queue = nil
-	r.nextSeq = e.Seq
 	r.await = false
 	r.scanning = false
-	r.trailer = false
 	r.seeked = true
 	r.skipSnaps = skip
 	return nil
@@ -248,19 +242,22 @@ func (r *Reader) jumpTo(e SeekEntry, skip int) error {
 
 // ensureIndex makes r.index available: from the stream's seek-table frame
 // when one validates (a constant-size read of the stream tail), else by
-// the header-only scan rebuild. The result is cached for the Reader's
-// lifetime.
+// an index walk of the frames from the stream start — the rebuild for
+// streams written without SeekIndex. A strict reader's walk fails on any
+// framing fault; a Resync reader's walk follows the Resync rules, so the
+// frames Seek can reach are the frames a sequential read delivers. The
+// result is cached for the Reader's lifetime.
 func (r *Reader) ensureIndex() error {
 	if r.indexLoaded {
 		return nil
 	}
-	if idx, ok := r.loadIndexTail(); ok {
-		r.index, r.indexLoaded = idx, true
-		return nil
-	}
-	idx, err := r.rebuildIndex()
-	if err != nil {
-		return err
+	idx, ok := r.loadIndexTail()
+	if !ok {
+		ix, err := walkIndex(r.srcSeeker, !r.resync)
+		if err != nil {
+			return err
+		}
+		idx = ix.entries
 	}
 	r.index, r.indexLoaded = idx, true
 	return nil
@@ -268,7 +265,7 @@ func (r *Reader) ensureIndex() error {
 
 // loadIndexTail reads the stream's tail window and searches backwards for
 // a valid seek-table frame. ok is false — never an error — when no intact
-// table is found; callers fall back to the scan rebuild.
+// table is found; callers fall back to the index walk.
 func (r *Reader) loadIndexTail() ([]SeekEntry, bool) {
 	size, err := r.srcSeeker.Seek(0, io.SeekEnd)
 	if err != nil {
@@ -319,219 +316,107 @@ func (r *Reader) loadIndexTail() ([]SeekEntry, bool) {
 	return nil, false
 }
 
-// rebuildIndex reconstructs the frame index by walking frame headers from
-// the stream start — the fallback for streams written without SeekIndex.
-// Only headers and the leading block geometry are parsed; nothing is
-// decoded. In Resync mode damaged regions are skipped (those frames are
-// unreachable by Seek but everything after the next sync marker is
-// indexed); a strict reader propagates the corruption instead.
-func (r *Reader) rebuildIndex() ([]SeekEntry, error) {
-	if _, err := r.srcSeeker.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	sc := newStreamScanner(r.srcSeeker)
-	if err := sc.open(); err != nil {
-		return nil, err
-	}
-	entries, _, err := sc.scan(!r.resync)
-	if err != nil {
-		return nil, err
-	}
-	return entries, nil
+// frameIndex is what an index walk finds.
+type frameIndex struct {
+	// entries holds a seek entry for each data and checkpoint frame.
+	entries []SeekEntry
+	// seekTable reports that the walk met a seek-table frame.
+	seekTable bool
+	// hasTrailer reports that the walk met the trailer frame, found at
+	// trailerOff with sequence number trailerSeq and payload trailer.
+	hasTrailer bool
+	trailerOff int64
+	trailerSeq uint32
+	trailer    []byte
 }
 
-// scannedTrailer captures the trailer frame found by a scan.
-type scannedTrailer struct {
-	off     int64
-	seq     uint32
-	payload []byte
-}
-
-// streamScanner walks the frames of a v2 container reading only wire
-// bytes (headers, CRCs, block geometry) — the index-rebuild and retrofit
-// engine.
-type streamScanner struct {
-	br   *bufio.Reader
-	off  int64
-	body bytes.Buffer // frame body scratch, reused across frames
-	// hasIndex reports that the scan encountered an existing seek-table
-	// frame.
-	hasIndex bool
-}
-
-func newStreamScanner(src io.Reader) *streamScanner {
-	return &streamScanner{br: bufio.NewReaderSize(src, 1<<20)}
-}
-
-// open validates the stream magic. v1 streams are rejected: they have no
-// frames to index.
-func (s *streamScanner) open() error {
-	var magic [4]byte
-	if _, err := io.ReadFull(s.br, magic[:]); err != nil {
-		return fmt.Errorf("%w: stream cut inside the magic", ErrTruncated)
+// walkIndex indexes src from its start with a fresh frameWalker. A v1
+// stream has no frames to index.
+func walkIndex(src io.ReadSeeker, strict bool) (frameIndex, error) {
+	if _, err := src.Seek(0, io.SeekStart); err != nil {
+		return frameIndex{}, err
 	}
-	switch string(magic[:]) {
-	case streamMagicV2:
-	case streamMagic:
-		return fmt.Errorf("%w: v1 streams carry no frame index", ErrNotSeekable)
-	default:
-		return fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)
+	w := &frameWalker{src: src}
+	v2, err := w.magic()
+	switch {
+	case err == io.EOF:
+		return frameIndex{}, fmt.Errorf("mdz: empty stream: %w", ErrTruncated)
+	case err != nil:
+		return frameIndex{}, err
+	case !v2:
+		return frameIndex{}, fmt.Errorf("%w: v1 streams carry no frame index", ErrNotSeekable)
 	}
-	s.off = 4
-	return nil
+	return w.index(strict)
 }
 
-// scan walks every frame to the end of input, returning seek entries for
-// the data and checkpoint frames and the trailer if one was found. In
-// strict mode any framing violation (bad sync, CRC, sequence break,
-// truncation, bytes after the trailer) is an error; in lenient mode the
-// scanner resynchronizes past damage like a salvage reader and returns
-// whatever it could index.
-func (s *streamScanner) scan(strict bool) ([]SeekEntry, *scannedTrailer, error) {
-	var entries []SeekEntry
-	var trailer *scannedTrailer
+// index walks the frames from the cursor to the trailer or the end of
+// input, reading only headers, CRCs and block geometry, and indexes the
+// data and checkpoint frames. Input that ends cleanly on a frame boundary
+// is indexed without error, trailer or not: a live container is such a
+// stream. A strict walk fails on any other framing fault, bytes after the
+// trailer included. A lenient walk follows the Reader's Resync rules: it
+// scans past damage to the next sync marker, drops replayed frames, accepts
+// sequence jumps, and ends at the trailer or at a truncation with what it
+// has indexed.
+func (w *frameWalker) index(strict bool) (frameIndex, error) {
+	var ix frameIndex
 	var snaps int64
-	seq := uint32(0)
-	seqKnown := true
-	for {
-		hdr, err := s.br.Peek(frameHeaderSize)
+	for !ix.hasTrailer {
+		off := w.off
+		fp, err := w.parseFrame()
+		switch err {
+		case nil:
+		case io.EOF:
+			return ix, nil
+		case errFrameTruncated:
+			if strict {
+				return ix, w.cutErr()
+			}
+			return ix, nil
+		case errNotFrame:
+			if strict {
+				return ix, w.notFrameErr(off)
+			}
+			w.scanSync()
+			continue
+		default:
+			return ix, err
+		}
+		drop, _, err := w.sequence(fp, off, strict)
 		if err != nil {
-			if len(hdr) == 0 {
-				return entries, trailer, nil // clean end of input
-			}
-			if strict {
-				return nil, nil, fmt.Errorf("%w: stream cut inside a frame header", ErrTruncated)
-			}
-			return entries, trailer, nil
+			return ix, err
 		}
-		if trailer != nil {
-			if strict {
-				return nil, nil, fmt.Errorf("%w: bytes after the stream trailer", ErrCorruptBlock)
-			}
-			return entries, trailer, nil
-		}
-		h, ok := checkFrameHeader(hdr)
-		if !ok {
-			if strict {
-				return nil, nil, &CorruptBlockError{
-					Block: seq, Offset: s.off,
-					Cause: fmt.Errorf("%w: frame sync/CRC validation failed", ErrCorruptBlock),
-				}
-			}
-			if !s.skipToSync() {
-				return entries, trailer, nil
-			}
-			seqKnown = false
+		if drop {
 			continue
 		}
-		if seqKnown && h.seq != seq {
-			if strict {
-				return nil, nil, &CorruptBlockError{
-					Block: seq, Offset: s.off,
-					Cause: fmt.Errorf("%w: frame sequence %d (want %d)", ErrCorruptBlock, h.seq, seq),
-				}
-			}
-			// Sequence break on an individually valid frame: accept it and
-			// continue from its numbering, like the salvage reader.
-		}
-		frameOff := s.off
-		if _, err := s.br.Discard(frameHeaderSize); err != nil {
-			return entries, trailer, scanIOErr(strict, err)
-		}
-		s.off += frameHeaderSize
-		body, err := s.readBody(h.n + frameCRCSize)
-		if err != nil {
-			if strict {
-				return nil, nil, fmt.Errorf("%w: stream cut inside frame %d", ErrTruncated, h.seq)
-			}
-			return entries, trailer, nil
-		}
-		s.off += int64(len(body))
-		payload, ok := checkFramePayload(body)
-		if !ok {
-			if strict {
-				return nil, nil, &CorruptBlockError{
-					Block: h.seq, Offset: frameOff,
-					Cause: fmt.Errorf("%w: frame payload CRC mismatch", ErrCorruptBlock),
-				}
-			}
-			seqKnown = false
-			continue
-		}
-		seq = h.seq + 1
-		seqKnown = true
-		switch h.typ {
+		switch fp.typ {
 		case frameData:
-			bs, berr := blockSnapshots(payload)
-			if berr != nil {
+			bs, err := blockSnapshots(fp.payload)
+			if err != nil {
 				if strict {
-					return nil, nil, &CorruptBlockError{Block: h.seq, Offset: frameOff, Cause: berr}
+					return ix, &CorruptBlockError{Block: fp.seq, Offset: off, Cause: err}
 				}
 				continue
 			}
-			entries = append(entries, SeekEntry{
-				Offset: frameOff, Seq: h.seq, Type: frameData,
+			ix.entries = append(ix.entries, SeekEntry{
+				Offset: off, Seq: fp.seq, Type: frameData,
 				SnapFrom: snaps, SnapCount: bs,
 			})
 			snaps += int64(bs)
 		case frameCheckpoint:
-			entries = append(entries, SeekEntry{
-				Offset: frameOff, Seq: h.seq, Type: frameCheckpoint, SnapFrom: snaps,
+			ix.entries = append(ix.entries, SeekEntry{
+				Offset: off, Seq: fp.seq, Type: frameCheckpoint, SnapFrom: snaps,
 			})
 		case frameSeekIndex:
-			s.hasIndex = true
+			ix.seekTable = true
 		case frameTrailer:
-			trailer = &scannedTrailer{
-				off: frameOff, seq: h.seq,
-				payload: append([]byte(nil), payload...),
-			}
+			ix.hasTrailer = true
+			ix.trailerOff, ix.trailerSeq = off, fp.seq
+			ix.trailer = append([]byte(nil), fp.payload...)
 		}
 	}
-}
-
-// readBody reads the next n bytes into s.body. The buffer grows only with
-// the bytes actually read, so a forged frame length cannot size an
-// allocation.
-func (s *streamScanner) readBody(n int) ([]byte, error) {
-	s.body.Reset()
-	_, err := io.CopyN(&s.body, s.br, int64(n))
-	return s.body.Bytes(), err
-}
-
-// skipToSync discards at least one byte, then everything up to the next
-// sync-marker candidate, reporting false at end of input.
-func (s *streamScanner) skipToSync() bool {
-	if _, err := s.br.Discard(1); err != nil {
-		return false
+	if strict && w.fillTo(1) {
+		return ix, fmt.Errorf("%w: bytes after the stream trailer", ErrCorruptBlock)
 	}
-	s.off++
-	for {
-		b, err := s.br.Peek(4096)
-		if i := bytes.Index(b, frameSync[:]); i >= 0 {
-			s.br.Discard(i)
-			s.off += int64(i)
-			return true
-		}
-		if err != nil || len(b) < len(frameSync) {
-			// Keep a possible marker prefix at the tail; if no more input
-			// arrives the scan is over.
-			if err != nil {
-				return false
-			}
-		}
-		drop := len(b) - (len(frameSync) - 1)
-		if drop <= 0 {
-			return false
-		}
-		s.br.Discard(drop)
-		s.off += int64(drop)
-	}
-}
-
-// scanIOErr classifies an unexpected mid-scan read failure.
-func scanIOErr(strict bool, err error) error {
-	if !strict {
-		return nil
-	}
-	return err
+	return ix, nil
 }

@@ -59,19 +59,14 @@ func frameSlicesEqual(a, b []Frame) bool {
 	return true
 }
 
-// scanEntries runs the header-only scanner over a stream, returning its
-// entries and trailer.
-func scanEntries(t *testing.T, data []byte) ([]SeekEntry, *scannedTrailer) {
+// strictIndex runs a strict index walk over a stream.
+func strictIndex(t *testing.T, data []byte) frameIndex {
 	t.Helper()
-	sc := newStreamScanner(bytes.NewReader(data))
-	if err := sc.open(); err != nil {
-		t.Fatal(err)
-	}
-	entries, trailer, err := sc.scan(true)
+	ix, err := walkIndex(bytes.NewReader(data), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entries, trailer
+	return ix
 }
 
 func TestSeekIndexedStream(t *testing.T) {
@@ -159,6 +154,37 @@ func TestReadRangeWindows(t *testing.T) {
 	}
 }
 
+// TestSeekReplayedFrame: on an unindexed stream whose data frame 1 is
+// replayed, a Resync Reader's Seek drops the replay when it rebuilds the
+// index, as its sequential read does. Indexing the replay would shift
+// every later target back by one block.
+func TestSeekReplayedFrame(t *testing.T) {
+	frames := makeFrames(30, 100, 41)
+	for _, interval := range []int{0, 2} {
+		clean := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 3, CheckpointInterval: interval})
+		want := readAllSerial(t, clean)
+		replayed, _ := spliceReplay(t, clean, 1)
+		resync := ReaderOptions{Resync: true}
+		for target := range want {
+			r := NewReaderWith(bytes.NewReader(replayed), resync)
+			if err := r.Seek(target); err != nil {
+				t.Fatalf("interval %d: Seek(%d): %v", interval, target, err)
+			}
+			got, err := r.ReadFrame()
+			if err != nil {
+				t.Fatalf("interval %d: ReadFrame after Seek(%d): %v", interval, target, err)
+			}
+			if !framesExactEqual(got, want[target]) {
+				t.Fatalf("interval %d: Seek(%d) delivered the wrong snapshot", interval, target)
+			}
+		}
+		got, err := NewReaderWith(bytes.NewReader(replayed), resync).ReadRange(9, 12)
+		if err != nil || !frameSlicesEqual(got, want[9:12]) {
+			t.Fatalf("interval %d: ReadRange(9, 12): %d frames, err %v", interval, len(got), err)
+		}
+	}
+}
+
 func TestReadRangeValidation(t *testing.T) {
 	data := writeSeekStream(t, makeFrames(8, 50, 3), Config{ErrorBound: 1e-3, BufferSize: 4, SeekIndex: true})
 	r := NewReader(bytes.NewReader(data))
@@ -217,11 +243,11 @@ func TestSeekIndexWireEquivalence(t *testing.T) {
 	indexed.SeekIndex = true
 	withIdx := writeSeekStream(t, frames, indexed)
 
-	_, trailer := scanEntries(t, plain)
-	if trailer == nil {
+	ix := strictIndex(t, plain)
+	if !ix.hasTrailer {
 		t.Fatal("no trailer in plain stream")
 	}
-	if !bytes.Equal(plain[:trailer.off], withIdx[:trailer.off]) {
+	if !bytes.Equal(plain[:ix.trailerOff], withIdx[:ix.trailerOff]) {
 		t.Fatal("indexed stream's frame prefix differs from the unindexed stream")
 	}
 
@@ -274,13 +300,12 @@ func TestSeekIndexSalvageCompat(t *testing.T) {
 
 	// Corrupt the seek-table payload: strict readers fail, salvage readers
 	// lose zero data frames, and Seek falls back to the scan rebuild.
-	entries, trailer := scanEntries(t, data)
-	_ = entries
-	if trailer == nil {
+	ix := strictIndex(t, data)
+	if !ix.hasTrailer {
 		t.Fatal("no trailer")
 	}
 	// The seek frame sits directly before the trailer; find it backwards.
-	idxOff := int64(bytes.LastIndex(data[:trailer.off], frameSync[:]))
+	idxOff := int64(bytes.LastIndex(data[:ix.trailerOff], frameSync[:]))
 	if idxOff < 0 || data[idxOff+4] != frameSeekIndex {
 		t.Fatalf("seek frame not found before trailer (off %d type %d)", idxOff, data[idxOff+4])
 	}
@@ -315,7 +340,7 @@ func TestSeekUnderCorruptCheckpoint(t *testing.T) {
 	frames := makeFrames(60, 150, 23)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 5, CheckpointInterval: 2, SeekIndex: true})
 	want := readAllSerial(t, data)
-	entries, _ := scanEntries(t, data)
+	entries := strictIndex(t, data).entries
 
 	// Locate the last checkpoint entry before the target snapshot.
 	const target = 54
@@ -416,7 +441,7 @@ func TestPipelinedReaderDifferential(t *testing.T) {
 func TestPipelinedReaderErrorParity(t *testing.T) {
 	frames := makeFrames(40, 120, 31)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4})
-	entries, _ := scanEntries(t, data)
+	entries := strictIndex(t, data).entries
 	var datas []SeekEntry
 	for _, e := range entries {
 		if e.Type == frameData {
@@ -673,15 +698,15 @@ func TestReadAllForgedSeekTotal(t *testing.T) {
 	frames := makeFrames(4, 30, 5)
 	data := writeSeekStream(t, frames, Config{ErrorBound: 1e-3, BufferSize: 4, SeekIndex: true})
 	want := readAllSerial(t, data)
-	_, trailer := scanEntries(t, data)
-	if trailer == nil {
+	ix := strictIndex(t, data)
+	if !ix.hasTrailer {
 		t.Fatal("no trailer")
 	}
-	idxOff := int64(bytes.LastIndex(data[:trailer.off], frameSync[:]))
+	idxOff := int64(bytes.LastIndex(data[:ix.trailerOff], frameSync[:]))
 	if idxOff < 0 || data[idxOff+4] != frameSeekIndex {
 		t.Fatalf("seek frame not found before trailer (off %d)", idxOff)
 	}
-	entries, err := parseSeekIndex(data[idxOff+frameHeaderSize : trailer.off-frameCRCSize])
+	entries, err := parseSeekIndex(data[idxOff+frameHeaderSize : ix.trailerOff-frameCRCSize])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +715,7 @@ func TestReadAllForgedSeekTotal(t *testing.T) {
 	claimed := last.SnapFrom + 1<<24
 	seq := binary.LittleEndian.Uint32(data[idxOff+5:])
 	forged := appendWireFrame(append([]byte(nil), data[:idxOff]...), frameSeekIndex, seq, appendSeekIndex(nil, entries))
-	forged = append(forged, data[trailer.off:]...)
+	forged = append(forged, data[ix.trailerOff:]...)
 	if idx, ok := NewReader(bytes.NewReader(forged)).loadIndexTail(); !ok || seekIndexSnapshots(idx) != claimed {
 		t.Fatalf("forged seek table not loadable (ok %v)", ok)
 	}

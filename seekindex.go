@@ -165,21 +165,14 @@ func findSeekEntry(entries []SeekEntry, snapshot int64) (data SeekEntry, cp *See
 // rejected: salvage first, then index). Returns the number of indexed
 // frames.
 func RetrofitSeekIndex(src io.ReadSeeker, dst io.Writer) (int, error) {
-	if _, err := src.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	sc := newStreamScanner(src)
-	if err := sc.open(); err != nil {
-		return 0, err
-	}
-	entries, trailer, err := sc.scan(true)
+	ix, err := walkIndex(src, true)
 	if err != nil {
 		return 0, err
 	}
-	if trailer == nil {
+	if !ix.hasTrailer {
 		return 0, fmt.Errorf("mdz: stream has no trailer: %w", ErrTruncated)
 	}
-	if sc.hasIndex {
+	if ix.seekTable {
 		return 0, errors.New("mdz: stream already carries a seek table")
 	}
 	// Copy everything up to the trailer byte-for-byte, so the index
@@ -187,13 +180,13 @@ func RetrofitSeekIndex(src io.ReadSeeker, dst io.Writer) (int, error) {
 	if _, err := src.Seek(0, io.SeekStart); err != nil {
 		return 0, err
 	}
-	if _, err := io.CopyN(dst, src, trailer.off); err != nil {
+	if _, err := io.CopyN(dst, src, ix.trailerOff); err != nil {
 		return 0, err
 	}
-	out := appendWireFrame(nil, frameSeekIndex, trailer.seq, appendSeekIndex(nil, entries))
-	out = appendWireFrame(out, frameTrailer, trailer.seq+1, trailer.payload)
+	out := appendWireFrame(nil, frameSeekIndex, ix.trailerSeq, appendSeekIndex(nil, ix.entries))
+	out = appendWireFrame(out, frameTrailer, ix.trailerSeq+1, ix.trailer)
 	if _, err := dst.Write(out); err != nil {
 		return 0, err
 	}
-	return len(entries), nil
+	return len(ix.entries), nil
 }

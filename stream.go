@@ -123,6 +123,220 @@ func checkFramePayload(body []byte) ([]byte, bool) {
 	return payload, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(body[len(payload):])
 }
 
+// frameWalker walks the frames of a stream: the input window, the magic
+// check, the frame parse, the forward scan for a sync marker and the
+// sequence rule. Reader embeds one and decodes the frames it yields; Seek's
+// index rebuild and RetrofitSeekIndex walk a stream's frames with their own
+// (see index), reading only headers, CRCs and block geometry.
+type frameWalker struct {
+	src io.Reader
+
+	buf    []byte // window of not-yet-parsed input
+	pos    int    // cursor into buf
+	off    int64  // absolute stream offset of buf[pos]
+	srcErr error  // sticky source error (io.EOF for clean exhaustion)
+
+	nextSeq uint32 // expected sequence of the next frame
+}
+
+// buffered reports the unparsed bytes currently windowed.
+func (w *frameWalker) buffered() int { return len(w.buf) - w.pos }
+
+// view returns the next n buffered bytes without consuming them. Only
+// valid until the next fillTo call (the window may compact).
+func (w *frameWalker) view(n int) []byte { return w.buf[w.pos : w.pos+n] }
+
+// discard consumes n buffered bytes.
+func (w *frameWalker) discard(n int) {
+	w.pos += n
+	w.off += int64(n)
+}
+
+const fillChunk = 64 << 10
+
+// fillTo grows the window until at least n unconsumed bytes are available,
+// reporting whether it succeeded. It never pre-allocates a claimed length:
+// capacity only tracks bytes actually read, so a forged frame length
+// cannot trigger a huge allocation. The window is only moved when the tail
+// is actually full — a buffer already large enough is compacted in place
+// (one copy), and growth copies the live region straight into the new
+// buffer instead of compacting first.
+func (w *frameWalker) fillTo(n int) bool {
+	for w.buffered() < n {
+		if w.srcErr != nil {
+			return false
+		}
+		if len(w.buf) == cap(w.buf) {
+			rem := w.buffered()
+			if n <= cap(w.buf) {
+				// Large enough already: compaction alone frees the tail.
+				copy(w.buf, w.buf[w.pos:])
+				w.buf = w.buf[:rem]
+			} else {
+				ncap := 2 * cap(w.buf)
+				if ncap < fillChunk {
+					ncap = fillChunk
+				}
+				nb := make([]byte, rem, ncap)
+				copy(nb, w.buf[w.pos:])
+				w.buf = nb
+			}
+			w.pos = 0
+		}
+		m, err := w.src.Read(w.buf[len(w.buf):cap(w.buf)])
+		w.buf = w.buf[:len(w.buf)+m]
+		if err != nil {
+			w.srcErr = err
+		}
+	}
+	return true
+}
+
+// need makes n bytes available at the cursor. It returns io.EOF when the
+// input ended cleanly before any of them, errFrameTruncated when it ended
+// inside them, and a hard source error as is.
+func (w *frameWalker) need(n int) error {
+	switch {
+	case w.fillTo(n):
+		return nil
+	case w.srcErr != io.EOF:
+		return w.srcErr
+	case w.buffered() == 0:
+		return io.EOF
+	}
+	return errFrameTruncated
+}
+
+// magic reads and checks the stream magic, reporting whether the stream is
+// v2 framed rather than the legacy v1 container. An empty source is
+// io.EOF.
+func (w *frameWalker) magic() (v2 bool, err error) {
+	if err := w.need(4); err != nil {
+		if err == errFrameTruncated {
+			err = fmt.Errorf("mdz: stream cut inside the magic: %w", ErrTruncated)
+		}
+		return false, err
+	}
+	switch magic := string(w.view(4)); magic {
+	case streamMagic:
+	case streamMagicV2:
+		v2 = true
+	default:
+		return false, fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)
+	}
+	w.discard(4)
+	return v2, nil
+}
+
+// frameParse is one verified v2 frame.
+type frameParse struct {
+	frameHead
+	payload []byte // aliases the window; use before the next fillTo
+	size    int    // total wire size
+}
+
+// Internal parse outcomes distinguishing "bad bytes here" (scannable) from
+// "source exhausted mid-frame" (truncation).
+var (
+	errNotFrame       = errors.New("mdz: no valid frame at this offset")
+	errFrameTruncated = errors.New("mdz: frame cut short")
+)
+
+// parseFrame attempts to parse one complete frame at the cursor without
+// consuming it. The payload is fetched only after checkFrameHeader. At a
+// clean end of input it returns io.EOF.
+func (w *frameWalker) parseFrame() (frameParse, error) {
+	var fp frameParse
+	if err := w.need(frameHeaderSize); err != nil {
+		return fp, err
+	}
+	h, ok := checkFrameHeader(w.view(frameHeaderSize))
+	if !ok {
+		return fp, errNotFrame
+	}
+	total := frameHeaderSize + h.n + frameCRCSize
+	if err := w.need(total); err != nil {
+		return fp, err // not io.EOF: the header is buffered
+	}
+	// Re-view: fillTo may have compacted the window.
+	payload, ok := checkFramePayload(w.view(total)[frameHeaderSize:])
+	if !ok {
+		return fp, errNotFrame
+	}
+	return frameParse{frameHead: h, payload: payload, size: total}, nil
+}
+
+// cutErr is the typed error for the errFrameTruncated outcome.
+func (w *frameWalker) cutErr() error {
+	return fmt.Errorf("mdz: stream cut inside frame %d: %w", w.nextSeq, ErrTruncated)
+}
+
+// notFrameErr is the typed error for the errNotFrame outcome at off.
+func (w *frameWalker) notFrameErr(off int64) *CorruptBlockError {
+	return &CorruptBlockError{
+		Block: w.nextSeq, Offset: off,
+		Cause: fmt.Errorf("%w: frame sync/CRC validation failed", ErrCorruptBlock),
+	}
+}
+
+// scanSync advances at least one byte, then to the next sync-marker
+// candidate (or the end of input), and returns the number of bytes it
+// skipped.
+func (w *frameWalker) scanSync() int64 {
+	start := w.off
+	if w.buffered() > 0 {
+		w.discard(1)
+	}
+	for {
+		if i := bytes.Index(w.buf[w.pos:], frameSync[:]); i >= 0 {
+			w.discard(i)
+			return w.off - start
+		}
+		// No marker in the window: keep a possible 3-byte sync prefix at
+		// the tail and pull more input.
+		keep := len(frameSync) - 1
+		if w.buffered() < keep {
+			keep = w.buffered()
+		}
+		w.discard(w.buffered() - keep)
+		if !w.fillTo(keep + 1) {
+			w.discard(w.buffered())
+			return w.off - start
+		}
+	}
+}
+
+// sequence applies the sequence rule to fp, a verified frame at offset
+// off. A frame numbered below the expected number is a replay and one
+// numbered above it is a jump; brk describes either. A strict walk fails on
+// both (err is brk) and consumes nothing. Otherwise the frame is consumed:
+// a replay is to be dropped (drop is true) and the expected number stays;
+// a jump is accepted like an in-order frame, and numbering continues after
+// it.
+func (w *frameWalker) sequence(fp frameParse, off int64, strict bool) (drop bool, brk *CorruptBlockError, err error) {
+	switch {
+	case fp.seq < w.nextSeq:
+		drop = true
+		brk = &CorruptBlockError{
+			Block: fp.seq, Offset: off,
+			Cause: fmt.Errorf("%w: frame sequence %d replayed (want %d)", ErrCorruptBlock, fp.seq, w.nextSeq),
+		}
+	case fp.seq > w.nextSeq:
+		brk = &CorruptBlockError{
+			Block: w.nextSeq, Offset: off,
+			Cause: fmt.Errorf("%w: frame sequence jumped to %d (want %d)", ErrCorruptBlock, fp.seq, w.nextSeq),
+		}
+	}
+	if brk != nil && strict {
+		return false, brk, brk
+	}
+	w.discard(fp.size)
+	if !drop {
+		w.nextSeq = fp.seq + 1
+	}
+	return drop, brk, nil
+}
+
 // Writer compresses frames onto an io.Writer as a framed MDZ stream,
 // buffering BufferSize snapshots per block — the natural interface for
 // in-situ dumping from a running simulation. Config.Workers and
@@ -562,15 +776,12 @@ type SalvageStats struct {
 }
 
 // Reader decompresses a framed MDZ stream produced by Writer (v2) or by
-// pre-checkpoint writers (v1), yielding frames one at a time.
+// pre-checkpoint writers (v1), yielding frames one at a time. Its embedded
+// frameWalker reads the input; Reader decodes what it yields and accounts
+// for salvage.
 type Reader struct {
-	d   *Decompressor
-	src io.Reader
-
-	buf    []byte // window of not-yet-parsed input
-	pos    int    // cursor into buf
-	off    int64  // absolute stream offset of buf[pos]
-	srcErr error  // sticky source error (io.EOF for clean exhaustion)
+	frameWalker
+	d *Decompressor
 
 	queue  []Frame
 	err    error
@@ -579,12 +790,10 @@ type Reader struct {
 	resync bool
 	ctx    context.Context // nil disables cooperative cancellation
 
-	nextSeq   uint32 // expected sequence of the next frame
-	await     bool   // resync: drop data frames until the next checkpoint
-	scanning  bool   // inside a corrupt region (suppresses double-counting)
-	trailer   bool   // trailer frame seen
-	delivered int64  // snapshots queued for the caller
-	blocks    int64  // data blocks decoded
+	await     bool  // resync: drop data frames until the next checkpoint
+	scanning  bool  // inside a corrupt region (suppresses double-counting)
+	delivered int64 // snapshots queued for the caller
+	blocks    int64 // data blocks decoded
 	stats     SalvageStats
 	tel       streamReaderTel
 
@@ -635,11 +844,11 @@ func NewReaderWith(r io.Reader, opts ReaderOptions) *Reader {
 		MaxDecodeBytes: opts.MaxDecodeBytes,
 	})
 	rd := &Reader{
-		d:      d,
-		src:    r,
-		resync: opts.Resync,
-		ctx:    opts.Context,
-		tel:    newStreamReaderTel(d.reg),
+		frameWalker: frameWalker{src: r},
+		d:           d,
+		resync:      opts.Resync,
+		ctx:         opts.Context,
+		tel:         newStreamReaderTel(d.reg),
 	}
 	if rs, ok := r.(io.ReadSeeker); ok {
 		rd.srcSeeker = rs
@@ -659,82 +868,14 @@ func (r *Reader) SalvageStats() SalvageStats {
 	return st
 }
 
-// buffered reports the unparsed bytes currently windowed.
-func (r *Reader) buffered() int { return len(r.buf) - r.pos }
-
-// view returns the next n buffered bytes without consuming them. Only
-// valid until the next fillTo call (the window may compact).
-func (r *Reader) view(n int) []byte { return r.buf[r.pos : r.pos+n] }
-
-// discard consumes n buffered bytes.
-func (r *Reader) discard(n int) {
-	r.pos += n
-	r.off += int64(n)
-}
-
-const fillChunk = 64 << 10
-
-// fillTo grows the window until at least n unconsumed bytes are available,
-// reporting whether it succeeded. It never pre-allocates a claimed length:
-// capacity only tracks bytes actually read, so a forged frame length
-// cannot trigger a huge allocation. The window is only moved when the tail
-// is actually full — a buffer already large enough is compacted in place
-// (one copy), and growth copies the live region straight into the new
-// buffer instead of compacting first.
-func (r *Reader) fillTo(n int) bool {
-	for r.buffered() < n {
-		if r.srcErr != nil {
-			return false
-		}
-		if len(r.buf) == cap(r.buf) {
-			rem := r.buffered()
-			if n <= cap(r.buf) {
-				// Large enough already: compaction alone frees the tail.
-				copy(r.buf, r.buf[r.pos:])
-				r.buf = r.buf[:rem]
-			} else {
-				ncap := 2 * cap(r.buf)
-				if ncap < fillChunk {
-					ncap = fillChunk
-				}
-				nb := make([]byte, rem, ncap)
-				copy(nb, r.buf[r.pos:])
-				r.buf = nb
-			}
-			r.pos = 0
-		}
-		m, err := r.src.Read(r.buf[len(r.buf):cap(r.buf)])
-		r.buf = r.buf[:len(r.buf)+m]
-		if err != nil {
-			r.srcErr = err
-		}
-	}
-	return true
-}
-
 // open reads and validates the stream magic, selecting the v1 or v2 frame
 // parser.
 func (r *Reader) open() error {
-	if !r.fillTo(4) {
-		if r.srcErr != nil && r.srcErr != io.EOF {
-			return r.srcErr
-		}
-		if r.buffered() == 0 {
-			return io.EOF
-		}
-		return fmt.Errorf("mdz: stream cut inside the magic: %w", ErrTruncated)
+	v2, err := r.magic()
+	if err != nil {
+		return err
 	}
-	magic := string(r.view(4))
-	switch magic {
-	case streamMagic:
-		r.v2 = false
-	case streamMagicV2:
-		r.v2 = true
-	default:
-		return fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)
-	}
-	r.discard(4)
-	r.opened = true
+	r.v2, r.opened = v2, true
 	return nil
 }
 
@@ -855,52 +996,6 @@ func (r *Reader) v1Corrupt(err error) error {
 	return io.EOF
 }
 
-// frameParse is one verified v2 frame.
-type frameParse struct {
-	frameHead
-	payload []byte // aliases the window; use before the next fillTo
-	size    int    // total wire size
-}
-
-// Internal parse outcomes distinguishing "bad bytes here" (scannable) from
-// "source exhausted mid-frame" (truncation).
-var (
-	errNotFrame       = errors.New("mdz: no valid frame at this offset")
-	errFrameTruncated = errors.New("mdz: frame cut short")
-)
-
-// parseFrame attempts to parse one complete frame at the cursor without
-// consuming it. The payload is fetched only after checkFrameHeader.
-func (r *Reader) parseFrame() (frameParse, error) {
-	var fp frameParse
-	if !r.fillTo(frameHeaderSize) {
-		if r.srcErr != nil && r.srcErr != io.EOF {
-			return fp, r.srcErr
-		}
-		if r.buffered() == 0 {
-			return fp, io.EOF
-		}
-		return fp, errFrameTruncated
-	}
-	h, ok := checkFrameHeader(r.view(frameHeaderSize))
-	if !ok {
-		return fp, errNotFrame
-	}
-	total := frameHeaderSize + h.n + frameCRCSize
-	if !r.fillTo(total) {
-		if r.srcErr != nil && r.srcErr != io.EOF {
-			return fp, r.srcErr
-		}
-		return fp, errFrameTruncated
-	}
-	// Re-view: fillTo may have compacted the window.
-	payload, ok := checkFramePayload(r.view(total)[frameHeaderSize:])
-	if !ok {
-		return fp, errNotFrame
-	}
-	return frameParse{frameHead: h, payload: payload, size: total}, nil
-}
-
 // nextFrameV2 returns the next acceptable frame, handling corruption per
 // the reader mode: strict mode fails with a typed error; Resync mode
 // records the damage, scans forward to the next verifiable frame and
@@ -909,48 +1004,33 @@ func (r *Reader) nextFrameV2() (frameParse, int64, error) {
 	for {
 		frameOff := r.off
 		fp, perr := r.parseFrame()
-		switch {
-		case perr == nil:
-			if fp.seq < r.nextSeq {
-				// A stale or replayed frame; impossible from a healthy
-				// writer.
-				if !r.resync {
-					return fp, frameOff, &CorruptBlockError{
-						Block: r.nextSeq, Offset: frameOff,
-						Cause: fmt.Errorf("%w: frame sequence %d replayed (want %d)", ErrCorruptBlock, fp.seq, r.nextSeq),
-					}
-				}
+		switch perr {
+		case nil:
+			want := r.nextSeq
+			drop, brk, err := r.sequence(fp, frameOff, !r.resync)
+			if err != nil {
+				return fp, frameOff, err
+			}
+			if drop {
 				// The frame is individually valid but its sequence number
 				// proves the wire replayed (or duplicated) writer output.
 				// That is real stream damage: account the event and the
 				// discarded wire bytes, so salvage reports never claim
 				// byte-exact recovery while silently dropping input.
-				r.recordCorrupt(&CorruptBlockError{
-					Block: fp.seq, Offset: frameOff,
-					Cause: fmt.Errorf("%w: frame sequence %d replayed (want %d)", ErrCorruptBlock, fp.seq, r.nextSeq),
-				})
+				r.recordCorrupt(brk)
 				r.countSkipped(int64(fp.size))
-				r.discard(fp.size)
 				continue
 			}
-			if fp.seq > r.nextSeq {
-				if !r.resync {
-					return fp, frameOff, &CorruptBlockError{
-						Block: r.nextSeq, Offset: frameOff,
-						Cause: fmt.Errorf("%w: frame sequence jumped to %d (want %d)", ErrCorruptBlock, fp.seq, r.nextSeq),
-					}
-				}
-				r.extendLost(r.nextSeq, fp.seq)
+			if brk != nil {
+				r.extendLost(want, fp.seq)
 				if !r.d.seeded() {
 					r.await = true
 				}
 			}
-			r.discard(fp.size)
-			r.nextSeq = fp.seq + 1
 			r.scanning = false
 			return fp, frameOff, nil
 
-		case perr == io.EOF:
+		case io.EOF:
 			// Clean frame boundary but no trailer was seen: truncation.
 			err := fmt.Errorf("mdz: stream ended without a trailer: %w", ErrTruncated)
 			if !r.resync {
@@ -960,8 +1040,8 @@ func (r *Reader) nextFrameV2() (frameParse, int64, error) {
 			r.noteTruncation(frameOff, err)
 			return fp, frameOff, io.EOF
 
-		case perr == errFrameTruncated:
-			err := fmt.Errorf("mdz: stream cut inside frame %d: %w", r.nextSeq, ErrTruncated)
+		case errFrameTruncated:
+			err := r.cutErr()
 			if !r.resync {
 				return fp, frameOff, err
 			}
@@ -971,11 +1051,8 @@ func (r *Reader) nextFrameV2() (frameParse, int64, error) {
 			r.discard(r.buffered())
 			return fp, frameOff, io.EOF
 
-		case perr == errNotFrame:
-			cbe := &CorruptBlockError{
-				Block: r.nextSeq, Offset: frameOff,
-				Cause: fmt.Errorf("%w: frame sync/CRC validation failed", ErrCorruptBlock),
-			}
+		case errNotFrame:
+			cbe := r.notFrameErr(frameOff)
 			if !r.resync {
 				return fp, frameOff, cbe
 			}
@@ -988,40 +1065,10 @@ func (r *Reader) nextFrameV2() (frameParse, int64, error) {
 					r.await = true
 				}
 			}
-			r.scanSync()
+			r.countSkipped(r.scanSync())
 
 		default:
 			return fp, frameOff, perr // hard I/O error from the source
-		}
-	}
-}
-
-// scanSync advances at least one byte, then to the next sync-marker
-// candidate (or the end of input), counting everything it skips.
-func (r *Reader) scanSync() {
-	if r.buffered() > 0 {
-		r.countSkipped(1)
-		r.discard(1)
-	}
-	for {
-		if i := bytes.Index(r.buf[r.pos:], frameSync[:]); i >= 0 {
-			r.countSkipped(int64(i))
-			r.discard(i)
-			return
-		}
-		// No marker in the window: keep a possible 3-byte sync prefix at
-		// the tail and pull more input.
-		keep := len(frameSync) - 1
-		if r.buffered() < keep {
-			keep = r.buffered()
-		}
-		drop := r.buffered() - keep
-		r.countSkipped(int64(drop))
-		r.discard(drop)
-		if !r.fillTo(keep + 1) {
-			r.countSkipped(int64(r.buffered()))
-			r.discard(r.buffered())
-			return
 		}
 	}
 }
@@ -1135,10 +1182,8 @@ func (r *Reader) nextBatchV2() error {
 					return cbe
 				}
 				r.recordCorrupt(cbe)
-				r.trailer = true
 				return io.EOF
 			}
-			r.trailer = true
 			if !r.resync {
 				// After a Seek the undelivered prefix is intentional, so the
 				// totals can only be bounds-checked, not matched exactly.
