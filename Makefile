@@ -35,21 +35,24 @@ perf:
 # Short fuzz pass over every differential and parser fuzzer in the tree.
 # CI invokes this with FUZZTIME=10s; the default is a slightly longer local
 # smoke. Each fuzzer runs alone (-fuzz takes one pattern per package run).
+# -fuzzminimizetime 1s: the first input that finds new coverage is otherwise
+# minimized for up to 60 s, while the coordinator reports 0 execs/s, so a
+# 10 s run of a slow target minimized one input and explored nothing.
 FUZZTIME ?= 30s
 
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointUnmarshal$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzErrorBound$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderDifferential$$' -fuzztime $(FUZZTIME) ./internal/bitstream
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) ./internal/huffman
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntsReference$$' -fuzztime $(FUZZTIME) ./internal/huffman
-	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) ./internal/huffman
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSection$$' -fuzztime $(FUZZTIME) ./internal/huffman
-	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) ./internal/lossless
-	$(GO) test -run '^$$' -fuzz '^FuzzClusterDifferential$$' -fuzztime $(FUZZTIME) ./internal/kmeans
-	$(GO) test -run '^$$' -fuzz '^FuzzSZFamilyErrorBound$$' -fuzztime $(FUZZTIME) ./internal/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamReader$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointUnmarshal$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzErrorBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s .
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeIntsReference$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSection$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/lossless
+	$(GO) test -run '^$$' -fuzz '^FuzzClusterDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/kmeans
+	$(GO) test -run '^$$' -fuzz '^FuzzSZFamilyErrorBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/codec
 
 # Fault-containment sweep, longer than the CI gate: the crash-consistency
 # matrix at every output byte (MDZ_CHAOS_SWEEP), plus the stream fault

@@ -4,6 +4,7 @@ import (
 	"github.com/mdz/mdz/internal/codec"
 	"github.com/mdz/mdz/internal/core"
 	"github.com/mdz/mdz/internal/dataset"
+	"github.com/mdz/mdz/internal/gen"
 	"github.com/mdz/mdz/internal/quant"
 )
 
@@ -110,7 +111,7 @@ func runFig11(cfg Config) (*Report, error) {
 	if cfg.scale() < 1 {
 		bss = []int{10, 50}
 	}
-	for _, name := range []string{"Copper-A", "Copper-B", "Helium-A", "Helium-B", "ADK", "IFABP", "Pt", "LJ"} {
+	for _, name := range gen.MDNames() {
 		d, err := load(name, cfg)
 		if err != nil {
 			return nil, err

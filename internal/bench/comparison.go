@@ -6,6 +6,7 @@ import (
 	"github.com/mdz/mdz/internal/codec"
 	"github.com/mdz/mdz/internal/core"
 	"github.com/mdz/mdz/internal/dataset"
+	"github.com/mdz/mdz/internal/gen"
 	"github.com/mdz/mdz/internal/lossless"
 	"github.com/mdz/mdz/internal/metrics"
 	"github.com/mdz/mdz/internal/sz2"
@@ -110,7 +111,7 @@ func runFig12(cfg Config) (*Report, error) {
 		bss = []int{10}
 	}
 	order := []string{"MDZ", "SZ2-2D", "ASN", "TNG", "HRTC", "MDB", "LFZip"}
-	for _, name := range []string{"Copper-A", "Copper-B", "Helium-A", "Helium-B", "ADK", "IFABP", "Pt", "LJ"} {
+	for _, name := range gen.MDNames() {
 		d, err := load(name, cfg)
 		if err != nil {
 			return nil, err

@@ -32,9 +32,9 @@ func vqPayloads(tb testing.TB) [][]byte {
 		}
 		encs[axis] = enc
 	}
-	for _, b := range d.Batches(10) {
+	for lo := 0; lo < len(d.Frames); lo += 10 {
 		var axes [3][][]float64
-		for _, f := range b {
+		for _, f := range d.Frames[lo:min(lo+10, len(d.Frames))] {
 			axes[0] = append(axes[0], f.X)
 			axes[1] = append(axes[1], f.Y)
 			axes[2] = append(axes[2], f.Z)

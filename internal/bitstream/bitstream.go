@@ -66,18 +66,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUnary appends v as a unary code: v one-bits followed by a zero bit.
-func (w *Writer) WriteUnary(v uint64) {
-	for v >= 32 {
-		w.WriteBits(math.MaxUint32, 32)
-		v -= 32
-	}
-	if v > 0 {
-		w.WriteBits((1<<v)-1, uint(v))
-	}
-	w.WriteBit(0)
-}
-
 // Align pads the stream with zero bits up to the next byte boundary.
 func (w *Writer) Align() {
 	if w.nbit == 0 {
@@ -99,11 +87,6 @@ func (w *Writer) Align() {
 func (w *Writer) Bytes() []byte {
 	w.Align()
 	return w.buf
-}
-
-// BitLen reports the total number of bits written so far.
-func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.nbit)
 }
 
 // Reset truncates the writer for reuse.
@@ -137,8 +120,8 @@ func (r *Reader) Reset(buf []byte) {
 
 // Fill tops up the 64-bit bit buffer from the input and reports the number
 // of buffered bits now available (at least 57 unless the input is nearly
-// exhausted). Callers that batch-decode can Fill once and then use PeekFast
-// and SkipFast, which perform no refill or bounds checks of their own.
+// exhausted). Callers that batch-decode can Fill once and then consume the
+// buffered bits in registers through BitState and SetBitState.
 func (r *Reader) Fill() uint {
 	if r.pos+8 <= len(r.buf) {
 		// Insert as many whole bytes from a single 8-byte load as fit above
@@ -159,8 +142,7 @@ func (r *Reader) Fill() uint {
 	return r.nbit
 }
 
-// Buffered reports the number of bits currently held in the bit buffer
-// (consumable via PeekFast/SkipFast without a Fill).
+// Buffered reports the number of bits currently held in the bit buffer.
 func (r *Reader) Buffered() uint { return r.nbit }
 
 // BitState exposes the raw bit buffer (next stream bit at bit 63, bits below
@@ -177,20 +159,6 @@ func (r *Reader) SetBitState(cur uint64, nbit uint) { r.cur, r.nbit = cur, nbit 
 // BitsRemaining reports the total number of unread bits, buffered or not.
 func (r *Reader) BitsRemaining() int {
 	return (len(r.buf)-r.pos)*8 + int(r.nbit)
-}
-
-// PeekFast returns the next n bits MSB-first and right-aligned without
-// consuming them. It performs no refill and no bounds checks: the caller
-// must ensure 0 < n <= Buffered() (typically by calling Fill first).
-func (r *Reader) PeekFast(n uint) uint64 {
-	return r.cur >> (64 - n)
-}
-
-// SkipFast consumes n bits without any checks: the caller must ensure
-// n <= Buffered().
-func (r *Reader) SkipFast(n uint) {
-	r.cur <<= n
-	r.nbit -= n
 }
 
 // drain consumes all remaining input, mirroring the historical reader's
@@ -329,35 +297,6 @@ func (r *Reader) Skip(n uint) error {
 	return nil
 }
 
-// ReadUnary reads a unary code written by WriteUnary.
-func (r *Reader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
-// Align discards bits up to the next byte boundary.
-func (r *Reader) Align() {
-	// Total bits consumed so far is pos*8 - nbit; dropping nbit%8 bits
-	// lands it on the next byte boundary of the underlying stream.
-	k := r.nbit % 8
-	r.cur <<= k
-	r.nbit -= k
-}
-
-// Remaining reports the number of unread whole bytes (after alignment).
-func (r *Reader) Remaining() int {
-	return len(r.buf) - r.pos + int(r.nbit/8)
-}
-
 // ZigZag maps a signed integer to an unsigned one so small-magnitude values
 // (of either sign) become small codes: 0→0, -1→1, 1→2, -2→3, ...
 func ZigZag(v int64) uint64 {
@@ -377,18 +316,6 @@ func AppendUvarint(dst []byte, v uint64) []byte {
 // AppendVarint appends v zigzag-encoded as a uvarint.
 func AppendVarint(dst []byte, v int64) []byte {
 	return binary.AppendUvarint(dst, ZigZag(v))
-}
-
-// Uvarint decodes a uvarint from buf, returning the value and the number of
-// bytes consumed. A zero count signals a malformed/short buffer.
-func Uvarint(buf []byte) (uint64, int) {
-	return binary.Uvarint(buf)
-}
-
-// Varint decodes a zigzag-encoded signed varint.
-func Varint(buf []byte) (int64, int) {
-	u, n := binary.Uvarint(buf)
-	return UnZigZag(u), n
 }
 
 // AppendUint64 appends v little-endian.
@@ -427,20 +354,6 @@ func DecodeFloat64s(dst []float64, buf []byte) ([]float64, error) {
 	return dst, nil
 }
 
-// Uint64At reads a little-endian uint64 at offset off.
-func Uint64At(buf []byte, off int) (uint64, error) {
-	if off+8 > len(buf) {
-		return 0, ErrShortStream
-	}
-	return binary.LittleEndian.Uint64(buf[off:]), nil
-}
-
-// Float64At reads a little-endian float64 at offset off.
-func Float64At(buf []byte, off int) (float64, error) {
-	u, err := Uint64At(buf, off)
-	return math.Float64frombits(u), err
-}
-
 // ByteReader is a cursor over a byte slice for length-prefixed section
 // decoding. All Read* methods return ErrShortStream past the end.
 type ByteReader struct {
@@ -461,9 +374,6 @@ func (b *ByteReader) Reset(buf []byte) {
 
 // Len reports unread bytes.
 func (b *ByteReader) Len() int { return len(b.buf) - b.off }
-
-// Offset reports the current cursor position.
-func (b *ByteReader) Offset() int { return b.off }
 
 // ReadByte consumes one byte.
 func (b *ByteReader) ReadByte() (byte, error) {

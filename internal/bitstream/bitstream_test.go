@@ -59,24 +59,6 @@ func TestBitRoundTripRandom(t *testing.T) {
 	}
 }
 
-func TestUnary(t *testing.T) {
-	w := &Writer{}
-	in := []uint64{0, 1, 2, 5, 31, 32, 33, 100, 257}
-	for _, v := range in {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range in {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("item %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("item %d: got %d want %d", i, got, want)
-		}
-	}
-}
-
 func TestReadPastEnd(t *testing.T) {
 	r := NewReader([]byte{0xAB})
 	if _, err := r.ReadBits(8); err != nil {
@@ -106,9 +88,9 @@ func TestZigZagProperty(t *testing.T) {
 
 func TestVarintRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
-		buf := AppendVarint(nil, v)
-		got, n := Varint(buf)
-		return n == len(buf) && got == v
+		br := NewByteReader(AppendVarint(nil, v))
+		got, err := br.ReadVarint()
+		return err == nil && br.Len() == 0 && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -207,8 +189,8 @@ func TestByteReaderReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	br.Reset([]byte{9, 8})
-	if br.Offset() != 0 || br.Len() != 2 {
-		t.Fatalf("after Reset: off %d len %d", br.Offset(), br.Len())
+	if br.Len() != 2 {
+		t.Fatalf("after Reset: len %d", br.Len())
 	}
 	if b, err := br.ReadByte(); err != nil || b != 9 {
 		t.Errorf("after Reset: %d, %v", b, err)
@@ -249,21 +231,6 @@ func TestWriterReset(t *testing.T) {
 	got := w.Bytes()
 	if len(got) != 1 || got[0] != 0xA0 {
 		t.Errorf("after reset: % x", got)
-	}
-}
-
-func TestBitLen(t *testing.T) {
-	w := &Writer{}
-	if w.BitLen() != 0 {
-		t.Errorf("empty BitLen = %d", w.BitLen())
-	}
-	w.WriteBits(1, 3)
-	if w.BitLen() != 3 {
-		t.Errorf("BitLen = %d, want 3", w.BitLen())
-	}
-	w.WriteBits(1, 13)
-	if w.BitLen() != 16 {
-		t.Errorf("BitLen = %d, want 16", w.BitLen())
 	}
 }
 

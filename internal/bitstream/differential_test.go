@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// oldReader is the historical byte-at-a-time Reader, kept verbatim (modulo
-// receiver names) as the reference implementation for differential tests:
-// the word-buffered Reader must match its values, errors, and observable
-// state on every operation sequence.
+// oldReader is the historical byte-at-a-time Reader, cut down to the
+// operations the word-buffered Reader still has, as the reference
+// implementation for differential tests: the word-buffered Reader must match
+// its values, errors, and observable state on every operation sequence.
 type oldReader struct {
 	buf  []byte
 	pos  int  // next byte index
@@ -86,24 +86,6 @@ func (r *oldReader) Skip(n uint) error {
 	return err
 }
 
-func (r *oldReader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
-func (r *oldReader) Align() { r.nbit = 0 }
-
-func (r *oldReader) Remaining() int { return len(r.buf) - r.pos }
-
 func (r *oldReader) bitsRemaining() int {
 	return (len(r.buf)-r.pos)*8 + int(r.nbit)
 }
@@ -178,14 +160,15 @@ func TestPeekBoundaryExhaustive(t *testing.T) {
 }
 
 // runDifferential drives the new and old readers through the same operation
-// script and fails on any divergence in values, avail, errors, or Remaining.
+// script and fails on any divergence in values, avail, errors, or bits
+// remaining.
 func runDifferential(t *testing.T, data, script []byte) {
 	t.Helper()
 	nr := NewReader(data)
 	or := newOldReader(data)
 	dead := false // both readers have errored; old reader state is settled
 	for i := 0; i+1 < len(script) && !dead; i += 2 {
-		op := script[i] % 6
+		op := script[i] % 4
 		n := uint(script[i+1]) % 65
 		switch op {
 		case 0:
@@ -218,22 +201,6 @@ func runDifferential(t *testing.T, data, script []byte) {
 				t.Fatalf("op %d ReadBit: (%d,%v) vs (%d,%v)", i, gv, ge, wv, we)
 			}
 			dead = ge != nil
-		case 4:
-			nr.Align()
-			or.Align()
-		case 5:
-			gv, ge := nr.ReadUnary()
-			wv, we := or.ReadUnary()
-			if (ge == nil) != (we == nil) {
-				t.Fatalf("op %d ReadUnary: err %v vs %v", i, ge, we)
-			}
-			if ge == nil && gv != wv {
-				t.Fatalf("op %d ReadUnary: %d vs %d", i, gv, wv)
-			}
-			dead = ge != nil
-		}
-		if nr.Remaining() != or.Remaining() {
-			t.Fatalf("op %d: Remaining %d vs %d", i, nr.Remaining(), or.Remaining())
 		}
 		if nr.BitsRemaining() != or.bitsRemaining() {
 			t.Fatalf("op %d: BitsRemaining %d vs %d", i, nr.BitsRemaining(), or.bitsRemaining())

@@ -56,14 +56,6 @@ func (b *Budget) SetTelemetry(c *telemetry.Counter) {
 	}
 }
 
-// Limit reports the ceiling in bytes (0 for a nil Budget).
-func (b *Budget) Limit() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}
-
 // Used reports the bytes currently reserved across all open transactions.
 func (b *Budget) Used() int64 {
 	if b == nil {

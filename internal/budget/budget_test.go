@@ -18,8 +18,8 @@ func TestNilBudgetUnlimited(t *testing.T) {
 		t.Fatalf("nil tx Reserve: %v", err)
 	}
 	tx.Close()
-	if b.Limit() != 0 || b.Used() != 0 {
-		t.Fatalf("nil budget Limit/Used = %d/%d, want 0/0", b.Limit(), b.Used())
+	if b.Used() != 0 {
+		t.Fatalf("nil budget Used = %d, want 0", b.Used())
 	}
 }
 

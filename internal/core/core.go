@@ -91,11 +91,6 @@ func (s Sequence) String() string {
 // compression operations (batches).
 const DefaultAdaptInterval = 50
 
-// adpDriftFrac is the relative compression-ratio drift that forces a reused
-// ADP winner (Params.ADPRetrialInterval) back through a full trial round
-// early: the regime has visibly shifted, so the cached ranking is suspect.
-const adpDriftFrac = 0.10
-
 // MaxShards bounds the per-block shard count, keeping headers small and
 // rejecting absurd counts in corrupted blocks.
 const MaxShards = 4096
@@ -173,19 +168,6 @@ type Params struct {
 	// params), never affecting the error bound, and invisibly to the
 	// decoder, which reads the method from each block header.
 	ADPSampleShards int
-	// ADPRetrialInterval, when > 1, amortizes ADP across evaluation rounds:
-	// the VQ/VQT/MT trial trio runs only on every ADPRetrialInterval-th
-	// evaluation round; the rounds between encode with the cached winner and
-	// merely verify it, re-running the full trio early whenever the achieved
-	// compression ratio drifts more than adpDriftFrac from the last trial's.
-	// This amortizes the evaluation cost that ADPSampleShards cannot touch
-	// on single-shard batches. Like sampling it can change which method
-	// encodes a batch — and therefore the output bytes, deterministically,
-	// never the error bound; the decoder reads the method from each block
-	// header. 0 or 1 (the default) trials every round (historical bytes).
-	// Batches 0 and 1 always trial, so a fresh (or checkpoint-resumed)
-	// encoder re-anchors before any reuse.
-	ADPRetrialInterval int
 	// Pool bounds the goroutines used for shard- and ADP-trial-level
 	// parallelism. A nil pool runs serially; pool size never changes the
 	// output bytes.
@@ -219,6 +201,12 @@ func (p *Params) fill() error {
 	if p.QuantScale < 4 {
 		return fmt.Errorf("core: QuantScale must be >= 4, got %d", p.QuantScale)
 	}
+	if p.Method > MT {
+		return fmt.Errorf("core: unknown Method %d", uint8(p.Method))
+	}
+	if p.Sequence > Seq1 {
+		return fmt.Errorf("core: unknown Sequence %d", uint8(p.Sequence))
+	}
 	if p.AdaptInterval <= 0 {
 		p.AdaptInterval = DefaultAdaptInterval
 	}
@@ -227,9 +215,6 @@ func (p *Params) fill() error {
 	}
 	if p.ADPSampleShards < 0 || p.ADPSampleShards > MaxShards {
 		return fmt.Errorf("core: ADPSampleShards must be in [0, %d], got %d", MaxShards, p.ADPSampleShards)
-	}
-	if p.ADPRetrialInterval < 0 {
-		return fmt.Errorf("core: ADPRetrialInterval must be non-negative, got %d", p.ADPRetrialInterval)
 	}
 	return nil
 }
@@ -285,13 +270,6 @@ type Encoder struct {
 	cur   Method    // concrete method in use (ADP resolves to one of the three)
 	batch int       // batches encoded so far
 	tel   Telemetry // by value: zero struct (all-nil fields) when disabled
-	// Cross-round trial cache (Params.ADPRetrialInterval): evaluation rounds
-	// since the last full trial, and the compression ratio the winner
-	// achieved then (0 until a trial has run; the drift check is against it).
-	// Not part of the checkpoint wire state: a resumed encoder starts with a
-	// cold cache and re-trials on its first evaluation round.
-	evalsSinceTrial int
-	trialRatio      float64
 	// Stats accumulates encoder-side statistics for benchmarks.
 	Stats Stats
 }
@@ -379,51 +357,18 @@ func (e *Encoder) EncodeBatchContext(ctx context.Context, batch [][]float64) ([]
 	adapt := e.p.Method == ADP && (e.batch <= 1 || e.batch%e.p.AdaptInterval == 0)
 	var out []byte
 	var recon0 []float64
+	var err error
 	if adapt {
-		// Trial-reuse (Params.ADPRetrialInterval): between full trial rounds
-		// the cached winner encodes the batch directly, and only its achieved
-		// ratio is checked — a drift beyond adpDriftFrac discards the reuse
-		// encode and falls through to the full trio below. Batches 0 and 1
-		// always trial (no ratio anchor yet, and batch 0's winner is
-		// unrepresentative — see the comment above).
-		reuse := e.p.ADPRetrialInterval > 1 && e.batch > 1 &&
-			e.evalsSinceTrial < e.p.ADPRetrialInterval-1 && e.trialRatio > 0
-		if reuse {
-			var err error
-			out, recon0, err = e.encodeWith(ctx, e.cur, batch, 0)
-			if err != nil {
-				return nil, err
-			}
-			ratio := float64(len(out)) / float64(len(batch)*n*8)
-			if math.Abs(ratio-e.trialRatio) > adpDriftFrac*e.trialRatio {
-				// Regime shift: the cached ranking is suspect. Re-trial now.
-				reuse = false
-				out, recon0 = nil, nil
-			} else {
-				e.evalsSinceTrial++
-				e.tel.ReusedEvals.Inc()
-			}
-		}
-		if reuse {
-			// Reused round: no trial ran, so no Evals/Wins/Transitions.
-		} else {
-			var err error
-			if out, recon0, err = e.adaptTrial(ctx, batch); err != nil {
-				return nil, err
-			}
-			e.evalsSinceTrial = 0
-			e.trialRatio = float64(len(out)) / float64(len(batch)*n*8)
-		}
+		out, recon0, err = e.adaptTrial(ctx, batch)
 	} else {
 		m := e.cur
 		if e.p.Method != ADP {
 			m = e.p.Method
 		}
-		var err error
 		out, recon0, err = e.encodeWith(ctx, m, batch, 0)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if e.ref == nil {
 		e.ref = recon0
@@ -887,84 +832,6 @@ func (d *Decoder) decodeShard(ctx context.Context, q *quant.Quantizer, h *header
 	}
 	return nil
 }
-
-// DecodeSnapshot decodes a single snapshot t out of a VQ block without
-// reconstructing the others — the random-access property the paper
-// highlights for VQ (§VI: "any snapshot data can be decompressed very
-// quickly without a need in decompressing other snapshots"). It fails with
-// ErrNotRandomAccess for VQT/MT blocks, whose snapshots are chained in
-// time.
-func (d *Decoder) DecodeSnapshot(blk []byte, t int) ([]float64, error) {
-	h, err := parseHeader(blk)
-	if err != nil {
-		return nil, err
-	}
-	if h.method != VQ {
-		return nil, ErrNotRandomAccess
-	}
-	if t < 0 || t >= h.bs {
-		return nil, fmt.Errorf("core: snapshot %d out of range [0,%d)", t, h.bs)
-	}
-	q, err := quant.New(h.eb, h.scale)
-	if err != nil {
-		return nil, ErrCorrupt
-	}
-	tx := d.p.Budget.Begin()
-	defer tx.Close()
-	scs, err := d.decodeSections(nil, h, tx)
-	defer releaseScratch(scs)
-	if err != nil {
-		return nil, err
-	}
-	if err := tx.Reserve(8 * int64(h.n)); err != nil {
-		return nil, err
-	}
-	snap := make([]float64, h.n)
-	offs := shardOffsets(h.shards)
-	err = d.p.Pool.Run(len(h.shards), func(s int) error {
-		sn := h.shards[s].particles
-		return decodeShardSnapshot(q, h, scs[s], t, sn, snap[offs[s]:offs[s]+sn])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
-}
-
-// decodeShardSnapshot reconstructs row t of one shard into snap from its
-// decoded streams in sc. It reads only the prefix of the outlier bytes that
-// rows up to t use, so unlike decodeShard it cannot check for leftovers.
-func decodeShardSnapshot(q *quant.Quantizer, h *header, sc *decodeScratch, t, sn int, snap []float64) error {
-	bins, levels, outliers := sc.bins, sc.levels, sc.outliers
-	if len(levels) != h.bs*sn {
-		return ErrCorrupt // VQ blocks carry one level delta per value
-	}
-	stride, rowStep := 1, sn
-	if h.seq == Seq2 {
-		stride, rowStep = h.bs, 1
-	}
-	// Position the outlier cursor: skip reserved codes of rows before t in
-	// snapshot-major traversal order (the order the encoder stored them).
-	opos := 0
-	for tt := 0; tt < t; tt++ {
-		ci := tt * rowStep
-		for i := 0; i < sn; i++ {
-			if bins[ci] == quant.Reserved {
-				_, n2, err := quant.ReadBounded(outliers[opos:], h.eb)
-				if err != nil {
-					return corrupt(err)
-				}
-				opos += n2
-			}
-			ci += stride
-		}
-	}
-	_, err := q.DequantizeBlockVQ(bins, t*rowStep, stride, levels[t*sn:(t+1)*sn], h.lam, h.mu, snap, outliers, opos)
-	return corrupt(err)
-}
-
-// ErrNotRandomAccess is returned by DecodeSnapshot on VQT/MT blocks.
-var ErrNotRandomAccess = errors.New("core: random access requires a VQ block")
 
 // shardSec is one parsed shard sub-section.
 type shardSec struct {

@@ -358,6 +358,14 @@ func TestParamValidation(t *testing.T) {
 	if _, err := NewEncoder(Params{ErrorBound: -5}); err == nil {
 		t.Error("negative eb accepted")
 	}
+	// An unknown method would code rows with the time predictor over unset
+	// scratch, and an unknown sequence would go into block headers verbatim.
+	if _, err := NewEncoder(Params{ErrorBound: 1e-3, Method: Method(9)}); err == nil {
+		t.Error("Method(9) accepted")
+	}
+	if _, err := NewEncoder(Params{ErrorBound: 1e-3, Sequence: Sequence(7)}); err == nil {
+		t.Error("Sequence(7) accepted")
+	}
 }
 
 func TestEmptyBatchRejected(t *testing.T) {

@@ -277,15 +277,6 @@ func TestDecodeMatchesReference(t *testing.T) {
 					if !sameBits(got[s], want[s]) {
 						t.Fatalf("block %d snapshot %d differs from the reference", b, s)
 					}
-					if c.m == VQ {
-						row, err := dec.DecodeSnapshot(blk, s)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameBits(row, want[s]) {
-							t.Fatalf("block %d: DecodeSnapshot(%d) differs from the reference", b, s)
-						}
-					}
 				}
 			}
 			// Truncated outlier sections, run out of in the first row (the
@@ -304,11 +295,6 @@ func TestDecodeMatchesReference(t *testing.T) {
 					})
 					if _, err := dec.DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
 						t.Fatalf("block %d, truncated outliers: err %v, want ErrCorrupt", b, err)
-					}
-					if c.m == VQ {
-						if _, err := dec.DecodeSnapshot(bad, 4); !errors.Is(err, ErrCorrupt) {
-							t.Fatalf("block %d, truncated outliers: DecodeSnapshot err %v, want ErrCorrupt", b, err)
-						}
 					}
 				}
 			}
@@ -365,7 +351,7 @@ func rebuildBlock(t *testing.T, blk []byte, edit func(shard int, p shardPayload)
 			if _, err := br.ReadSection(); err != nil {
 				t.Fatal(err)
 			}
-			return br.Offset()
+			return len(payload) - br.Len()
 		}
 		binsEnd := skipInts()
 		levelsEnd := skipInts()
@@ -377,7 +363,7 @@ func rebuildBlock(t *testing.T, blk []byte, edit func(shard int, p shardPayload)
 			bins:     payload[:binsEnd],
 			levels:   payload[binsEnd:levelsEnd],
 			outliers: outliers,
-			rest:     payload[br.Offset():],
+			rest:     payload[len(payload)-br.Len():],
 		})
 		np := append(append([]byte(nil), p.bins...), p.levels...)
 		np = bitstream.AppendSection(np, p.outliers)
@@ -476,9 +462,9 @@ func forgedBlock(m Method, bs, n int, bodies ...[]byte) []byte {
 }
 
 // TestForgedGeometryNoAlloc: a header claiming 2^24 values over shard
-// bodies that cannot back them fails as ErrCorrupt, in both block versions
-// and both decode entry points, before the output is allocated — with no
-// budget, and under a budget smaller than the claim.
+// bodies that cannot back them fails as ErrCorrupt, in both block versions,
+// before the output is allocated — with no budget, and under a budget
+// smaller than the claim.
 func TestForgedGeometryNoAlloc(t *testing.T) {
 	small, err := mustEncoder(t, VQ).EncodeBatch(crystalBatch(4, 30, 5))
 	if err != nil {
@@ -499,23 +485,16 @@ func TestForgedGeometryNoAlloc(t *testing.T) {
 	}
 	for name, blk := range blocks {
 		for _, b := range []*budget.Budget{nil, budget.New(1 << 20)} {
-			dec := NewDecoder(Params{Budget: b})
-			for _, snapshot := range []bool{false, true} {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				before := ms.TotalAlloc
-				if snapshot {
-					_, err = dec.DecodeSnapshot(blk, 0)
-				} else {
-					_, err = dec.DecodeBatch(blk)
-				}
-				runtime.ReadMemStats(&ms)
-				if !errors.Is(err, ErrCorrupt) || errors.Is(err, budget.ErrExceeded) {
-					t.Errorf("%s (budget %v, snapshot %v): err %v, want ErrCorrupt", name, b != nil, snapshot, err)
-				}
-				if alloc := ms.TotalAlloc - before; alloc >= 1<<20 {
-					t.Errorf("%s (budget %v, snapshot %v): allocated %d bytes", name, b != nil, snapshot, alloc)
-				}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			_, err = NewDecoder(Params{Budget: b}).DecodeBatch(blk)
+			runtime.ReadMemStats(&ms)
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, budget.ErrExceeded) {
+				t.Errorf("%s (budget %v): err %v, want ErrCorrupt", name, b != nil, err)
+			}
+			if alloc := ms.TotalAlloc - before; alloc >= 1<<20 {
+				t.Errorf("%s (budget %v): allocated %d bytes", name, b != nil, alloc)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"github.com/mdz/mdz/internal/pool"
@@ -101,45 +100,6 @@ func TestShardCountClampedToParticles(t *testing.T) {
 	}
 	if maxAbsErr(batch, got) > 1e-2 {
 		t.Fatal("bound violated")
-	}
-}
-
-// TestShardedRandomAccess checks DecodeSnapshot against full decode on
-// multi-shard VQ blocks for both interleave modes.
-func TestShardedRandomAccess(t *testing.T) {
-	for _, seq := range []Sequence{Seq1, Seq2} {
-		batch := crystalBatch(8, 300, 13)
-		// Inject outliers so the per-shard outlier cursor is exercised.
-		batch[3][7] = 1e6
-		batch[5][250] = -1e6
-		enc, err := NewEncoder(Params{ErrorBound: 1e-2, Method: VQ, Sequence: seq, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk, err := enc.EncodeBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := NewDecoder(Params{}).DecodeBatch(blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec := NewDecoder(Params{Pool: pool.New(4)})
-		for ti := range batch {
-			snap, err := dec.DecodeSnapshot(blk, ti)
-			if err != nil {
-				t.Fatalf("seq=%v t=%d: %v", seq, ti, err)
-			}
-			for i := range snap {
-				if snap[i] != full[ti][i] {
-					t.Fatalf("seq=%v t=%d particle %d: random access %v != full decode %v",
-						seq, ti, i, snap[i], full[ti][i])
-				}
-			}
-			if math.Abs(snap[7]-batch[ti][7]) > 1e-2 {
-				t.Fatalf("seq=%v t=%d: outlier column bound violated", seq, ti)
-			}
-		}
 	}
 }
 

@@ -42,11 +42,6 @@ type Telemetry struct {
 	// SampledEvals counts the subset of Evals decided on a sampled shard
 	// prefix (Params.ADPSampleShards). Per axis.
 	SampledEvals *telemetry.Counter
-	// ReusedEvals counts evaluation rounds that skipped the trial trio and
-	// reused the cached winner (Params.ADPRetrialInterval). These rounds are
-	// not counted in Evals: Evals remains the number of trials actually run.
-	// Per axis.
-	ReusedEvals *telemetry.Counter
 	// ScratchAcquires counts scratch-state acquisitions from the global
 	// pools. On encode it is one per chunk of a sharded run, and a run has
 	// min(shards, Workers) chunks: a rate near the shard rate means
@@ -81,7 +76,6 @@ func EncoderInstruments(reg *telemetry.Registry, axis string) *Telemetry {
 		Evals:           reg.Counter("compress.adp." + axis + ".evals"),
 		Transitions:     reg.Counter("compress.adp." + axis + ".transitions"),
 		SampledEvals:    reg.Counter("compress.adp." + axis + ".sampled_evals"),
-		ReusedEvals:     reg.Counter("compress.adp." + axis + ".reused_evals"),
 		ScratchAcquires: reg.Counter("compress.scratch.acquires"),
 	}
 	for _, m := range []Method{VQ, VQT, MT} {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Axis selects one coordinate component.
@@ -68,15 +69,6 @@ func (f Frame) Axis(a Axis) []float64 {
 	}
 }
 
-// Clone deep-copies the frame.
-func (f Frame) Clone() Frame {
-	g := NewFrame(f.N())
-	copy(g.X, f.X)
-	copy(g.Y, f.Y)
-	copy(g.Z, f.Z)
-	return g
-}
-
 // Metadata carries dataset provenance, including the *original* scale from
 // the paper's Table I, which drives the TNG/HRTC exclusion emulation.
 type Metadata struct {
@@ -122,44 +114,10 @@ func (d *Dataset) AxisSeries(a Axis) [][]float64 {
 	return out
 }
 
-// Batches partitions the snapshots into buffers of at most bs snapshots,
-// mirroring the paper's buffered execution model. Frames are shared, not
-// copied.
-func (d *Dataset) Batches(bs int) [][]Frame {
-	if bs <= 0 {
-		bs = len(d.Frames)
-	}
-	var out [][]Frame
-	for i := 0; i < len(d.Frames); i += bs {
-		j := i + bs
-		if j > len(d.Frames) {
-			j = len(d.Frames)
-		}
-		out = append(out, d.Frames[i:j])
-	}
-	return out
-}
-
-// Validate checks structural invariants: uniform particle counts and finite
-// (non-NaN) coordinates.
-func (d *Dataset) Validate() error {
-	n := d.N()
-	for i, f := range d.Frames {
-		if f.N() != n || len(f.Y) != n || len(f.Z) != n {
-			return fmt.Errorf("dataset %s: frame %d has inconsistent particle count", d.Meta.Name, i)
-		}
-		for _, a := range Axes {
-			for j, v := range f.Axis(a) {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fmt.Errorf("dataset %s: frame %d %s[%d] is not finite", d.Meta.Name, i, a, j)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 const fileMagic = "MDZD"
+
+// readChunk is the number of values Read decodes per read call.
+const readChunk = 8192
 
 var errBadFile = errors.New("dataset: not an MDZD trajectory file")
 
@@ -207,7 +165,7 @@ func (d *Dataset) Write(w io.Writer) error {
 
 // Read parses a dataset written by Write.
 func Read(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 8*readChunk)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, err
@@ -250,23 +208,37 @@ func Read(r io.Reader) (*Dataset, error) {
 	d.Meta.OriginalSnapshots = int(hdr[1])
 	d.Meta.Box = math.Float64frombits(hdr[2])
 	m, n := int(hdr[3]), int(hdr[4])
-	if m < 0 || n < 0 || uint64(m)*uint64(n) > 1<<32 {
+	// Frames of no particles have no bytes behind them, so nothing but the
+	// header would back their count.
+	if m < 0 || n < 0 || uint64(m)*uint64(n) > 1<<32 || (n == 0 && m > 0) {
 		return nil, errBadFile
 	}
-	d.Frames = make([]Frame, m)
-	buf := make([]byte, 8*n)
-	for i := range d.Frames {
-		f := NewFrame(n)
-		for _, a := range Axes {
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, err
-			}
-			dst := f.Axis(a)
-			for j := range dst {
-				dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
-			}
+	// Memory follows the data, not the header: frames are appended as they
+	// are read, and the first frame's axes grow one chunk at a time. Later
+	// frames are allocated whole, a size the first frame's bytes back.
+	buf := make([]byte, 8*readChunk)
+	for i := 0; i < m; i++ {
+		size := n
+		if i == 0 {
+			size = min(n, readChunk)
 		}
-		d.Frames[i] = f
+		var axes [3][]float64
+		for a := range axes {
+			vals := make([]float64, 0, size)
+			for len(vals) < n {
+				lo := len(vals)
+				k := min(n-lo, readChunk)
+				if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+					return nil, err
+				}
+				vals = slices.Grow(vals, k)[:lo+k]
+				for j := range vals[lo:] {
+					vals[lo+j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*j:]))
+				}
+			}
+			axes[a] = vals
+		}
+		d.Frames = append(d.Frames, Frame{X: axes[0], Y: axes[1], Z: axes[2]})
 	}
 	return d, nil
 }

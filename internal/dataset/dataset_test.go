@@ -2,10 +2,13 @@ package dataset
 
 import (
 	"bytes"
-	"math"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -48,33 +51,6 @@ func TestAxisAccessors(t *testing.T) {
 	}
 	if AxisX.String() != "x" || AxisY.String() != "y" || AxisZ.String() != "z" {
 		t.Error("axis names")
-	}
-}
-
-func TestBatches(t *testing.T) {
-	d := testSet(7, 2, 2)
-	b := d.Batches(3)
-	if len(b) != 3 || len(b[0]) != 3 || len(b[1]) != 3 || len(b[2]) != 1 {
-		t.Fatalf("batch shapes: %d %v", len(b), []int{len(b[0]), len(b[1]), len(b[2])})
-	}
-	if got := d.Batches(0); len(got) != 1 || len(got[0]) != 7 {
-		t.Error("bs<=0 should yield one batch")
-	}
-}
-
-func TestValidate(t *testing.T) {
-	d := testSet(2, 3, 3)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d.Frames[1].Y[0] = math.NaN()
-	if err := d.Validate(); err == nil {
-		t.Error("expected NaN to fail validation")
-	}
-	d2 := testSet(2, 3, 4)
-	d2.Frames[1] = NewFrame(4)
-	if err := d2.Validate(); err == nil {
-		t.Error("expected inconsistent N to fail validation")
 	}
 }
 
@@ -129,11 +105,46 @@ func TestReadTruncated(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := testSet(1, 3, 8)
-	c := d.Frames[0].Clone()
-	c.X[0] = 1e9
-	if d.Frames[0].X[0] == 1e9 {
-		t.Error("Clone must deep-copy")
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	f()
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc - before
+}
+
+// forgedHeader is a 56-byte MDZD file: empty metadata strings and a header
+// claiming m frames of n particles, with no payload behind it.
+func forgedHeader(m, n uint64) []byte {
+	b := []byte(fileMagic)
+	b = append(b, make([]byte, 12)...) // three empty strings
+	for _, v := range []uint64{0, 0, 0, m, n} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
+
+// TestReadForgedCountsNoAlloc: frame and particle counts claimed by a
+// header with no data behind them fail typed before sizing memory. Frames
+// of zero particles are refused outright, since no bytes back their count.
+func TestReadForgedCountsNoAlloc(t *testing.T) {
+	for _, c := range []struct {
+		m, n uint64
+		want error
+	}{
+		{1 << 26, 0, errBadFile},
+		{1 << 16, 1000, io.EOF},
+		{1, 1 << 22, io.EOF},
+	} {
+		var err error
+		alloc := allocated(func() { _, err = Read(bytes.NewReader(forgedHeader(c.m, c.n))) })
+		if !errors.Is(err, c.want) {
+			t.Errorf("%d frames of %d: err %v, want %v", c.m, c.n, err, c.want)
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%d frames of %d: allocated %d bytes", c.m, c.n, alloc)
+		}
 	}
 }

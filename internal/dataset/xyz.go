@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,11 +25,14 @@ func (d *Dataset) WriteXYZ(w io.Writer) error {
 	return bw.Flush()
 }
 
+// errBadXYZ is wrapped by every ReadXYZ error about the input's content.
+var errBadXYZ = errors.New("dataset: malformed XYZ input")
+
 // ReadXYZ parses an XYZ trajectory written by WriteXYZ or standard MD
 // tools. Element symbols are ignored; all frames must share an atom count.
 func ReadXYZ(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	d := &Dataset{}
 	for {
 		// Atom-count line (skip blank lines between frames).
@@ -46,30 +50,34 @@ func ReadXYZ(r io.Reader) (*Dataset, error) {
 		}
 		n, err := strconv.Atoi(countLine)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("dataset: bad XYZ atom count %q", countLine)
+			return nil, fmt.Errorf("%w: bad atom count %q", errBadXYZ, countLine)
 		}
 		if !sc.Scan() {
-			return nil, fmt.Errorf("dataset: XYZ missing comment line")
+			return nil, fmt.Errorf("%w: missing comment line", errBadXYZ)
 		}
-		f := NewFrame(n)
+		// The frame grows as its atom lines arrive: the count line alone
+		// backs no memory.
+		var f Frame
 		for i := 0; i < n; i++ {
 			if !sc.Scan() {
-				return nil, fmt.Errorf("dataset: XYZ truncated at atom %d", i)
+				return nil, fmt.Errorf("%w: truncated at atom %d", errBadXYZ, i)
 			}
 			fields := strings.Fields(sc.Text())
 			if len(fields) < 4 {
-				return nil, fmt.Errorf("dataset: XYZ atom line %q", sc.Text())
+				return nil, fmt.Errorf("%w: atom line %q", errBadXYZ, sc.Text())
 			}
-			for k, dst := range []*float64{&f.X[i], &f.Y[i], &f.Z[i]} {
+			var xyz [3]float64
+			for k := range xyz {
 				v, err := strconv.ParseFloat(fields[k+1], 64)
 				if err != nil {
-					return nil, fmt.Errorf("dataset: XYZ coordinate %q: %v", fields[k+1], err)
+					return nil, fmt.Errorf("%w: coordinate %q: %v", errBadXYZ, fields[k+1], err)
 				}
-				*dst = v
+				xyz[k] = v
 			}
+			f.X, f.Y, f.Z = append(f.X, xyz[0]), append(f.Y, xyz[1]), append(f.Z, xyz[2])
 		}
 		if len(d.Frames) > 0 && n != d.N() {
-			return nil, fmt.Errorf("dataset: XYZ frame %d has %d atoms, want %d", len(d.Frames), n, d.N())
+			return nil, fmt.Errorf("%w: frame %d has %d atoms, want %d", errBadXYZ, len(d.Frames), n, d.N())
 		}
 		d.Frames = append(d.Frames, f)
 	}
@@ -77,7 +85,7 @@ func ReadXYZ(r io.Reader) (*Dataset, error) {
 		return nil, err
 	}
 	if len(d.Frames) == 0 {
-		return nil, fmt.Errorf("dataset: empty XYZ input")
+		return nil, fmt.Errorf("%w: no frames", errBadXYZ)
 	}
 	return d, nil
 }

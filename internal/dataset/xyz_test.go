@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -67,8 +68,21 @@ func TestReadXYZErrors(t *testing.T) {
 		"1\nc\nO 1 2 3\n2\nc\nO 1 2 3\nO 1 2 3\n", // inconsistent N
 	}
 	for i, in := range cases {
-		if _, err := ReadXYZ(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d accepted", i)
+		if _, err := ReadXYZ(strings.NewReader(in)); !errors.Is(err, errBadXYZ) {
+			t.Errorf("case %d: err %v, want errBadXYZ", i, err)
 		}
+	}
+}
+
+// TestReadXYZForgedCountNoAlloc: an atom count line with no atom lines
+// behind it fails typed before sizing memory.
+func TestReadXYZForgedCountNoAlloc(t *testing.T) {
+	var err error
+	alloc := allocated(func() { _, err = ReadXYZ(strings.NewReader("16777216\ncomment\n")) })
+	if !errors.Is(err, errBadXYZ) {
+		t.Errorf("err %v, want errBadXYZ", err)
+	}
+	if alloc >= 1<<20 {
+		t.Errorf("allocated %d bytes", alloc)
 	}
 }

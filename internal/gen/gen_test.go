@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/mdz/mdz/internal/dataset"
-	"github.com/mdz/mdz/internal/metrics"
 )
 
 // small returns fast-to-generate options for tests.
@@ -27,7 +26,7 @@ func TestAllGeneratorsProduceValidData(t *testing.T) {
 			if d.N() < 50 {
 				t.Errorf("N=%d suspiciously small", d.N())
 			}
-			if err := d.Validate(); err != nil {
+			if err := validate(d); err != nil {
 				t.Fatal(err)
 			}
 			if d.Meta.Name != name {
@@ -175,24 +174,24 @@ func TestPhysicalRegimesViaMSD(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, y, z := axes(lj)
-	msd, err := metrics.MSD(x, y, z, lj.Meta.Box)
+	curve, err := msd(x, y, z, lj.Meta.Box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.DiffusionRegime(msd, lj.Meta.Box); got != "diffusive" {
-		t.Errorf("LJ regime = %s, want diffusive (MSD tail %v)", got, msd[len(msd)-1])
+	if got := diffusionRegime(curve, lj.Meta.Box); got != "diffusive" {
+		t.Errorf("LJ regime = %s, want diffusive (MSD tail %v)", got, curve[len(curve)-1])
 	}
 	cu, err := Generate("Copper-A", Options{Snapshots: 20, Atoms: 500, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x, y, z = axes(cu)
-	msd, err = metrics.MSD(x, y, z, cu.Meta.Box)
+	curve, err = msd(x, y, z, cu.Meta.Box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.DiffusionRegime(msd, cu.Meta.Box); got != "bounded" {
-		t.Errorf("Copper-A regime = %s, want bounded (MSD tail %v)", got, msd[len(msd)-1])
+	if got := diffusionRegime(curve, cu.Meta.Box); got != "bounded" {
+		t.Errorf("Copper-A regime = %s, want bounded (MSD tail %v)", got, curve[len(curve)-1])
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 )
 
 // decodeIntoRef is the symbol-at-a-time int decode loop the pair-table loop
-// replaced, kept verbatim as the reference: one root probe per symbol
-// through the reader's PeekFast/SkipFast, subtable probes for long codes,
-// and the checked Decode for uncovered codes and the stream tail.
+// replaced, kept as the reference: one root probe per symbol through the
+// reader's Peek and Skip, subtable probes for long codes, and the checked
+// Decode for uncovered codes and the stream tail. Each probe follows a Fill
+// that buffered at least need bits, so Peek and Skip stay inside the bit
+// buffer and cannot fail.
 func (d *Decoder) decodeIntoRef(r *bitstream.Reader, out []int) error {
 	n := len(out)
 	need := uint(lutBits)
@@ -25,18 +27,20 @@ func (d *Decoder) decodeIntoRef(r *bitstream.Reader, out []int) error {
 		if r.Buffered() < need && r.Fill() < need {
 			break // near end of input: finish with the checked path
 		}
-		e := lut[r.PeekFast(lutBits)]
+		root, _ := r.Peek(lutBits)
+		e := lut[root]
 		if e.len != 0 {
-			r.SkipFast(uint(e.len))
+			r.Skip(uint(e.len))
 			out[i] = symbols[e.index]
 			i++
 			continue
 		}
 		if e.sub != 0 {
 			w := uint(e.sub)
-			se := sub[uint64(e.index)+(r.PeekFast(lutBits+w)&((1<<w)-1))]
+			long, _ := r.Peek(lutBits + w)
+			se := sub[uint64(e.index)+(long&((1<<w)-1))]
 			if se.len != 0 {
-				r.SkipFast(uint(se.len))
+				r.Skip(uint(se.len))
 				out[i] = symbols[se.index]
 				i++
 				continue

@@ -401,36 +401,3 @@ func fitLevels(centers []float64, d []float64) (lambda, mu, rsd float64) {
 	}
 	return lambda, mu, rsd
 }
-
-// BruteForce computes the exact optimal clustering cost of sorted data into
-// k groups in O(k·n²). It exists for cross-validation in tests.
-func BruteForce(sorted []float64, k int) float64 {
-	n := len(sorted)
-	if k >= n {
-		return 0
-	}
-	ps := newPrefixSums(sorted)
-	prev := make([]float64, n+1)
-	cur := make([]float64, n+1)
-	for m := 1; m <= n; m++ {
-		prev[m] = ps.cost(0, m-1)
-	}
-	for kk := 2; kk <= k; kk++ {
-		for m := 0; m <= n; m++ {
-			if m < kk {
-				cur[m] = 0
-				continue
-			}
-			best := math.Inf(1)
-			for i := kk - 1; i <= m; i++ {
-				c := prev[i] + ps.cost(i, m-1)
-				if c < best {
-					best = c
-				}
-			}
-			cur[m] = best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n]
-}

@@ -60,7 +60,7 @@ func TestClusterMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := BruteForce(sorted, res.K)
+		want := bruteForce(sorted, res.K)
 		if math.Abs(res.Cost-want) > 1e-6*(1+want) {
 			t.Errorf("trial %d: DP cost %v != brute force %v at K=%d", trial, res.Cost, want, res.K)
 		}
@@ -88,7 +88,7 @@ func TestDPLayerOptimalEveryK(t *testing.T) {
 			cur[m] = 0
 		}
 		fillLayer(ps, prev, cur, row, k, k, n, 1, n)
-		if want := BruteForce(data, k); math.Abs(cur[n]-want) > 1e-9*(1+want) {
+		if want := bruteForce(data, k); math.Abs(cur[n]-want) > 1e-9*(1+want) {
 			t.Errorf("k=%d: layer cost %v != brute %v", k, cur[n], want)
 		}
 		prev, cur = cur, prev
@@ -214,7 +214,7 @@ func TestCostMonotoneInK(t *testing.T) {
 	sort.Float64s(data)
 	prevCost := math.Inf(1)
 	for k := 1; k <= 8; k++ {
-		c := BruteForce(data, k)
+		c := bruteForce(data, k)
 		if c > prevCost+1e-9 {
 			t.Errorf("F(N,%d)=%v > F(N,%d)=%v", k, c, k-1, prevCost)
 		}

@@ -2,8 +2,8 @@
 // by the compression pipeline's three nesting levels (axes × ADP trials ×
 // particle shards).
 //
-// A Pool holds workers−1 helper slots, and every Run call executes tasks on
-// the calling goroutine as well. Each parallel call publishes its unclaimed
+// A Pool holds workers−1 helper slots, and every call executes tasks on the
+// calling goroutine as well. Each parallel call publishes its unclaimed
 // tasks on one pool-wide list and starts helpers only into free slots, so
 // the number of goroutines running tasks stays bounded by the callers plus
 // workers−1 however deep the nesting goes. A goroutine that runs out of
@@ -57,9 +57,9 @@ type Pool struct {
 	loops   int       // last claim-loop id handed out
 }
 
-// job is one parallel Run or RunContextChunked call: the index range
+// job is one parallel RunContext or RunContextChunked call: the index range
 // [0, n) split into parts contiguous parts, each claimed and run whole by
-// one goroutine. A Run call has one part per index.
+// one goroutine. A RunContext call has one part per index.
 type job struct {
 	ctx     context.Context
 	n       int
@@ -79,13 +79,13 @@ type job struct {
 // partially populated struct is fine; a nil *Telemetry disables
 // instrumentation entirely.
 type Telemetry struct {
-	// Runs counts parallel-eligible Run calls (n > 1 on a parallel pool).
+	// Runs counts parallel-eligible RunContext calls (n > 1 on a parallel pool).
 	Runs *telemetry.Counter
 	// Tasks counts tasks executed by those calls.
 	Tasks *telemetry.Counter
 	// HelperSpawns counts helper goroutines started into free slots.
 	HelperSpawns *telemetry.Counter
-	// SerialDegradations counts parallel-eligible Run and
+	// SerialDegradations counts parallel-eligible RunContext and
 	// RunContextChunked calls whose tasks all ran on the caller: no other
 	// goroutine was free to claim one before the caller had run them all.
 	// Its rate over Runs+ChunkedRuns is the share of fan-out the host's
@@ -130,7 +130,7 @@ func (p *Pool) SetTelemetry(t *Telemetry) {
 }
 
 // New returns a Pool allowing up to workers concurrently running tasks
-// (including the goroutine that calls Run). workers <= 0 selects
+// (including the goroutine that calls RunContext). workers <= 0 selects
 // runtime.GOMAXPROCS(0); workers == 1 yields a serial pool.
 func New(workers int) *Pool {
 	if workers <= 0 {
@@ -139,14 +139,6 @@ func New(workers int) *Pool {
 	p := &Pool{workers: workers}
 	p.wake.L = &p.mu
 	return p
-}
-
-// Workers reports the concurrency bound (1 for a nil or serial pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
 }
 
 // PanicError reports a task panic recovered by the pool. It satisfies
@@ -187,21 +179,17 @@ func (p *Pool) callRange(f func(lo, hi int) error, lo, hi int) (err error) {
 	return f(lo, hi)
 }
 
-// Run executes f(0) … f(n-1), sharing the work between the calling
+// RunContext executes f(0) … f(n-1), sharing the work between the calling
 // goroutine and any other pool goroutine that is free. It returns the error
-// of the lowest-index failing task (all tasks still run). Run is safe to
-// call concurrently and reentrantly.
-func (p *Pool) Run(n int, f func(i int) error) error {
-	return p.RunContext(nil, n, f)
-}
-
-// RunContext is Run with cooperative cancellation: once ctx is done, tasks
-// that have not started are skipped and their slots report ctx.Err(), which
-// participates in the usual lowest-index-error selection. Tasks already
-// running are never interrupted — long tasks should poll ctx themselves.
-// RunContext returns only after every started task has finished, so callers
-// never observe in-flight tasks after it returns. A nil ctx disables
-// cancellation.
+// of the lowest-index failing task (all tasks still run). RunContext is safe
+// to call concurrently and reentrantly.
+//
+// Once ctx is done, tasks that have not started are skipped and their slots
+// report ctx.Err(), which participates in the usual lowest-index-error
+// selection. Tasks already running are never interrupted — long tasks
+// should poll ctx themselves. RunContext returns only after every started
+// task has finished, so callers never observe in-flight tasks after it
+// returns. A nil ctx disables cancellation.
 func (p *Pool) RunContext(ctx context.Context, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -224,11 +212,6 @@ func (p *Pool) RunContext(ctx context.Context, n int, f func(i int) error) error
 	return p.fork(&job{ctx: ctx, n: n, parts: n, f: func(i, _ int) error { return f(i) }})
 }
 
-// RunChunked is RunContextChunked without cancellation.
-func (p *Pool) RunChunked(n int, f func(lo, hi int) error) error {
-	return p.RunContextChunked(nil, n, f)
-}
-
 // RunContextChunked executes f over the index range [0, n) split into
 // min(n, Workers) contiguous chunks. Unlike RunContext — where every index
 // is claimed on its own, so tasks migrate to whichever goroutine is free —
@@ -245,7 +228,7 @@ func (p *Pool) RunChunked(n int, f func(lo, hi int) error) error {
 // runs those no other goroutine frees up to claim. f must poll ctx itself
 // for cancellation inside a chunk; chunks not yet started when ctx is done
 // are skipped and report ctx.Err(). The error of the lowest-indexed failing
-// chunk is returned, and panics are contained as in Run.
+// chunk is returned, and panics are contained as in RunContext.
 func (p *Pool) RunContextChunked(ctx context.Context, n int, f func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil

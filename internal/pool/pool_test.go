@@ -13,11 +13,8 @@ import (
 
 func TestNilPoolRunsSerially(t *testing.T) {
 	var p *Pool
-	if p.Workers() != 1 {
-		t.Errorf("nil pool workers = %d", p.Workers())
-	}
 	got := make([]int, 5)
-	if err := p.Run(5, func(i int) error { got[i] = i + 1; return nil }); err != nil {
+	if err := p.RunContext(nil, 5, func(i int) error { got[i] = i + 1; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
@@ -30,12 +27,12 @@ func TestNilPoolRunsSerially(t *testing.T) {
 func TestRunAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 13} {
 		p := New(workers)
-		if p.Workers() != workers {
-			t.Errorf("Workers() = %d, want %d", p.Workers(), workers)
+		if p.workers != workers {
+			t.Errorf("workers = %d, want %d", p.workers, workers)
 		}
 		const n = 257
 		var hits [n]atomic.Int32
-		if err := p.Run(n, func(i int) error { hits[i].Add(1); return nil }); err != nil {
+		if err := p.RunContext(nil, n, func(i int) error { hits[i].Add(1); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		for i := range hits {
@@ -50,7 +47,7 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	for _, workers := range []int{1, 4} {
 		p := New(workers)
-		err := p.Run(10, func(i int) error {
+		err := p.RunContext(nil, 10, func(i int) error {
 			switch i {
 			case 3:
 				return errA
@@ -68,9 +65,9 @@ func TestRunReturnsLowestIndexError(t *testing.T) {
 func TestNestedRunDoesNotDeadlock(t *testing.T) {
 	p := New(4)
 	var total atomic.Int32
-	err := p.Run(8, func(i int) error {
-		return p.Run(8, func(j int) error {
-			return p.Run(3, func(k int) error {
+	err := p.RunContext(nil, 8, func(i int) error {
+		return p.RunContext(nil, 8, func(j int) error {
+			return p.RunContext(nil, 3, func(k int) error {
 				total.Add(1)
 				return nil
 			})
@@ -85,16 +82,16 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 }
 
 func TestZeroTasks(t *testing.T) {
-	if err := New(4).Run(0, func(int) error { t.Error("task ran"); return nil }); err != nil {
+	if err := New(4).RunContext(nil, 0, func(int) error { t.Error("task ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDefaultWorkersPositive(t *testing.T) {
-	if New(0).Workers() < 1 {
+	if New(0).workers < 1 {
 		t.Error("default pool has no workers")
 	}
-	if New(-3).Workers() < 1 {
+	if New(-3).workers < 1 {
 		t.Error("negative workers pool unusable")
 	}
 }
@@ -102,7 +99,7 @@ func TestDefaultWorkersPositive(t *testing.T) {
 func TestRunRecoversPanicToPanicError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := New(workers)
-		err := p.Run(8, func(i int) error {
+		err := p.RunContext(nil, 8, func(i int) error {
 			if i == 5 {
 				panic("boom")
 			}
@@ -124,7 +121,7 @@ func TestRunRecoversPanicToPanicError(t *testing.T) {
 func TestPanicErrorLowestIndexVsError(t *testing.T) {
 	errA := errors.New("a")
 	p := New(1) // serial: deterministic ordering
-	err := p.Run(10, func(i int) error {
+	err := p.RunContext(nil, 10, func(i int) error {
 		switch i {
 		case 2:
 			panic("early")
@@ -141,7 +138,7 @@ func TestPanicErrorLowestIndexVsError(t *testing.T) {
 
 func TestPanicErrorUnwrapsErrorValue(t *testing.T) {
 	sentinel := errors.New("inner")
-	err := New(1).Run(1, func(int) error { panic(sentinel) })
+	err := New(1).RunContext(nil, 1, func(int) error { panic(sentinel) })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("errors.Is(err, sentinel) = false for %v", err)
 	}
@@ -151,7 +148,7 @@ func TestPanicsRecoveredCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := New(2)
 	p.SetTelemetry(Instruments(reg))
-	_ = p.Run(4, func(i int) error {
+	_ = p.RunContext(nil, 4, func(i int) error {
 		if i%2 == 0 {
 			panic(i)
 		}
@@ -213,7 +210,7 @@ func TestChunkedCoversAllIndicesOnce(t *testing.T) {
 			p := New(workers)
 			hits := make([]atomic.Int32, n)
 			var chunks atomic.Int32
-			err := p.RunChunked(n, func(lo, hi int) error {
+			err := p.RunContextChunked(nil, n, func(lo, hi int) error {
 				chunks.Add(1)
 				if lo >= hi || lo < 0 || hi > n {
 					t.Errorf("workers=%d n=%d: bad chunk [%d,%d)", workers, n, lo, hi)
@@ -241,7 +238,7 @@ func TestChunkedCoversAllIndicesOnce(t *testing.T) {
 func TestChunkedNilPoolSingleChunk(t *testing.T) {
 	var p *Pool
 	calls := 0
-	err := p.RunChunked(9, func(lo, hi int) error {
+	err := p.RunContextChunked(nil, 9, func(lo, hi int) error {
 		calls++
 		if lo != 0 || hi != 9 {
 			t.Errorf("chunk [%d,%d), want [0,9)", lo, hi)
@@ -257,7 +254,7 @@ func TestChunkedLowestChunkError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	for _, workers := range []int{1, 4} {
 		p := New(workers)
-		err := p.RunChunked(16, func(lo, hi int) error {
+		err := p.RunContextChunked(nil, 16, func(lo, hi int) error {
 			if lo <= 12 && 12 < hi {
 				return errB
 			}
@@ -280,7 +277,7 @@ func TestChunkedLowestChunkError(t *testing.T) {
 
 func TestChunkedRecoversPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := New(workers).RunChunked(8, func(lo, hi int) error {
+		err := New(workers).RunContextChunked(nil, 8, func(lo, hi int) error {
 			if lo == 0 {
 				panic("chunk boom")
 			}
@@ -308,9 +305,9 @@ func TestChunkedPreCancelled(t *testing.T) {
 func TestChunkedNestedDoesNotDeadlock(t *testing.T) {
 	p := New(4)
 	var total atomic.Int32
-	err := p.RunChunked(8, func(lo, hi int) error {
+	err := p.RunContextChunked(nil, 8, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if err := p.RunChunked(8, func(lo2, hi2 int) error {
+			if err := p.RunContextChunked(nil, 8, func(lo2, hi2 int) error {
 				total.Add(int32(hi2 - lo2))
 				return nil
 			}); err != nil {
@@ -328,7 +325,7 @@ func TestChunkedNestedDoesNotDeadlock(t *testing.T) {
 }
 
 func TestChunkedZeroTasks(t *testing.T) {
-	if err := New(4).RunChunked(0, func(int, int) error { t.Error("chunk ran"); return nil }); err != nil {
+	if err := New(4).RunContextChunked(nil, 0, func(int, int) error { t.Error("chunk ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -356,14 +353,14 @@ func await(ch <-chan struct{}) bool {
 func TestNestedRunUsesFreedWorker(t *testing.T) {
 	p := New(2)
 	published, x1ran := make(chan struct{}), make(chan struct{})
-	err := p.Run(2, func(i int) error {
+	err := p.RunContext(nil, 2, func(i int) error {
 		if i == 1 { // T1
 			if !await(published) {
 				return errors.New("inner task x0 never started")
 			}
 			return nil
 		}
-		return p.Run(2, func(x int) error { // T0
+		return p.RunContext(nil, 2, func(x int) error { // T0
 			if x == 1 {
 				close(x1ran)
 				return nil
@@ -421,14 +418,14 @@ func TestChunkedSplitIgnoresSaturation(t *testing.T) {
 		p := New(workers)
 		started := make(chan struct{})
 		var calls atomic.Int32
-		err := p.Run(workers, func(i int) error {
+		err := p.RunContext(nil, workers, func(i int) error {
 			if i > 0 { // hold a helper slot until the inner call has started
 				if !await(started) {
 					return errors.New("inner call never started")
 				}
 				return nil
 			}
-			return p.RunChunked(8, func(lo, hi int) error {
+			return p.RunContextChunked(nil, 8, func(lo, hi int) error {
 				if calls.Add(1) == 1 {
 					close(started)
 				}
@@ -451,9 +448,9 @@ func TestConcurrencyBound(t *testing.T) {
 	p := New(3)
 	p.SetTelemetry(Instruments(reg))
 	var running, peak, total atomic.Int32
-	err := p.Run(4, func(int) error {
-		return p.RunChunked(5, func(lo, hi int) error {
-			return p.Run(hi-lo, func(int) error {
+	err := p.RunContext(nil, 4, func(int) error {
+		return p.RunContextChunked(nil, 5, func(lo, hi int) error {
+			return p.RunContext(nil, hi-lo, func(int) error {
 				n := running.Add(1)
 				for {
 					m := peak.Load()
@@ -498,9 +495,9 @@ func TestConcurrentNestedCallers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				_ = p.Run(3, func(int) error {
-					return p.RunChunked(7, func(lo, hi int) error {
-						return p.Run(hi-lo, func(int) error { total.Add(1); return nil })
+				_ = p.RunContext(nil, 3, func(int) error {
+					return p.RunContextChunked(nil, 7, func(lo, hi int) error {
+						return p.RunContext(nil, hi-lo, func(int) error { total.Add(1); return nil })
 					})
 				})
 			}
@@ -526,7 +523,7 @@ func TestChunkedTelemetry(t *testing.T) {
 	p := New(2)
 	p.SetTelemetry(Instruments(reg))
 	chunk1 := make(chan struct{})
-	err := p.RunChunked(16, func(lo, hi int) error {
+	err := p.RunContextChunked(nil, 16, func(lo, hi int) error {
 		if lo > 0 {
 			close(chunk1)
 		} else if !await(chunk1) {
@@ -558,7 +555,7 @@ func TestChunkedTelemetry(t *testing.T) {
 	p = New(2)
 	p.SetTelemetry(Instruments(reg))
 	t1started, innerDone := make(chan struct{}), make(chan struct{})
-	err = p.Run(2, func(i int) error {
+	err = p.RunContext(nil, 2, func(i int) error {
 		if i == 1 {
 			close(t1started)
 			if !await(innerDone) {
@@ -570,7 +567,7 @@ func TestChunkedTelemetry(t *testing.T) {
 			return errors.New("outer task 1 never started")
 		}
 		defer close(innerDone)
-		return p.RunChunked(16, func(lo, hi int) error { return nil })
+		return p.RunContextChunked(nil, 16, func(lo, hi int) error { return nil })
 	})
 	if err != nil {
 		t.Fatal(err)

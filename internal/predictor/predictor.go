@@ -1,55 +1,14 @@
-// Package predictor provides the data-prediction primitives shared by MDZ
-// and the SZ-family baselines (paper §III-B, §VI): spatial Lorenzo
-// predictors, temporal previous-snapshot prediction, the snapshot-0
-// (initial-time-based) prediction that powers MT, and the level-centroid
-// prediction that powers VQ.
-//
-// All predictors operate on *reconstructed* (decompressed) values, never on
-// originals, so compressor and decompressor stay in lock-step and error
-// never accumulates beyond the bound.
+// Package predictor provides the level-centroid prediction that powers MDZ's
+// VQ method (paper Algorithm 1) and the mean absolute prediction errors of
+// the spatial, temporal and snapshot-0 predictors that Table II compares.
+// The predictors themselves are fused into the quantization kernels of
+// internal/quant and into each baseline's residual walk.
 package predictor
 
 import "math"
 
-// Lorenzo1D predicts a value from its immediate predecessor in the same
-// snapshot (the classic 1-D Lorenzo predictor). prev is the reconstructed
-// preceding value; the first element of a stream has no predecessor and is
-// conventionally predicted as 0.
-func Lorenzo1D(prev float64) float64 { return prev }
-
-// Lorenzo2D predicts d[i][j] from reconstructed neighbors in a 2-D layout
-// (snapshots × particles): left (same snapshot, previous particle), up
-// (previous snapshot, same particle) and diagonal (previous snapshot,
-// previous particle): left + up − diag.
-func Lorenzo2D(left, up, diag float64) float64 { return left + up - diag }
-
-// Time predicts a value from the reconstructed value of the same particle
-// in the previous snapshot (paper's time-based predictor).
-func Time(prevSnapshot float64) float64 { return prevSnapshot }
-
-// Snapshot0 predicts a value from the reconstructed value of the same
-// particle in the initial snapshot of the whole run (MT's
-// initial-time-based prediction, paper §VI-B).
-func Snapshot0(initial float64) float64 { return initial }
-
-// Level computes the level index and centroid prediction of the VQ
-// predictor for value d under the equal-distant level model (λ, μ):
-// L = round((d−μ)/λ), V = μ + λ·L (paper Algorithm 1, lines 4-5).
-func Level(d, lambda, mu float64) (level int64, centroid float64) {
-	l := math.Round((d - mu) / lambda)
-	// Clamp to a sane integer range; callers route pathological values to
-	// outlier storage anyway.
-	if l > math.MaxInt32 {
-		l = math.MaxInt32
-	} else if l < math.MinInt32 {
-		l = math.MinInt32
-	}
-	level = int64(l)
-	return level, mu + lambda*float64(level)
-}
-
-// Centroid returns the level-centroid value for an already-known level
-// index (used on the decode path).
+// Centroid returns the centroid μ + λ·L of level index L under the
+// equal-distant level model (λ, μ) (paper Algorithm 1, line 5).
 func Centroid(level int64, lambda, mu float64) float64 {
 	return mu + lambda*float64(level)
 }

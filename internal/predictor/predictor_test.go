@@ -3,68 +3,7 @@ package predictor
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestLorenzo(t *testing.T) {
-	if Lorenzo1D(3.5) != 3.5 {
-		t.Error("Lorenzo1D")
-	}
-	if Lorenzo2D(1, 2, 0.5) != 2.5 {
-		t.Error("Lorenzo2D")
-	}
-}
-
-func TestLevelRoundTrip(t *testing.T) {
-	lambda, mu := 2.0, 10.0
-	for want := int64(-50); want <= 50; want++ {
-		d := mu + lambda*float64(want) + 0.3 // within half a level
-		level, centroid := Level(d, lambda, mu)
-		if level != want {
-			t.Fatalf("Level(%v) = %d, want %d", d, level, want)
-		}
-		if got := Centroid(level, lambda, mu); got != centroid {
-			t.Fatalf("Centroid mismatch: %v vs %v", got, centroid)
-		}
-		if math.Abs(centroid-d) > lambda/2+1e-9 {
-			t.Fatalf("centroid %v too far from %v", centroid, d)
-		}
-	}
-}
-
-func TestLevelNearestProperty(t *testing.T) {
-	f := func(dRaw int32, lRaw uint8) bool {
-		lambda := 0.5 + float64(lRaw%40)
-		mu := -3.0
-		d := float64(dRaw) / 100
-		level, centroid := Level(d, lambda, mu)
-		// The chosen centroid must be within λ/2 of d (nearest level).
-		if math.Abs(centroid-d) > lambda/2+1e-9 {
-			return false
-		}
-		// Neighbors cannot be closer.
-		for _, nb := range []int64{level - 1, level + 1} {
-			if math.Abs(Centroid(nb, lambda, mu)-d) < math.Abs(centroid-d)-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLevelClamp(t *testing.T) {
-	level, _ := Level(1e300, 1e-10, 0)
-	if level != math.MaxInt32 {
-		t.Errorf("positive overflow clamp: %d", level)
-	}
-	level, _ = Level(-1e300, 1e-10, 0)
-	if level != math.MinInt32 {
-		t.Errorf("negative overflow clamp: %d", level)
-	}
-}
 
 func TestMeanAbsErrs(t *testing.T) {
 	vals := []float64{0, 1, 3, 6}

@@ -60,8 +60,9 @@ func (q *Quantizer) QuantizeBlockVQ(data []float64, lam, mu float64, codes []int
 	ci := base
 	prevLevel := int64(0)
 	for i, d := range data {
-		// Inlined predictor.Level (too large for the compiler's inliner):
-		// expressions must stay in lock-step with that function.
+		// The level predictor, inlined (too large for the compiler's
+		// inliner). TestQuantizeBlockVQMatchesLevel pins these expressions
+		// to the per-value reference.
 		l := math.Round((d - mu) / lam)
 		if l > math.MaxInt32 {
 			l = math.MaxInt32
@@ -131,8 +132,8 @@ func (q *Quantizer) DequantizeBlockVQ(codes []int, base, stride int, levels []in
 			opos += nb
 			out[i] = v
 		} else {
-			// predictor.Centroid inlines; only Level (in QuantizeBlockVQ) is
-			// large enough to need hand-fusing.
+			// predictor.Centroid inlines; only the level index (in
+			// QuantizeBlockVQ) is large enough to need hand-fusing.
 			out[i] = predictor.Centroid(lvl, lam, mu) + float64(c-mid)*twoEB
 		}
 		ci += stride

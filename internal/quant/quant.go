@@ -32,7 +32,6 @@ const Reserved = 0
 type Quantizer struct {
 	eb     float64 // absolute error bound
 	twoEB  float64
-	scale  int // number of bins, including the reserved code
 	mid    int // bias: code for zero residual
 	maxMag int // max |quantized| residual representable
 }
@@ -50,17 +49,10 @@ func New(eb float64, scale int) (*Quantizer, error) {
 	return &Quantizer{
 		eb:     eb,
 		twoEB:  2 * eb,
-		scale:  scale,
 		mid:    mid,
 		maxMag: mid - 1, // codes 1..scale-1 usable; 0 reserved
 	}, nil
 }
-
-// ErrorBound returns the absolute error bound.
-func (q *Quantizer) ErrorBound() float64 { return q.eb }
-
-// Scale returns the configured number of bins.
-func (q *Quantizer) Scale() int { return q.scale }
 
 // Quantize maps value d with prediction pred to a bin code and the
 // reconstructed (decompressed) value. ok is false when the residual is out

@@ -20,12 +20,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(1e-3, 2); err == nil {
 		t.Error("expected error for tiny scale")
 	}
-	q, err := New(1e-3, 1024)
-	if err != nil {
+	if _, err := New(1e-3, 1024); err != nil {
 		t.Fatal(err)
-	}
-	if q.ErrorBound() != 1e-3 || q.Scale() != 1024 {
-		t.Errorf("accessors: eb=%v scale=%d", q.ErrorBound(), q.Scale())
 	}
 }
 
@@ -45,8 +41,8 @@ func TestQuantizeRoundTripBound(t *testing.T) {
 		if got := q.Dequantize(code, pred); got != recon {
 			t.Fatalf("Dequantize disagrees with Quantize recon: %v vs %v", got, recon)
 		}
-		if math.Abs(recon-d) > q.ErrorBound() {
-			t.Fatalf("error bound violated: |%v-%v| = %v > %v", recon, d, math.Abs(recon-d), q.ErrorBound())
+		if math.Abs(recon-d) > 0.01 {
+			t.Fatalf("error bound violated: |%v-%v| = %v > 0.01", recon, d, math.Abs(recon-d))
 		}
 	}
 }

@@ -52,6 +52,3 @@ func mi(d, l float64) float64 {
 	d -= l * math.Round(d/l)
 	return d
 }
-
-// Volume returns the cell volume.
-func (b Box) Volume() float64 { return b.L.X * b.L.Y * b.L.Z }

@@ -211,26 +211,6 @@ func (g *Gravity) ComputeAccel() {
 	}
 }
 
-// DirectAccel computes exact pairwise accelerations (O(N²)), used by tests
-// to validate the tree code.
-func (g *Gravity) DirectAccel() []Vec3 {
-	n := g.N()
-	out := make([]Vec3, n)
-	soft2 := g.Soft * g.Soft
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			d := g.Box.Delta(g.Pos[j], g.Pos[i])
-			r2 := d.Norm2()
-			inv := 1 / math.Pow(r2+soft2, 1.5)
-			out[i] = out[i].Add(d.Scale(g.G * inv))
-		}
-	}
-	return out
-}
-
 // Step advances one kick-drift-kick leapfrog step.
 func (g *Gravity) Step() {
 	if g.steps == 0 {
@@ -253,26 +233,6 @@ func (g *Gravity) Run(n int) {
 	for i := 0; i < n; i++ {
 		g.Step()
 	}
-}
-
-// Energy returns the total energy: kinetic plus softened pairwise
-// potential −G·Σ 1/√(r²+ε²), computed by direct sum (O(N²); use for
-// diagnostics on small systems).
-func (g *Gravity) Energy() float64 {
-	var ke float64
-	for _, v := range g.Vel {
-		ke += 0.5 * v.Norm2()
-	}
-	var pe float64
-	soft2 := g.Soft * g.Soft
-	n := g.N()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			r2 := g.Box.Delta(g.Pos[i], g.Pos[j]).Norm2()
-			pe -= g.G / math.Sqrt(r2+soft2)
-		}
-	}
-	return ke + pe
 }
 
 // Snapshot copies positions into per-axis arrays.

@@ -23,11 +23,6 @@ func BCC(nx, ny, nz int, a float64) ([]Vec3, Box) {
 	return lattice(nx, ny, nz, a, basis)
 }
 
-// SC generates a simple-cubic lattice (1 atom per unit cell).
-func SC(nx, ny, nz int, a float64) ([]Vec3, Box) {
-	return lattice(nx, ny, nz, a, []Vec3{{0, 0, 0}})
-}
-
 func lattice(nx, ny, nz int, a float64, basis []Vec3) ([]Vec3, Box) {
 	pos := make([]Vec3, 0, nx*ny*nz*len(basis))
 	for ix := 0; ix < nx; ix++ {

@@ -24,9 +24,6 @@ func TestVecOps(t *testing.T) {
 	if math.Abs(a.Norm()-math.Sqrt(14)) > 1e-15 {
 		t.Error("Norm")
 	}
-	if a.Cross(b) != (Vec3{-3, 6, -3}) {
-		t.Error("Cross")
-	}
 }
 
 func TestBoxWrapDelta(t *testing.T) {
@@ -62,10 +59,6 @@ func TestLattices(t *testing.T) {
 	pos, _ = BCC(2, 3, 4, 2.0)
 	if len(pos) != 2*3*4*2 {
 		t.Errorf("BCC count = %d", len(pos))
-	}
-	pos, _ = SC(2, 2, 2, 1.0)
-	if len(pos) != 8 {
-		t.Errorf("SC count = %d", len(pos))
 	}
 	// All lattice sites must be inside the box.
 	posF, boxF := FCC(4, 4, 4, 1.2)
@@ -173,9 +166,9 @@ func TestNVEEnergyConservation(t *testing.T) {
 	s.Dt = 0.002
 	s.InitVelocities(0.2)
 	s.ComputeForces()
-	e0 := s.TotalEnergy()
+	e0 := s.totalEnergy()
 	s.Run(400)
-	e1 := s.TotalEnergy()
+	e1 := s.totalEnergy()
 	drift := math.Abs(e1-e0) / math.Abs(e0)
 	if drift > 5e-3 {
 		t.Errorf("NVE energy drift %.2e over 400 steps (E0=%v E1=%v)", drift, e0, e1)
@@ -187,11 +180,11 @@ func TestNVEMomentumConservation(t *testing.T) {
 	s := NewSystem(box, pos, 8)
 	s.Pair = NewLJ(1, 1, 2.5)
 	s.InitVelocities(0.5)
-	if p := s.Momentum().Norm(); p > 1e-10 {
+	if p := s.momentum().Norm(); p > 1e-10 {
 		t.Fatalf("initial momentum %v after drift removal", p)
 	}
 	s.Run(100)
-	if p := s.Momentum().Norm(); p > 1e-8 {
+	if p := s.momentum().Norm(); p > 1e-8 {
 		t.Errorf("momentum drifted to %v", p)
 	}
 }
@@ -269,7 +262,7 @@ func TestChainBondsStayNearR0(t *testing.T) {
 	if len(s.Bonds) != 29 || len(s.Angles) != 28 {
 		t.Fatalf("topology: %d bonds %d angles", len(s.Bonds), len(s.Angles))
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Fatal(err)
 	}
 	s.Pair = NewLJ(0.2, 0.9, 2.0)
@@ -310,7 +303,7 @@ func TestBarnesHutMatchesDirect(t *testing.T) {
 	g := NewGravity(400, 10, 3)
 	g.Theta = 0.5
 	g.ComputeAccel()
-	direct := g.DirectAccel()
+	direct := g.directAccel()
 	// Compare against the RMS force scale: per-particle relative error is
 	// meaningless where opposing pulls cancel to near zero.
 	var sumErr2, sumRef2 float64
@@ -409,9 +402,9 @@ func TestGravityEnergyConservation(t *testing.T) {
 	g.Theta = 0.4
 	g.Dt = 0.05
 	g.Step() // prime accelerations
-	e0 := g.Energy()
+	e0 := g.energy()
 	g.Run(40)
-	e1 := g.Energy()
+	e1 := g.energy()
 	scale := math.Abs(e0)
 	if scale == 0 {
 		t.Skip("degenerate zero-energy configuration")

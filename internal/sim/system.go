@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -74,9 +73,6 @@ func NewSystem(box Box, pos []Vec3, seed int64) *System {
 
 // N reports the atom count.
 func (s *System) N() int { return len(s.Pos) }
-
-// Steps reports how many integration steps have run.
-func (s *System) Steps() int { return s.steps }
 
 // InitVelocities draws Maxwell-Boltzmann velocities at temperature t and
 // removes the centre-of-mass drift.
@@ -231,13 +227,6 @@ func (s *System) KineticEnergy() float64 {
 	return ke
 }
 
-// PotentialEnergy returns the potential energy of the last force
-// evaluation.
-func (s *System) PotentialEnergy() float64 { return s.potential }
-
-// TotalEnergy returns kinetic + potential.
-func (s *System) TotalEnergy() float64 { return s.KineticEnergy() + s.potential }
-
 // Temperature returns the instantaneous kinetic temperature (kB = 1).
 func (s *System) Temperature() float64 {
 	dof := 0
@@ -251,15 +240,6 @@ func (s *System) Temperature() float64 {
 		return 0
 	}
 	return 2 * s.KineticEnergy() / float64(dof)
-}
-
-// Momentum returns the total momentum vector.
-func (s *System) Momentum() Vec3 {
-	var p Vec3
-	for i := range s.Vel {
-		p = p.Add(s.Vel[i].Scale(s.Mass[i]))
-	}
-	return p
 }
 
 // ExcludeBonded populates Exclude with every directly bonded pair, the
@@ -347,23 +327,4 @@ func (s *System) Snapshot() (x, y, z []float64) {
 		x[i], y[i], z[i] = p.X, p.Y, p.Z
 	}
 	return x, y, z
-}
-
-// Validate performs cheap sanity checks, useful before long runs.
-func (s *System) Validate() error {
-	n := s.N()
-	if len(s.Vel) != n || len(s.Force) != n || len(s.Mass) != n {
-		return fmt.Errorf("sim: inconsistent array lengths")
-	}
-	for _, b := range s.Bonds {
-		if b.I < 0 || b.I >= n || b.J < 0 || b.J >= n {
-			return fmt.Errorf("sim: bond index out of range")
-		}
-	}
-	for _, a := range s.Angles {
-		if a.I < 0 || a.I >= n || a.J < 0 || a.J >= n || a.K < 0 || a.K >= n {
-			return fmt.Errorf("sim: angle index out of range")
-		}
-	}
-	return nil
 }

@@ -39,12 +39,3 @@ func (v Vec3) Norm2() float64 { return v.Dot(v) }
 
 // Norm returns |v|.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Norm2()) }
-
-// Cross returns v × w.
-func (v Vec3) Cross(w Vec3) Vec3 {
-	return Vec3{
-		v.Y*w.Z - v.Z*w.Y,
-		v.Z*w.X - v.X*w.Z,
-		v.X*w.Y - v.Y*w.X,
-	}
-}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -83,10 +82,4 @@ func Handler(regs ...*Registry) http.Handler {
 			}
 		}
 	})
-}
-
-// Expvar returns the registry as an expvar.Func rendering its live
-// Snapshot, suitable for expvar.Publish. A nil registry yields null.
-func (r *Registry) Expvar() expvar.Func {
-	return func() any { return r.Snapshot() }
 }

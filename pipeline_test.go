@@ -7,14 +7,19 @@ import (
 	"testing"
 )
 
-// TestPipelineByteIdentity: the deprecated Config.PipelineDepth has no
-// effect — every depth produces the container bytes and Stats of a Writer
-// without it, with checkpoints in the stream.
+// TestPipelineByteIdentity: the deprecated Config.PipelineDepth and
+// Config.ADPRetrialInterval have no effect — every setting produces the
+// container bytes, Stats and ADP trial count of a Writer without it, with
+// checkpoints in the stream. AdaptInterval 2 makes batches 2 and 4 ADP
+// evaluation rounds too: batches 0 and 1 always run the full trial.
 func TestPipelineByteIdentity(t *testing.T) {
 	frames := makeFrames(21, 120, 3)
 	cfg := Config{
-		ErrorBound: 1e-3, Method: ADP, BufferSize: 4,
-		CheckpointInterval: 2,
+		ErrorBound: 1e-3, Method: ADP, AdaptInterval: 2, BufferSize: 4,
+		CheckpointInterval: 2, Telemetry: true,
+	}
+	evals := func(w *Writer) int64 {
+		return w.c.Telemetry().Counters["compress.adp.x.evals"]
 	}
 	var want bytes.Buffer
 	w, err := NewWriter(&want, cfg)
@@ -29,10 +34,19 @@ func TestPipelineByteIdentity(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{1, 4, 64} {
-		t.Run(fmt.Sprintf("v2_depth%d", depth), func(t *testing.T) {
+	rows := []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"v2_depth1", func(c *Config) { c.PipelineDepth = 1 }},
+		{"v2_depth4", func(c *Config) { c.PipelineDepth = 4 }},
+		{"v2_depth64", func(c *Config) { c.PipelineDepth = 64 }},
+		{"adp_retrial4", func(c *Config) { c.ADPRetrialInterval = 4 }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
 			pcfg := cfg
-			pcfg.PipelineDepth = depth
+			row.set(&pcfg)
 			var got bytes.Buffer
 			pw, err := NewWriter(&got, pcfg)
 			if err != nil {
@@ -47,13 +61,16 @@ func TestPipelineByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatalf("depth %d container differs from the default: %d vs %d bytes",
-					depth, got.Len(), want.Len())
+				t.Fatalf("%s container differs from the default: %d vs %d bytes",
+					row.name, got.Len(), want.Len())
 			}
 			wr, wc := w.Stats()
 			gr, gc := pw.Stats()
 			if wr != gr || wc != gc {
-				t.Errorf("depth %d Stats = (%d, %d), want (%d, %d)", depth, gr, gc, wr, wc)
+				t.Errorf("%s Stats = (%d, %d), want (%d, %d)", row.name, gr, gc, wr, wc)
+			}
+			if got, want := evals(pw), evals(w); got != want {
+				t.Errorf("%s ran %d ADP trials on x, want %d", row.name, got, want)
 			}
 		})
 	}

@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$'
 go vet ./...
 go build ./...
+
+# Dead-code gate: every exported function or method of a package under
+# internal/ must be referenced from non-test code of this module or of the
+# internal/bench/perf harness (a method that implements an interface counts
+# as referenced). Test oracles belong in _test.go files. Only
+# internal/faultio and internal/codec/codectest, which exist to serve tests,
+# are exempt.
+go run ./scripts/deadcode
+
 go test ./...
 go test -race ./...
 
@@ -66,11 +75,11 @@ make fuzz-short FUZZTIME=10s
 # The performance harness is a nested module that the root `go test ./...`
 # never compiles; its own tests (a few seconds) keep it building against
 # the library it drives. That includes the deprecated no-op fields
-# Config.PipelineDepth and ReaderOptions.Pipeline, which its -ab knobs still
-# set: this step is what keeps them compiling until the harness stops
-# setting them. Compression ratios are pinned by the golden hashes in
-# TestKernelByteInvariance and TestADPSampleShardsAcceptance, so no
-# wall-clock run gates CI.
+# Config.PipelineDepth, Config.ADPRetrialInterval and ReaderOptions.Pipeline,
+# which its -ab knobs still set: this step is what keeps them compiling
+# until the harness stops setting them. Compression ratios are pinned by the
+# golden hashes in TestKernelByteInvariance and
+# TestADPSampleShardsAcceptance, so no wall-clock run gates CI.
 (cd internal/bench/perf && go test ./...)
 
 # Seek and ReadRange under the race detector, twice: each jump reseeds the
