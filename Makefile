@@ -51,6 +51,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeBytesEquivalence$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSection$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/huffman
 	$(GO) test -run '^$$' -fuzz '^FuzzLZDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/lossless
+	$(GO) test -run '^$$' -fuzz '^FuzzLZDecompress$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/lossless
+	$(GO) test -run '^$$' -fuzz '^FuzzLZRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/lossless
 	$(GO) test -run '^$$' -fuzz '^FuzzClusterDifferential$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/kmeans
 	$(GO) test -run '^$$' -fuzz '^FuzzSZFamilyErrorBound$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/codec
 

@@ -28,14 +28,14 @@ import (
 // and the decoded bits pin the reconstruction itself. After a deliberate
 // format change, regenerate with `go test -run TestGenBaselineHashes -v`.
 var baselineGolden = map[string][2]string{
-	"ASN":    {"f57d8039e02784054f9ff27ddabd41064490ba0c013e81c9ef83c7ff86933bde", "506a7f37f674212d32728b221e4fd91e834b9d10193cacc896d5935add41a088"},
-	"HRTC":   {"ee19923d37a2b5d47752f1dfd33120d30992e1a6cefca80dbfdaaddd19143307", "c975291ed478eb2f3db58a388d26b685b0e85f3d134bad2efb860e4355086209"},
-	"LFZip":  {"5be19cf121f8c997b2de5627118495e66036c1e19f2d99a83f6dc6b2dfb052c3", "36cdf0c8e87a156fe7973cccece81571c50a6b74420c9bc690d8325e02007e42"},
+	"ASN":    {"131f263da1840735c71cc5645501be7a24b56a34979db50fc2862891e8362ccf", "506a7f37f674212d32728b221e4fd91e834b9d10193cacc896d5935add41a088"},
+	"HRTC":   {"36059ac7cb9a8547489372bec3c456dfa3a586e7d371be119c97c3e8bd3319b0", "c975291ed478eb2f3db58a388d26b685b0e85f3d134bad2efb860e4355086209"},
+	"LFZip":  {"d0696741ab7f387dd287a17f0717558ba70d4827585e4c8c65f0f09fd119daba", "36cdf0c8e87a156fe7973cccece81571c50a6b74420c9bc690d8325e02007e42"},
 	"MDB":    {"b09f477cef849fba27a0d79dec0ed555e1c315bbef686993c5590f6b4176d793", "1797f634271dc819a3d9cadee07b82207e158a753a6b3c175ccfae02449d8145"},
-	"SZ2-1D": {"559b6170090c36400fe695da739e9d235d22c2b9ab96d124b8c029da4e549d70", "81c523951565fda58e6255d407fea7ef4cb50b83c12f5d74ec1d77faeeab24d1"},
-	"SZ2-2D": {"d441db2c4f2fdeafaf53dc38c5c23aaedb42e80f62c45bc07999ab220f305af1", "34edd61cb709da7200164c652848644493d6cd4d4de8100a7d6c753074dab460"},
-	"SZ3i":   {"ba11b08accef4e75e38c9a9f2f84dc21370c685aa46f09aed848da76a0340bda", "4cdad257438786471e273a03d1253c163d732cbaaa6a47dad2855200a42291e3"},
-	"TNG":    {"ae1be551c12ad1568f8f6b53accd1600a0a73d514674928121db90007ff88647", "3f833e2921fce2f5425c725487a054b99f425c4abf1f6a7cbcf861138b60cbf7"},
+	"SZ2-1D": {"e004b2c6651988c7b9de0c0503ab4f8724e0e8c970be8227acc5aafa5f950b84", "81c523951565fda58e6255d407fea7ef4cb50b83c12f5d74ec1d77faeeab24d1"},
+	"SZ2-2D": {"f8225bbd0ef5d7c2f170ac09b24a55546ab0a75cd355c0f21360f79edd3b728d", "34edd61cb709da7200164c652848644493d6cd4d4de8100a7d6c753074dab460"},
+	"SZ3i":   {"3afd5dea26fdaa2559de53c1f919912af90c87f52111debac07443b2614fab0e", "4cdad257438786471e273a03d1253c163d732cbaaa6a47dad2855200a42291e3"},
+	"TNG":    {"f3a4a4ce4c7ab5a4c22ac0685c4c547f64972a86cbad31fcdd2daeff31871635", "3f833e2921fce2f5425c725487a054b99f425c4abf1f6a7cbcf861138b60cbf7"},
 }
 
 // goldenCodecs lists the baselines under test; sz marks the SZ family.

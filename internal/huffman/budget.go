@@ -14,12 +14,13 @@ import (
 // Accounting is by claimed size, independent of buffer reuse: a pooled
 // destination with spare capacity is charged the same as a fresh
 // allocation, so acceptance is deterministic for a given input. Charges:
-// 8 bytes per claimed int symbol, 1 per claimed byte symbol, and
+// 8 bytes per claimed int symbol, 1 per claimed byte (coded or raw), and
 // tableEntryCost per declared table entry (the parsed entry, its slot in
 // the canonical symbol list, and its amortized share of the bounded
 // LUT/subtables). Claims no input of that size could hold are refused as
 // ErrCorrupt before anything is charged: a table entry takes at least two
-// bytes, and a symbol at least one payload bit.
+// bytes, a coded symbol at least one payload bit, and a raw byte exactly
+// one payload byte.
 
 // tableEntryCost is the accounted bytes per declared code-table entry.
 const tableEntryCost = 48
@@ -110,9 +111,14 @@ func (s *DecodeScratch) ReadTable(br *bitstream.ByteReader, tx *budget.Tx) (*Dec
 }
 
 // DecodeIntsTx inverts EncodeInts, consuming one section from br into buf
-// (reused when it has capacity), with budget accounting on tx.
+// (reused when it has capacity), with budget accounting on tx. A raw byte
+// section fails in ReadTable, as its empty table is no code.
 func (s *DecodeScratch) DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *budget.Tx) ([]int, error) {
-	dec, n, err := s.openSection(br, tx, 8)
+	table, err := br.ReadSection()
+	if err != nil {
+		return nil, err
+	}
+	dec, n, err := s.openSection(table, br, tx, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -128,13 +134,21 @@ func (s *DecodeScratch) DecodeIntsTx(br *bitstream.ByteReader, buf []int, tx *bu
 }
 
 // DecodeBytesTx inverts EncodeBytes, consuming one section from br into buf
-// (reused when it has capacity), with budget accounting on tx. It accepts
-// exactly the streams for which DecodeIntsTx succeeds with all symbols in
-// 0..255, and fails with the same error sequencing: stream and table errors
-// surface first, and ErrByteRange is returned only when the symbol stream
-// itself decoded cleanly.
+// (reused when it has capacity), with budget accounting on tx. A raw
+// section is copied out with no Huffman pass. A coded section decodes
+// exactly when DecodeIntsTx decodes it with all symbols in 0..255, and
+// fails with the same error sequencing: stream and table errors surface
+// first, and ErrByteRange is returned only when the symbol stream itself
+// decoded cleanly.
 func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
-	dec, n, err := s.openSection(br, tx, 1)
+	table, err := br.ReadSection()
+	if err != nil {
+		return nil, err
+	}
+	if len(table) == 0 {
+		return readRaw(br, buf, tx)
+	}
+	dec, n, err := s.openSection(table, br, tx, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -149,17 +163,34 @@ func (s *DecodeScratch) DecodeBytesTx(br *bitstream.ByteReader, buf []byte, tx *
 	return out, err
 }
 
-// openSection reads one section's code table, symbol count and payload
-// from br, rebuilding the scratch's Decoder and pointing s.r at the
-// payload. A nonzero count must fit the payload at one bit per symbol, and
-// is charged to tx at symbolCost bytes per symbol. The caller resets s.r
-// once the payload is decoded: scratches live on in pools, and must not pin
-// the buffers they decoded from.
-func (s *DecodeScratch) openSection(br *bitstream.ByteReader, tx *budget.Tx, symbolCost int64) (*Decoder, int, error) {
-	table, err := br.ReadSection()
+// readRaw reads the rest of a raw byte section, its count and its bytes,
+// and copies the bytes into buf. The count must be positive and equal the
+// payload's length, and is charged to tx before the copy.
+func readRaw(br *bitstream.ByteReader, buf []byte, tx *budget.Tx) ([]byte, error) {
+	n, err := br.ReadUvarint()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
+	payload, err := br.ReadSection()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 || n != uint64(len(payload)) {
+		return nil, ErrCorrupt
+	}
+	if err := tx.Reserve(int64(n)); err != nil {
+		return nil, err
+	}
+	return append(buf[:0], payload...), nil
+}
+
+// openSection parses one coded section's table, then reads its symbol
+// count and payload from br, rebuilding the scratch's Decoder and pointing
+// s.r at the payload. A nonzero count must fit the payload at one bit per
+// symbol, and is charged to tx at symbolCost bytes per symbol. The caller
+// resets s.r once the payload is decoded: scratches live on in pools, and
+// must not pin the buffers they decoded from.
+func (s *DecodeScratch) openSection(table []byte, br *bitstream.ByteReader, tx *budget.Tx, symbolCost int64) (*Decoder, int, error) {
 	s.br.Reset(table)
 	dec, err := s.ReadTable(&s.br, tx)
 	s.br.Reset(nil)

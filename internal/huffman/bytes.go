@@ -2,24 +2,28 @@ package huffman
 
 import (
 	"errors"
+	"math/bits"
 	"sync"
 
 	"github.com/mdz/mdz/internal/bitstream"
 )
 
-// This file holds the byte-oriented fast paths over the canonical codec:
-// EncodeBytes and DecodeScratch.DecodeBytesTx produce and consume exactly
-// the same wire bytes as Scratch.EncodeInts/DecodeScratch.DecodeIntsTx over
-// the widened []int data, but operate on []byte end to end with pooled
+// This file holds the byte sections: EncodeBytes and
+// DecodeScratch.DecodeBytesTx operate on []byte end to end with pooled
 // scratch state, so the dictionary-coder hot path (internal/lossless.LZ)
 // never round-trips its sections through an 8×-larger integer slice.
 //
-// Byte-for-byte identity with the int path (the LZ wire format is pinned by
-// golden hashes) holds by construction: both list their alphabet ascending
-// with its counts, build the code with Scratch.build and write the table
-// with Encoder.AppendTable. Only the counting (a striped 256-entry
-// histogram) and the packing loop (a 256-entry code array) are the byte
-// path's own.
+// A byte section is coded or raw, by size. A coded section is byte for
+// byte what Scratch.EncodeInts writes for the widened []int data: both list
+// their alphabet ascending with its counts, build the code with
+// Scratch.build and write the table with Encoder.AppendTable. Only the
+// counting (a striped 256-entry histogram) and the packing loop (a
+// 256-entry code array) are the byte path's own. When coding would not
+// make the section smaller, as with bytes that are already entropy coded,
+// the section is raw instead, as Zstd stores a literals block it cannot
+// shrink: an empty table section, the count, and the bytes as a section.
+// AppendTable always writes at least its entry count, so no coded section
+// has an empty table, and DecodeIntsTx refuses one.
 
 // ErrByteRange is returned by the byte-oriented decode paths when a decoded
 // symbol falls outside 0..255. It is reported only after the symbol stream
@@ -41,10 +45,10 @@ var byteEncPool = sync.Pool{
 	New: func() any { return new(byteEncScratch) },
 }
 
-// EncodeBytes encodes data as one Huffman section — table || count ||
-// payload appended to dst — producing bytes identical to EncodeInts over the
-// same values widened to []int. All working state is pooled; steady state
-// allocates only when dst needs to grow.
+// EncodeBytes appends data to dst as one byte section: coded, or raw when
+// the raw section would be no longer than the coded one. Empty data is
+// always coded, since a raw section holds at least one byte. All working
+// state is pooled; steady state allocates only when dst needs to grow.
 func EncodeBytes(dst []byte, data []byte) ([]byte, error) {
 	s := byteEncPool.Get().(*byteEncScratch)
 	defer byteEncPool.Put(s)
@@ -54,6 +58,19 @@ func EncodeBytes(dst []byte, data []byte) ([]byte, error) {
 	enc, err := sc.build(sc.syms, sc.weights)
 	if err != nil {
 		return nil, err
+	}
+	sc.table = enc.AppendTable(sc.table[:0])
+	// The count follows both forms' table sections, so the two sizes
+	// differ only in the table and payload sections.
+	var nbits uint64
+	for i, w := range sc.weights {
+		nbits += w * uint64(enc.codes[i].n)
+	}
+	n := uint64(len(data))
+	if n > 0 && sectionLen(0)+sectionLen(n) <= sectionLen(uint64(len(sc.table)))+sectionLen((nbits+7)/8) {
+		dst = bitstream.AppendSection(dst, nil)
+		dst = bitstream.AppendUvarint(dst, n)
+		return bitstream.AppendSection(dst, data), nil
 	}
 	for i, sym := range enc.symbols {
 		s.codes[sym] = enc.codes[i]
@@ -77,8 +94,11 @@ func EncodeBytes(dst []byte, data []byte) ([]byte, error) {
 	if na > 0 {
 		sc.w.WriteBits(acc, na)
 	}
-	return sc.appendSection(dst, enc, len(data)), nil
+	return sc.appendSection(dst, len(data)), nil
 }
+
+// sectionLen is the length of a section whose body is n bytes long.
+func sectionLen(n uint64) uint64 { return uint64(bits.Len64(n|1)+6)/7 + n }
 
 // histogram counts data's byte frequencies into s.freq and lists the bytes
 // that occur, ascending, with their counts in s.sc.syms and s.sc.weights.

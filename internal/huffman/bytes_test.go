@@ -55,28 +55,54 @@ func widen(data []byte) []int {
 	return wide
 }
 
-// TestEncodeBytesMatchesEncodeInts pins the load-bearing identity: the byte
-// encoder emits exactly the bytes the generic int encoder emits for the
-// widened data.
+// isRaw reports whether sec starts with an empty table section.
+func isRaw(sec []byte) bool {
+	table, err := bitstream.NewByteReader(sec).ReadSection()
+	return err == nil && len(table) == 0
+}
+
+// checkEncodeBytes pins EncodeBytes' output for data against the int
+// encoder: the bytes EncodeInts writes for the widened data where those are
+// shorter than the raw section, and the raw section, never longer, where
+// they are not. Empty data is always coded.
+func checkEncodeBytes(t *testing.T, data []byte) (raw bool) {
+	t.Helper()
+	got, err := EncodeBytes(nil, data)
+	if err != nil {
+		t.Fatalf("EncodeBytes: %v", err)
+	}
+	coded, err := encodeInts(nil, widen(data))
+	if err != nil {
+		t.Fatalf("EncodeInts: %v", err)
+	}
+	want := coded
+	if r := section(nil, uint64(len(data)), data); len(data) > 0 && len(r) <= len(coded) {
+		want = r
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d input bytes: got %d bytes (raw %v), want %d (raw %v; coded %d)",
+			len(data), len(got), isRaw(got), len(want), isRaw(want), len(coded))
+	}
+	return isRaw(got)
+}
+
+// TestEncodeBytesMatchesEncodeInts pins the byte encoder to the int
+// encoder (see checkEncodeBytes), and checks that the cases reach both
+// forms.
 func TestEncodeBytesMatchesEncodeInts(t *testing.T) {
-	for ci, data := range byteCases() {
-		got, err := EncodeBytes(nil, data)
-		if err != nil {
-			t.Fatalf("case %d: EncodeBytes: %v", ci, err)
-		}
-		want, err := encodeInts(nil, widen(data))
-		if err != nil {
-			t.Fatalf("case %d: EncodeInts: %v", ci, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d (%d bytes): encodings differ: %d vs %d bytes", ci, len(data), len(got), len(want))
-		}
+	forms := map[bool]int{}
+	for _, data := range byteCases() {
+		forms[checkEncodeBytes(t, data)]++
+	}
+	if forms[true] == 0 || forms[false] == 0 {
+		t.Fatalf("cases wrote %d raw and %d coded sections; want both forms", forms[true], forms[false])
 	}
 }
 
 // TestDecodeBytesMatchesDecodeInts checks DecodeBytesTx, on a scratch
 // reused across cases as the LZ hot path reuses it and on fresh scratches,
-// against DecodeIntsTx on shared streams.
+// against DecodeIntsTx on shared streams. A coded section decodes the same
+// through both; a raw one decodes through DecodeBytesTx only.
 func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 	var s DecodeScratch
 	var buf []byte
@@ -100,6 +126,12 @@ func TestDecodeBytesMatchesDecodeInts(t *testing.T) {
 			t.Errorf("case %d: fresh scratch decode mismatch", ci)
 		}
 		ints, err := decodeInts(bitstream.NewByteReader(enc))
+		if isRaw(enc) {
+			if err == nil {
+				t.Errorf("case %d: DecodeInts accepted a raw section", ci)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("case %d: DecodeInts: %v", ci, err)
 		}
@@ -172,8 +204,8 @@ func TestReadTableRefusesNonAscending(t *testing.T) {
 	}
 }
 
-// FuzzEncodeBytesEquivalence fuzzes the full byte-path identity: same wire
-// bytes as the widened int path, and a clean byte-for-byte round trip.
+// FuzzEncodeBytesEquivalence fuzzes the byte encoder against the int
+// encoder (see checkEncodeBytes) and the byte-for-byte round trip.
 func FuzzEncodeBytesEquivalence(f *testing.F) {
 	for _, data := range byteCases() {
 		f.Add(data)
@@ -181,16 +213,10 @@ func FuzzEncodeBytesEquivalence(f *testing.F) {
 	var s DecodeScratch
 	var buf []byte
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkEncodeBytes(t, data)
 		got, err := EncodeBytes(nil, data)
 		if err != nil {
 			t.Fatalf("EncodeBytes: %v", err)
-		}
-		want, err := encodeInts(nil, widen(data))
-		if err != nil {
-			t.Fatalf("EncodeInts: %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("encodings differ for %d input bytes", len(data))
 		}
 		buf, err = s.DecodeBytesTx(bitstream.NewByteReader(got), buf[:0], nil)
 		if err != nil {

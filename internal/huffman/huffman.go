@@ -8,7 +8,9 @@
 // A section is code table || symbol count || bit-packed payload. The table
 // lists the alphabet in ascending symbol order as (zigzag symbol delta, code
 // length) pairs, and encoder and decoder derive the same canonical code from
-// those lengths, so neither needs the tree itself.
+// those lengths, so neither needs the tree itself. A byte section that
+// coding would not shrink is written raw instead: an empty table, the
+// count, and the bytes themselves (bytes.go).
 //
 // Each job has one path. Scratch.build is the only code builder: a
 // two-queue merge turns symbol weights into code lengths, and
@@ -533,11 +535,12 @@ func (s *Scratch) EncodeInts(dst []byte, syms []int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.table = enc.AppendTable(s.table[:0])
 	s.w.Reset()
 	if err := enc.EncodeAll(&s.w, syms); err != nil {
 		return nil, err
 	}
-	dst = s.appendSection(dst, enc, len(syms))
+	dst = s.appendSection(dst, len(syms))
 	s.stats = EncodeStats{
 		Symbols:      enc.NumSymbols(),
 		TableBytes:   len(s.table),
@@ -546,10 +549,9 @@ func (s *Scratch) EncodeInts(dst []byte, syms []int) ([]byte, error) {
 	return dst, nil
 }
 
-// appendSection appends one section to dst: enc's table, the symbol count
-// and the payload packed in s.w.
-func (s *Scratch) appendSection(dst []byte, enc *Encoder, count int) []byte {
-	s.table = enc.AppendTable(s.table[:0])
+// appendSection appends one coded section to dst: the table in s.table,
+// the symbol count and the payload packed in s.w.
+func (s *Scratch) appendSection(dst []byte, count int) []byte {
 	dst = bitstream.AppendSection(dst, s.table)
 	dst = bitstream.AppendUvarint(dst, uint64(count))
 	return bitstream.AppendSection(dst, s.w.Bytes())

@@ -84,13 +84,61 @@ func TestForgedSymbolCountNoAlloc(t *testing.T) {
 	}
 }
 
+// TestForgedRawSectionNoAlloc: a raw section with a zero count, a count
+// its payload does not match, or a count over the budget fails typed, and
+// allocates nothing for its claim. DecodeIntsTx refuses every raw section.
+func TestForgedRawSectionNoAlloc(t *testing.T) {
+	const limit = 1 << 20
+	payload := make([]byte, 4<<20)
+	cases := []struct {
+		name string
+		sec  []byte
+		want error
+	}{
+		{"zero count", section(nil, 0, nil), ErrCorrupt},
+		{"zero count, bytes", section(nil, 0, payload[:16]), ErrCorrupt},
+		{"count over payload", section(nil, uint64(len(payload))+1, payload), ErrCorrupt},
+		{"count under payload", section(nil, 1, payload), ErrCorrupt},
+		{"count over budget", section(nil, uint64(len(payload)), payload), budget.ErrExceeded},
+	}
+	b := budget.New(limit)
+	var s DecodeScratch
+	for _, tc := range cases {
+		tx := b.Begin()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := s.DecodeBytesTx(bitstream.NewByteReader(tc.sec), nil, tx)
+		runtime.ReadMemStats(&after)
+		tx.Close()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: allocated %d bytes", tc.name, got)
+		}
+		if _, err := s.DecodeIntsTx(bitstream.NewByteReader(tc.sec), nil, nil); err == nil {
+			t.Errorf("%s: DecodeIntsTx accepted a raw section", tc.name)
+		}
+	}
+	tx := b.Begin()
+	defer tx.Close()
+	sec := section(nil, limit, payload[:limit])
+	if got, err := s.DecodeBytesTx(bitstream.NewByteReader(sec), nil, tx); err != nil || len(got) != limit {
+		t.Errorf("raw section at the budget: %d bytes, err %v", len(got), err)
+	}
+}
+
 // FuzzDecodeSection feeds arbitrary bytes as one section to both section
 // decoders under a 1 MiB budget, so the table count, the symbol deltas and
 // their order, the code lengths and the symbol count are all parsed from
 // unconstrained input. Decoding must not panic and may fail only with a
-// typed error; the byte decoder must agree with the int decoder as
-// documented; and every transaction must release what it reserved.
+// typed error, and every transaction must release what it reserved. On a
+// coded section the byte decoder must agree with the int decoder as
+// documented. On a raw section the int decoder must fail, and the byte
+// decoder must return the payload when its count is positive, equals the
+// payload's length and fits the budget.
 func FuzzDecodeSection(f *testing.F) {
+	const limit = 1 << 20
 	ints, _ := encodeInts(nil, []int{-3, 7, 7, 1 << 40, 7, 0, -3, 7})
 	byts, _ := EncodeBytes(nil, []byte("molecular dynamics"))
 	long := lengthsTable(map[int]uint8{0: 1, 1: 2, 2: 3, 3: 14, 4: 14, 5: 30})
@@ -101,7 +149,13 @@ func FuzzDecodeSection(f *testing.F) {
 	f.Add(section([]byte{3, 10, 1, 3, 2, 8, 2}, 4, []byte{0x5A, 0xC3}))
 	f.Add(section(lengthsTable(map[int]uint8{0: 1, 1: 1}), 1<<20, []byte{0}))
 	f.Add(section(long, 9, []byte{0x80, 0x01, 0xFF, 0xFF, 0xFF, 0xFE, 0x00}))
-	b := budget.New(1 << 20)
+	f.Add(section(nil, 3, []byte("mdz")))
+	f.Add(section(nil, 0, nil))
+	f.Add(section(nil, 0, []byte{7}))
+	f.Add(section(nil, 4, []byte("mdz")))
+	f.Add(section(nil, 1<<40, []byte("mdz")))
+	f.Add(section(nil, limit+1, make([]byte, limit+1)))
+	b := budget.New(limit)
 	var s DecodeScratch
 	f.Fuzz(func(t *testing.T, sec []byte) {
 		tx := b.Begin()
@@ -118,6 +172,20 @@ func FuzzDecodeSection(f *testing.F) {
 				!errors.Is(err, bitstream.ErrShortStream) && !errors.Is(err, budget.ErrExceeded) {
 				t.Fatalf("untyped error: %v", err)
 			}
+		}
+		if isRaw(sec) {
+			if errInts == nil {
+				t.Fatal("DecodeIntsTx accepted a raw section")
+			}
+			br := bitstream.NewByteReader(sec)
+			br.ReadSection()
+			n, errN := br.ReadUvarint()
+			payload, errP := br.ReadSection()
+			if errN == nil && errP == nil && n > 0 && n == uint64(len(payload)) && n <= limit &&
+				(errBytes != nil || !bytes.Equal(gotBytes, payload)) {
+				t.Fatalf("raw section of %d bytes: got %d bytes, err %v", n, len(gotBytes), errBytes)
+			}
+			return
 		}
 		if errors.Is(errInts, budget.ErrExceeded) || errors.Is(errBytes, budget.ErrExceeded) {
 			return // ints are charged 8 bytes a symbol, bytes 1

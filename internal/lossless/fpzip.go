@@ -14,8 +14,9 @@ import (
 // IEEE-754 bit pattern (so numerically close floats have numerically small
 // residuals), and residuals are entropy coded. The original fpzip uses a
 // range coder over residual group sizes; we varint-pack residuals and
-// Huffman-code the resulting bytes, which captures the same
-// prediction+entropy structure with stdlib-only code.
+// write the resulting bytes as one byte section (huffman.EncodeBytes:
+// Huffman coded, or raw where coding would not shrink them), which
+// captures the same prediction+entropy structure with stdlib-only code.
 type FPZip struct{}
 
 // Name implements FloatCompressor.

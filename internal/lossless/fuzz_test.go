@@ -5,13 +5,20 @@ import (
 	"testing"
 )
 
-// FuzzLZDecompress must never panic or hang on arbitrary input.
+// FuzzLZDecompress must never panic or hang on arbitrary input. Seeds
+// cover both section forms: a stream whose sections are both raw (sixteen
+// distinct bytes with no match), and one in the format from before raw
+// sections, both sections Huffman coded.
 func FuzzLZDecompress(f *testing.F) {
 	z := LZ{}
 	seed, _ := z.Compress([]byte("seed data seed data seed data"))
+	raw, _ := z.Compress([]byte("0123456789abcdef"))
+	old, _ := lzRefCompress([]byte("seed data seed data seed data"))
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
+	f.Add(raw)
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		out, err := z.Decompress(in)
 		if err == nil && len(out) > 1<<26 {

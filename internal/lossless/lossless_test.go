@@ -141,8 +141,9 @@ func TestLZRefusesNonAscendingTable(t *testing.T) {
 			src = bitstream.AppendSection(src, table)
 			src = bitstream.AppendUvarint(src, 4)
 			src = bitstream.AppendSection(src, []byte{0x5A})
-			// One sequence: a 4-literal run, no match.
-			src, err := huffman.EncodeBytes(src, []byte{4, 0, 0})
+			// One sequence, a 4-literal run with no match, coded as an
+			// int section so that both readers reach the table.
+			src, err := new(huffman.Scratch).EncodeInts(src, []int{4, 0, 0})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,6 +153,34 @@ func TestLZRefusesNonAscendingTable(t *testing.T) {
 			checkLZDecompressDifferential(t, LZ{}, src)
 		})
 	}
+}
+
+// TestLZBoundedExpansion: random bytes, which neither matches nor Huffman
+// coding can shrink, come out of LZ at most lzExpansion bytes longer than
+// they went in. Both sections are then raw, and the framing is four
+// uvarints of the input length (three bytes each up to 2 MiB), three
+// section lengths of one byte and the two zero uvarints of the one
+// sequence, plus a few bytes for the 4-byte matches random input holds by
+// chance (each turns four literal bytes into a sequence of up to seven).
+func TestLZBoundedExpansion(t *testing.T) {
+	const lzExpansion = 24
+	rng := rand.New(rand.NewSource(41))
+	worst := 0
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 16, 100, 255, 256, 1000, 1024, 4096, 10000, 16384, 65535, 65536} {
+		for trial := 0; trial < 4; trial++ {
+			in := make([]byte, n)
+			rng.Read(in)
+			out, err := LZ{}.Compress(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) > len(in)+lzExpansion {
+				t.Errorf("%d random bytes compressed to %d", n, len(out))
+			}
+			worst = max(worst, len(out)-len(in))
+		}
+	}
+	t.Logf("largest expansion: %d bytes", worst)
 }
 
 func TestLZCorrupt(t *testing.T) {

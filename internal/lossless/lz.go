@@ -16,30 +16,28 @@ import (
 // "dictionary coding after Huffman" role in the SZ pipeline (paper Fig 2 and
 // Fig 6) and the Zstd row of Table V.
 //
-// Format: magic-free; uvarint original size, then two length-prefixed
-// Huffman sections — literal bytes, and a varint-packed sequence stream of
-// (literalRun, matchLen, distance) triples.
+// Format: magic-free; uvarint original size, then two byte sections
+// (huffman.EncodeBytes) — literal bytes, and a varint-packed sequence
+// stream of (literalRun, matchLen, distance) triples. As in Zstd, a section
+// that Huffman coding would not shrink is stored raw, so the output exceeds
+// the input by at most a few bytes of framing.
 //
 // All working state — match-finder tables, section buffers, Huffman scratch
 // — is sync.Pool-backed, so steady-state Compress/Decompress cost no
 // allocations beyond the returned buffer (and none at all through the
-// Append* variants with a reused destination). The compressed bytes are
-// decision-identical to the historical allocating implementation: the same
-// candidates are visited in the same order with the same tie-breaks, which
-// the differential fuzzer in lz_ref_test.go pins against the kept original.
-type LZ struct {
-	// MaxChain bounds the match-finder chain walk; 0 means DefaultMaxChain.
-	MaxChain int
-}
+// Append* variants with a reused destination). The match decisions are
+// those of the historical allocating implementation: the same candidates
+// are visited in the same order with the same tie-breaks, which the
+// differential fuzzer in lz_ref_test.go pins against the kept original.
+type LZ struct{}
 
 const (
 	lzMinMatch = 4
 	lzWindow   = 1 << 20
 	lzHashBits = 16
 	lzHashSize = 1 << lzHashBits
-	// DefaultMaxChain is the default bound on hash-chain traversal during
-	// match finding; larger values trade speed for ratio.
-	DefaultMaxChain = 32
+	// lzMaxChain bounds the hash-chain walk of match finding.
+	lzMaxChain = 32
 )
 
 // Name implements Backend.
@@ -74,10 +72,6 @@ func (z LZ) Compress(src []byte) ([]byte, error) {
 // extended slice. With a reused dst of sufficient capacity the steady-state
 // allocation count is zero.
 func (z LZ) AppendCompress(dst, src []byte) ([]byte, error) {
-	maxChain := z.MaxChain
-	if maxChain <= 0 {
-		maxChain = DefaultMaxChain
-	}
 	st := lzEncPool.Get().(*lzEncState)
 	defer lzEncPool.Put(st)
 	literals := st.literals[:0]
@@ -112,7 +106,7 @@ func (z LZ) AppendCompress(dst, src []byte) ([]byte, error) {
 			// extension walk. Refreshed only when bestLen grows.
 			var tail4 uint32
 			cand := int(head[h]) - 1
-			for depth := 0; cand >= lo && depth < maxChain; depth++ {
+			for depth := 0; cand >= lo && depth < lzMaxChain; depth++ {
 				// Early rejects that cannot change the emitted triple: a
 				// candidate whose first four bytes differ cannot reach
 				// lzMinMatch (and sub-minimum lengths never decide the
@@ -179,11 +173,11 @@ func (z LZ) AppendCompress(dst, src []byte) ([]byte, error) {
 	}
 	st.literals, st.seq = literals, seq
 
-	// Reserve the output in one step: each Huffman section is bounded by
-	// MaxCodeLen/8 bytes per input byte plus a ~0.5 KiB table, so this hint
-	// covers all but degenerate cases (append still grows correctly if the
-	// bound is ever exceeded), replacing a chain of doubling re-copies.
-	if hint := len(literals) + len(seq) + (len(literals)+len(seq))>>1 + 1200; cap(dst)-len(dst) < hint {
+	// Reserve the output in one step: a byte section takes at most its
+	// bytes plus 21 bytes of framing (the raw form's empty table, count
+	// and length), so this hint covers every case and replaces a chain of
+	// doubling re-copies.
+	if hint := binary.MaxVarintLen64 + len(literals) + len(seq) + 2*21; cap(dst)-len(dst) < hint {
 		grown := make([]byte, len(dst), len(dst)+hint)
 		copy(grown, dst)
 		dst = grown

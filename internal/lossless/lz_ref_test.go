@@ -11,8 +11,13 @@ import (
 )
 
 // This file keeps the historical allocating LZ implementation verbatim as
-// the reference for differential testing: the reworked coder must produce
-// byte-identical compressed output and byte/error-identical decompression.
+// the reference for differential testing. Its match finder is the oracle
+// for the reworked one: both must emit the same literal and sequence
+// streams. Its Huffman-only writer and reader stand in for the format from
+// before byte sections gained their raw form: the current decoder must read
+// every stream the old writer wrote exactly as the old reader does, and the
+// old reader must refuse, without panicking, every current stream that
+// holds a raw section.
 
 func bytesToInts(b []byte) []int {
 	out := make([]int, len(b))
@@ -46,14 +51,10 @@ func lzRefHash(b []byte) uint32 {
 	return (v * 2654435761) >> (32 - lzHashBits)
 }
 
-// lzRefCompress is the historical LZ.Compress.
-func lzRefCompress(z LZ, src []byte) ([]byte, error) {
-	maxChain := z.MaxChain
-	if maxChain <= 0 {
-		maxChain = DefaultMaxChain
-	}
-	var literals []byte
-	var seq []byte
+// lzRefParse is the historical LZ.Compress's match finder: it returns the
+// literal and sequence streams.
+func lzRefParse(src []byte) (literals, seq []byte) {
+	maxChain := lzMaxChain
 	if len(src) >= lzMinMatch {
 		head := make([]int32, lzHashSize)
 		for i := range head {
@@ -114,7 +115,13 @@ func lzRefCompress(z LZ, src []byte) ([]byte, error) {
 		seq = bitstream.AppendUvarint(seq, 0)
 		seq = bitstream.AppendUvarint(seq, 0)
 	}
+	return literals, seq
+}
 
+// lzRefCompress is the historical LZ.Compress, which Huffman-codes both
+// sections.
+func lzRefCompress(src []byte) ([]byte, error) {
+	literals, seq := lzRefParse(src)
 	out := bitstream.AppendUvarint(nil, uint64(len(src)))
 	var err error
 	out, err = new(huffman.Scratch).EncodeInts(out, bytesToInts(literals))
@@ -215,26 +222,99 @@ func refDecompressRecover(src []byte) (out []byte, err error) {
 	return lzRefDecompress(src)
 }
 
-// checkLZDifferential asserts old-vs-new equivalence on one input: identical
-// compressed bytes, identical decompressed bytes, identical errors (with the
-// reference panic accepted as "new must error").
-func checkLZDifferential(t *testing.T, z LZ, in []byte) {
+// lzSections splits an LZ stream into its literal and sequence streams
+// with the current section decoder.
+func lzSections(t *testing.T, stream []byte) (literals, seq []byte) {
 	t.Helper()
-	newC, newErr := z.Compress(in)
-	refC, refErr := lzRefCompress(z, in)
-	if (newErr == nil) != (refErr == nil) {
-		t.Fatalf("compress err: %v (new) vs %v (ref)", newErr, refErr)
+	br := bitstream.NewByteReader(stream)
+	if _, err := br.ReadUvarint(); err != nil {
+		t.Fatalf("size: %v", err)
 	}
-	if !bytes.Equal(newC, refC) {
-		t.Fatalf("compressed bytes diverge: %d vs %d bytes", len(newC), len(refC))
+	var s huffman.DecodeScratch
+	for _, dst := range []*[]byte{&literals, &seq} {
+		var err error
+		if *dst, err = s.DecodeBytesTx(br, nil, nil); err != nil {
+			t.Fatalf("section: %v", err)
+		}
 	}
+	return literals, seq
+}
+
+// lzStreamHasRaw reports whether the reference reader meets a raw section
+// in stream: it walks the size and up to two sections until one is raw or
+// the layout breaks.
+func lzStreamHasRaw(stream []byte) bool {
+	br := bitstream.NewByteReader(stream)
+	if _, err := br.ReadUvarint(); err != nil {
+		return false
+	}
+	for range 2 {
+		table, err := br.ReadSection()
+		if err != nil {
+			return false
+		}
+		if len(table) == 0 {
+			return true
+		}
+		if _, err := br.ReadUvarint(); err != nil {
+			return false
+		}
+		if _, err := br.ReadSection(); err != nil {
+			return false
+		}
+	}
+	return false
+}
+
+// checkLZDifferential asserts old-vs-new equivalence on one input. The
+// current coder emits the reference's literal and sequence streams and
+// round-trips. Its output equals the reference's when no section is raw,
+// and is never longer. Both readers decode the reference's output alike,
+// and the reference reader refuses the current output when it holds a raw
+// section.
+func checkLZDifferential(t *testing.T, in []byte) {
+	t.Helper()
+	z := LZ{}
+	newC, err := z.Compress(in)
+	if err != nil {
+		t.Fatalf("compress: %v", err)
+	}
+	literals, seq := lzSections(t, newC)
+	refLit, refSeq := lzRefParse(in)
+	if !bytes.Equal(literals, refLit) || !bytes.Equal(seq, refSeq) {
+		t.Fatalf("streams diverge: %d/%d literal and %d/%d sequence bytes (new/ref)",
+			len(literals), len(refLit), len(seq), len(refSeq))
+	}
+	out, err := z.Decompress(newC)
+	if err != nil || !bytes.Equal(out, in) {
+		t.Fatalf("round trip: err %v, %d bytes out of %d", err, len(out), len(in))
+	}
+	refC, err := lzRefCompress(in)
+	if err != nil {
+		t.Fatalf("reference compress: %v", err)
+	}
+	if raw := lzStreamHasRaw(newC); len(newC) > len(refC) || (!raw && !bytes.Equal(newC, refC)) {
+		t.Fatalf("%d bytes against the reference's %d (raw section: %v)", len(newC), len(refC), raw)
+	}
+	checkLZDecompressDifferential(t, z, refC)
 	checkLZDecompressDifferential(t, z, newC)
 }
 
+// checkLZDecompressDifferential runs both readers on stream. A stream in
+// which the reference reader meets a raw section must be refused by it
+// with an error, not a panic; the current reader must not panic on it.
+// Any other stream must decode to identical bytes or fail with identical
+// errors (a reference panic counts as "the current reader must fail").
 func checkLZDecompressDifferential(t *testing.T, z LZ, stream []byte) {
 	t.Helper()
 	newOut, newErr := z.Decompress(stream)
 	refOut, refErr := refDecompressRecover(stream)
+	if lzStreamHasRaw(stream) {
+		if refErr == nil || errors.Is(refErr, errRefPanic) {
+			t.Fatalf("reference reader on a raw section: err %v, want a refusal", refErr)
+		}
+		return
+	}
 	if errors.Is(refErr, errRefPanic) {
 		if newErr == nil {
 			t.Fatalf("reference panicked but new decoder accepted the stream (%d bytes out)", len(newOut))
@@ -250,7 +330,9 @@ func checkLZDecompressDifferential(t *testing.T, z LZ, stream []byte) {
 }
 
 // TestLZDifferentialSeeded is the always-on slice of the differential fuzz:
-// structured inputs across chain depths, plus corrupted streams.
+// structured inputs, each whole and cut to four shorter prefixes so that
+// section sizes cross between the coded and raw forms, plus corrupted
+// current and reference streams.
 func TestLZDifferentialSeeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	inputs := [][]byte{
@@ -279,45 +361,44 @@ func TestLZDifferentialSeeded(t *testing.T) {
 	// MD-pipeline-like payload: Huffman-coded quantization residuals.
 	inputs = append(inputs, FloatsToBytes(mdLikeFloats(4096, 11)))
 
-	for _, chain := range []int{0, 1, 4, 32, 256} {
-		z := LZ{MaxChain: chain}
-		for i, in := range inputs {
+	for _, shift := range []uint{0, 1, 3, 5, 7} {
+		for _, in := range inputs {
 			t.Run("", func(t *testing.T) {
-				checkLZDifferential(t, z, in)
+				checkLZDifferential(t, in[:len(in)>>shift])
 			})
-			_ = i
 		}
 	}
-	// Corrupted/truncated streams must fail identically.
+	// Corrupted/truncated streams must fail identically, or be refused by
+	// the reference reader where it meets a raw section.
 	z := LZ{}
-	comp, _ := z.Compress(bytes.Repeat([]byte("xylophone"), 300))
-	for cut := 0; cut < len(comp); cut += 1 + len(comp)/97 {
-		checkLZDecompressDifferential(t, z, comp[:cut])
-	}
-	for trial := 0; trial < 200; trial++ {
-		mut := append([]byte(nil), comp...)
-		for k := 0; k < 1+trial%4; k++ {
-			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+	xylo := bytes.Repeat([]byte("xylophone"), 300)
+	comp, _ := z.Compress(xylo)
+	refComp, _ := lzRefCompress(xylo)
+	for _, c := range [][]byte{comp, refComp} {
+		for cut := 0; cut < len(c); cut += 1 + len(c)/97 {
+			checkLZDecompressDifferential(t, z, c[:cut])
 		}
-		checkLZDecompressDifferential(t, z, mut)
+		for trial := 0; trial < 200; trial++ {
+			mut := append([]byte(nil), c...)
+			for k := 0; k < 1+trial%4; k++ {
+				mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+			}
+			checkLZDecompressDifferential(t, z, mut)
+		}
 	}
 }
 
 // FuzzLZDifferential fuzzes new-vs-old over both directions: arbitrary
-// inputs through Compress (bytes must match exactly, and the result must
-// round-trip), and the same bytes reinterpreted as a compressed stream
-// through Decompress (identical output and identical error behavior).
+// inputs through the match finders and the round trip
+// (checkLZDifferential), and the same bytes reinterpreted as a compressed
+// stream through both readers (checkLZDecompressDifferential).
 func FuzzLZDifferential(f *testing.F) {
-	f.Add([]byte("seed data seed data seed data"), 0)
-	f.Add(bytes.Repeat([]byte{1, 2, 3}, 50), 32)
-	f.Add([]byte{}, 1)
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, 0)
-	f.Fuzz(func(t *testing.T, in []byte, chain int) {
-		if chain < 0 || chain > 512 {
-			chain = 0
-		}
-		z := LZ{MaxChain: chain}
-		checkLZDifferential(t, z, in)
-		checkLZDecompressDifferential(t, z, in)
+	f.Add([]byte("seed data seed data seed data"))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 50))
+	f.Add([]byte{})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		checkLZDifferential(t, in)
+		checkLZDecompressDifferential(t, LZ{}, in)
 	})
 }

@@ -12,10 +12,11 @@ import (
 // for 1-D streams: values are processed in blocks of 4, promoted to a
 // common-exponent fixed-point representation, decorrelated with a
 // reversible integer lifting transform (two Haar stages), and the transform
-// coefficients are varint+Huffman coded. Blocks whose promotion would lose
-// bits (mixed exponents beyond 52 bits of headroom, or non-finite values)
-// fall back to verbatim storage, preserving exactness — the same escape
-// hatch ZFP's reversible mode uses.
+// coefficients are varint-packed into one byte section (huffman.EncodeBytes:
+// Huffman coded, or raw where coding would not shrink it). Blocks whose
+// promotion would lose bits (mixed exponents beyond 52 bits of headroom, or
+// non-finite values) fall back to verbatim storage, preserving exactness —
+// the same escape hatch ZFP's reversible mode uses.
 type ZFP struct{}
 
 // Name implements FloatCompressor.

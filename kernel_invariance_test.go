@@ -12,22 +12,22 @@ import (
 
 // kernelGolden pins the SHA-256 of compressed output for every method ×
 // sequence combination (plus shard fan-out and outlier-heavy input). The
-// hashes were captured from the per-value Quantize/interleave encode path
-// immediately before the fused block-kernel rewrite; the kernels must keep
-// the stream byte-identical. If an intentional format change ever breaks
-// these, regenerate with `go test -run TestGenKernelHashes -v` — but note
-// byte identity is also what keeps old archives readable, so think twice.
+// kernels must keep the stream byte-identical. The hashes were last
+// regenerated when byte sections gained their raw form; the bytes written
+// before that are kept as read fixtures (kernelFixtures), so a format
+// change that breaks these hashes must still decode those. Regenerate with
+// `go test -run TestGenKernelHashes -v`.
 var kernelGolden = map[string]string{
-	"VQ/Seq-1":     "b0350469dc3935a1d81a4a6d406702e5e12f58e3a96c046106ffce71a52d2793",
-	"VQ/Seq-2":     "b7d64c806d698e14d9dff0cdb4bf6c6bb5c47adea02c79af301cb792e920c701",
-	"VQT/Seq-1":    "b333fcef3b12f56b0881ba3f7c364e664e5f1bdbf10001dfac6a800f93a457d0",
-	"VQT/Seq-2":    "f6cce154cfca7d1418a833e71319ef30645f9283fe9dc0f91cf30377ca04743f",
-	"MT/Seq-1":     "1772fbf67670ec1a3b168f615adb852193a1e374d23f11cf2b56fa0038c79dc9",
-	"MT/Seq-2":     "6347859375efaba9fb54fa476fcf24fc4be961d34751a063e69dcb69fc2ec109",
-	"ADP/shards=4": "c18871cb17f48a341adac9bcef51d0057c484e4b2b8e403b4c93baf8298e003f",
-	"ADP/sampled":  "2833b59f9ee8e80cc39965832b8de7b56fe6409faa6f87d6c8ce1e627fd5bf69",
-	"MT/outliers":  "4b26293f10e7838ba545f8743602ad5c8e008dc150d98c9ff1ac28fcddb5d36d",
-	"VQ/outliers":  "d084c53f0477c263bbce720c487696d294a9380871e46b71c70948c9538d014d",
+	"VQ/Seq-1":     "640ef80af3647c201bfc6941a8b1ca92362f3e9d3732fdd71796029bb41a3c69",
+	"VQ/Seq-2":     "2b0ec6bbfe575d67e10318244a762539ef2811e9776d8e4e8fa41c5ae6c80cb4",
+	"VQT/Seq-1":    "29e47df47ea7caf7bbc728ff0165f10ee56f8efe0d4bff60328871fe51666b41",
+	"VQT/Seq-2":    "b9976aaad785c5665fb69074e2d1d2fd9ba9f2537162a271f0356e9b194f20cd",
+	"MT/Seq-1":     "33b0904a35b88b783654b6d63ad7f0ca1a76546914828fdfeebabed14f16ce4d",
+	"MT/Seq-2":     "e77c08b6b275d9cfa0ae12880337d480fedfed9ad6874f9f3ff6bb1fff596a43",
+	"ADP/shards=4": "65b88ed3643478de7152131e2551525ae8357ab06dce4dd3a021cc8122aaa953",
+	"ADP/sampled":  "b44d4ad91170cbbd838e8e943f5fe5739387f5f12312aa9e3272d69bdacf496a",
+	"MT/outliers":  "e8fe32346467df13bcd68541cc3b52c4c1581b20eb3866b88c265a575e62023f",
+	"VQ/outliers":  "db65e459dfdd028795fd7061bacdc7ac6a2cce7d2d4ac6b6b327e5e9be49cf87",
 }
 
 func kernelCases() map[string][]byte {

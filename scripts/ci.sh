@@ -66,10 +66,11 @@ go test -race -run '^$' -bench . -benchtime 1x ./internal/bitstream ./internal/h
 go run ./cmd/mdzload -spawn -sessions 24 -frames 16 -atoms 100 -c 8 -verify 1
 
 # Short fuzz smoke over every parser and differential fuzzer in the tree
-# (stream framing, checkpoint parsing, raw Huffman sections, the public-API
-# and SZ-family error-bound fuzzers, and the entropy/dictionary hot-path
-# equivalence fuzzers). Ten seconds per fuzzer catches regressions without
-# slowing the gate meaningfully.
+# (stream framing, checkpoint parsing, Huffman sections coded and raw, the
+# LZ stream parser FuzzLZDecompress and round trip FuzzLZRoundTrip, the
+# public-API and SZ-family error-bound fuzzers, and the entropy/dictionary
+# hot-path equivalence fuzzers). Ten seconds per fuzzer catches regressions
+# without slowing the gate meaningfully.
 make fuzz-short FUZZTIME=10s
 
 # The performance harness is a nested module that the root `go test ./...`
