@@ -2,16 +2,20 @@
 //
 // Usage:
 //
-//	mdzc -c traj.mdzd -o traj.mdz            # compress (eps=1E-3, BS=10)
+//	mdzc -c traj.mdzd -o traj.mdz            # compress to a framed MDZ2 stream (eps=1E-3, BS=10)
 //	mdzc -c traj.xyz  -o traj.mdz            # XYZ text trajectories work too
 //	mdzc -c traj.mdzd -o traj.mdz -eps 1e-4 -bs 50 -method MT
-//	mdzc -c traj.mdzd -o traj.mdz -checkpoint 8  # recoverable framed stream
+//	mdzc -c traj.mdzd -o traj.mdz -checkpoint 8  # + a recovery checkpoint every 8 blocks
+//	mdzc -c traj.mdzd -o traj.mdz -seek-index    # + a seek table for O(1) -range reads
 //	mdzc -d traj.mdz -o restored.mdzd        # decompress (or -o restored.xyz)
 //	mdzc -d traj.mdz -o restored.mdzd -salvage   # recover what a corrupt stream still holds
 //	mdzc -d traj.mdz -o window.mdzd -range 100:200   # decode only snapshots [100, 200)
-//	mdzc -index traj.mdz -o traj-indexed.mdz # retrofit a seek table onto a legacy stream
+//	mdzc -index traj.mdz -o traj-indexed.mdz # retrofit a seek table onto a stream written without one
 //	mdzc -fsck traj.mdz                      # verify framing + CRCs, report salvageable ranges
 //	mdzc -info traj.mdz                      # stream statistics
+//
+// -c always writes the framed MDZ2 stream; -d, -info and -fsck also read
+// the legacy containers earlier builds wrote.
 package main
 
 import (
@@ -29,19 +33,10 @@ import (
 	"github.com/mdz/mdz/internal/safeio"
 )
 
+// fileMagic leads an mdzc file. The payload after the metadata is an MDZ
+// stream, which only the library's stream Reader parses: mdzc branches on
+// no payload magic.
 const fileMagic = "MDZC"
-
-// oneShotMagic leads a one-shot Compress payload. It is the only payload
-// magic mdzc branches on: every other payload goes to the stream Reader,
-// which alone knows (and names, when refusing) the framed-stream magics.
-const oneShotMagic = "MDZF"
-
-// isOneShot reports whether a container payload must be decoded with
-// Decompress rather than the stream Reader. Payloads too short to carry a
-// magic stay on the one-shot path, which rejects them.
-func isOneShot(stream []byte) bool {
-	return len(stream) < 4 || string(stream[:4]) == oneShotMagic
-}
 
 // cliFlags is the parsed command line, kept as a struct so flag-combination
 // validation is testable apart from flag.Parse and os.Exit.
@@ -95,11 +90,14 @@ func validateFlags(f *cliFlags) error {
 		}
 		f.rangeLo, f.rangeHi = lo, hi
 	}
-	if f.seekIndex && (f.compress == "" || f.checkpoint == 0) {
-		return fmt.Errorf("-seek-index embeds a frame index in a framed stream; pair it with -c and -checkpoint")
+	if f.seekIndex && f.compress == "" {
+		return fmt.Errorf("-seek-index embeds a seek table in the compressed stream; pair it with -c")
 	}
 	if f.salvage && f.decompress == "" {
 		return fmt.Errorf("-salvage only applies to decompression; pair it with -d")
+	}
+	if f.checkpoint < 0 {
+		return fmt.Errorf("-checkpoint must be non-negative, got %d", f.checkpoint)
 	}
 	if f.checkpoint != 0 && f.compress == "" {
 		return fmt.Errorf("-checkpoint only applies to compression; pair it with -c")
@@ -153,11 +151,11 @@ func main() {
 	flag.Float64Var(&f.eps, "eps", 1e-3, "value-range-based error bound")
 	flag.IntVar(&f.bs, "bs", 10, "buffer size (snapshots per batch)")
 	flag.StringVar(&f.method, "method", "ADP", "compression method: ADP, VQ, VQT, MT")
-	flag.IntVar(&f.checkpoint, "checkpoint", 0, "with -c: write a recoverable framed stream with a checkpoint every N blocks (0 = one-shot format)")
+	flag.IntVar(&f.checkpoint, "checkpoint", 0, "with -c: embed a recovery checkpoint every N blocks, so -salvage resumes decoding after damage (0 = none)")
 	flag.IntVar(&f.workers, "workers", 0, "goroutines for parallel kernels (0 = GOMAXPROCS, 1 = serial); output bytes never depend on it")
 	flag.IntVar(&f.shards, "shards", 0, "with -c: contiguous particle shards per axis batch (0 = auto); part of the output format, so a fixed value pins output bytes across machines")
 	flag.BoolVar(&f.salvage, "salvage", false, "with -d: recover everything readable from a corrupt stream instead of failing")
-	flag.BoolVar(&f.seekIndex, "seek-index", false, "with -c -checkpoint: append a seek-table frame mapping snapshots to byte offsets, enabling O(1) -range reads")
+	flag.BoolVar(&f.seekIndex, "seek-index", false, "with -c: append a seek-table frame mapping snapshots to byte offsets, enabling O(1) -range reads")
 	flag.StringVar(&f.rangeSpec, "range", "", "with -d: decode only the half-open snapshot window lo:hi (e.g. 100:200) instead of the whole stream; needs a framed input")
 	flag.BoolVar(&f.noFsync, "no-fsync", false, "skip fsync when writing output: faster, but a machine crash can lose the file (the atomic temp-file+rename commit is kept either way)")
 	flag.Int64Var(&f.maxDecode, "max-decode", 0, "with -d/-info/-fsck: cap decode-side memory driven by claimed sizes in the input, in bytes (0 = unlimited); over-budget inputs are rejected, not decoded")
@@ -222,44 +220,26 @@ func doCompress(f *cliFlags, o *obs) error {
 	}
 	cfg := mdz.Config{
 		ErrorBound: f.eps, Method: m, BufferSize: f.bs,
+		CheckpointInterval: f.checkpoint, SeekIndex: f.seekIndex,
 		Workers: f.workers, Shards: f.shards, Telemetry: o.enabled(),
 	}
-	var stream []byte
-	if f.checkpoint > 0 {
-		// Framed stream with embedded recovery checkpoints: survivable by
-		// -salvage and checkable by -fsck.
-		cfg.CheckpointInterval = f.checkpoint
-		cfg.SeekIndex = f.seekIndex
-		var sb bytes.Buffer
-		w, err := mdz.NewWriter(&sb, cfg)
-		if err != nil {
-			return err
-		}
-		if err := o.attach(w.TelemetryRegistry()); err != nil {
-			return err
-		}
-		for _, f := range frames {
-			if err := w.WriteFrame(f); err != nil {
-				return err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		stream = sb.Bytes()
-	} else {
-		c, err := mdz.NewCompressor(cfg)
-		if err != nil {
-			return err
-		}
-		if err := o.attach(c.TelemetryRegistry()); err != nil {
-			return err
-		}
-		stream, err = c.Compress(frames)
-		if err != nil {
+	var sb bytes.Buffer
+	w, err := mdz.NewWriter(&sb, cfg)
+	if err != nil {
+		return err
+	}
+	if err := o.attach(w.TelemetryRegistry()); err != nil {
+		return err
+	}
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
 			return err
 		}
 	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	stream := sb.Bytes()
 	var buf []byte
 	buf = append(buf, fileMagic...)
 	buf = appendString(buf, d.Meta.Name)
@@ -324,47 +304,32 @@ func parseContainer(path string) (meta [3]string, stream []byte, err error) {
 	return meta, buf[:n], nil
 }
 
-// decodeStream decodes a container payload: a one-shot payload via
-// Decompress, anything else via the stream Reader, which detects the
-// framed-stream version and rejects unknown magics. Salvage mode (framed
-// streams only) recovers what it can and returns the reader's accounting
-// alongside the frames.
+// decodeStream decodes a container payload with the stream Reader, which
+// detects the container from its magic and rejects unknown magics. Salvage
+// mode recovers what it can and returns the reader's accounting alongside
+// the frames.
 func decodeStream(stream []byte, salvage bool, f *cliFlags, o *obs) ([]mdz.Frame, *mdz.SalvageStats, error) {
-	if !isOneShot(stream) {
-		r := mdz.NewReaderWith(bytes.NewReader(stream),
-			mdz.ReaderOptions{Workers: f.workers, Resync: salvage,
-				Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
-		if err := o.attach(r.TelemetryRegistry()); err != nil {
-			return nil, nil, err
-		}
-		var frames []mdz.Frame
-		var err error
-		if f.rangeSpec != "" {
-			frames, err = r.ReadRange(f.rangeLo, f.rangeHi)
-			if err == io.EOF {
-				err = fmt.Errorf("-range %s starts past the end of the stream", f.rangeSpec)
-			}
-		} else {
-			frames, err = r.ReadAll()
-		}
-		if err != nil {
-			return frames, nil, err
-		}
-		stats := r.SalvageStats()
-		return frames, &stats, nil
-	}
-	if salvage {
-		return nil, nil, fmt.Errorf("-salvage requires a framed stream (got a one-shot payload)")
-	}
-	if f.rangeSpec != "" {
-		return nil, nil, fmt.Errorf("-range requires a framed stream (got a one-shot payload)")
-	}
-	d := mdz.NewDecompressorWith(mdz.DecompressorOptions{Workers: f.workers, Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
-	if err := o.attach(d.TelemetryRegistry()); err != nil {
+	r := mdz.NewReaderWith(bytes.NewReader(stream),
+		mdz.ReaderOptions{Workers: f.workers, Resync: salvage,
+			Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
+	if err := o.attach(r.TelemetryRegistry()); err != nil {
 		return nil, nil, err
 	}
-	frames, err := d.Decompress(stream)
-	return frames, nil, err
+	var frames []mdz.Frame
+	var err error
+	if f.rangeSpec != "" {
+		frames, err = r.ReadRange(f.rangeLo, f.rangeHi)
+		if err == io.EOF {
+			err = fmt.Errorf("-range %s starts past the end of the stream", f.rangeSpec)
+		}
+	} else {
+		frames, err = r.ReadAll()
+	}
+	if err != nil {
+		return frames, nil, err
+	}
+	stats := r.SalvageStats()
+	return frames, &stats, nil
 }
 
 // parseContainerLenient parses as much of a possibly-damaged container as
@@ -449,17 +414,6 @@ func doFsck(f *cliFlags, o *obs) error {
 	if err != nil {
 		return err
 	}
-	if len(stream) >= 4 && string(stream[:4]) == oneShotMagic {
-		// One-shot payload: no framing to walk, so verify by decoding.
-		d := mdz.NewDecompressorWith(mdz.DecompressorOptions{MaxDecodeBytes: f.maxDecode})
-		frames, err := d.Decompress(stream)
-		if err != nil {
-			fmt.Fprintf(o.humanOut(), "%s: one-shot payload FAILED verification: %v\n", in, err)
-			return fmt.Errorf("fsck: %s is corrupt", in)
-		}
-		fmt.Fprintf(o.humanOut(), "%s: ok (one-shot payload, %d snapshots)\n", in, len(frames))
-		return nil
-	}
 	r := mdz.NewReaderWith(bytes.NewReader(stream),
 		mdz.ReaderOptions{Resync: true, Telemetry: o.enabled(), MaxDecodeBytes: f.maxDecode})
 	if err := o.attach(r.TelemetryRegistry()); err != nil {
@@ -497,16 +451,10 @@ func doIndex(f *cliFlags, o *obs) error {
 	if err != nil {
 		return err
 	}
-	if len(stream) < 4 {
-		return fmt.Errorf("%s holds no stream payload", in)
-	}
-	if isOneShot(stream) {
-		return fmt.Errorf("-index requires a framed stream; %s holds a one-shot payload (recompress with -checkpoint)", in)
-	}
 	var indexed bytes.Buffer
 	frames, err := mdz.RetrofitSeekIndex(bytes.NewReader(stream), &indexed)
 	if errors.Is(err, mdz.ErrNotSeekable) {
-		return fmt.Errorf("-index requires a v2 framed stream; %s: %w (recompress with -checkpoint)", in, err)
+		return fmt.Errorf("-index requires a v2 framed stream; %s: %w (decompress it and compress again with -c)", in, err)
 	}
 	if err != nil {
 		return err

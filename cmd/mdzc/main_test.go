@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -37,6 +40,7 @@ func TestValidateFlags(t *testing.T) {
 		{"salvage without -d", cliFlags{compress: "in", out: "out", salvage: true}, true},
 		{"salvage alone with fsck", cliFlags{fsck: "in", salvage: true}, true},
 		{"checkpoint without -c", cliFlags{decompress: "in", out: "out", checkpoint: 8}, true},
+		{"checkpoint negative", cliFlags{compress: "in", out: "out", checkpoint: -1}, true},
 		{"fsck with -o", cliFlags{fsck: "in", out: "out"}, true},
 		{"info with -o", cliFlags{info: "in", out: "out"}, true},
 		{"no-fsync with -c", cliFlags{compress: "in", out: "out", noFsync: true}, false},
@@ -53,7 +57,7 @@ func TestValidateFlags(t *testing.T) {
 		{"shards without -c", cliFlags{decompress: "in", out: "out", shards: 8}, true},
 		{"shards negative", cliFlags{compress: "in", out: "out", shards: -2}, true},
 		{"seek-index with framed -c", cliFlags{compress: "in", out: "out", checkpoint: 4, seekIndex: true}, false},
-		{"seek-index without checkpoint", cliFlags{compress: "in", out: "out", seekIndex: true}, true},
+		{"seek-index without checkpoint", cliFlags{compress: "in", out: "out", seekIndex: true}, false},
 		{"seek-index with -d", cliFlags{decompress: "in", out: "out", seekIndex: true}, true},
 		{"range with -d", cliFlags{decompress: "in", out: "out", rangeSpec: "5:10"}, false},
 		{"range without -d", cliFlags{compress: "in", out: "out", rangeSpec: "5:10"}, true},
@@ -76,8 +80,15 @@ func TestValidateFlags(t *testing.T) {
 // writeTestTrajectory saves a small synthetic trajectory and returns its path.
 func writeTestTrajectory(t *testing.T, dir string) string {
 	t.Helper()
+	return writeTrajectory(t, dir, 12)
+}
+
+// writeTrajectory saves m snapshots of 64 atoms of the synthetic
+// trajectory and returns its path.
+func writeTrajectory(t *testing.T, dir string, m int) string {
+	t.Helper()
 	d := &dataset.Dataset{Meta: dataset.Metadata{Name: "test", State: "solid", Code: "synthetic"}}
-	const m, n = 12, 64
+	const n = 64
 	for s := 0; s < m; s++ {
 		f := dataset.NewFrame(n)
 		for i := 0; i < n; i++ {
@@ -560,20 +571,131 @@ func TestRangeAndIndexCLI(t *testing.T) {
 		t.Fatal("-index output differs from a natively -seek-index stream")
 	}
 
-	// Retrofitting twice or indexing a one-shot payload is rejected.
+	// Retrofitting twice or indexing a legacy one-shot payload is rejected.
 	if err := doIndex(&cliFlags{index: retro, out: filepath.Join(dir, "again.mdz")}, &obs{}); err == nil {
 		t.Fatal("-index accepted an already-indexed stream")
 	}
-	oneshot := filepath.Join(dir, "oneshot.mdz")
-	if err := doCompress(&cliFlags{compress: in, out: oneshot, eps: 1e-3, bs: 4, method: "ADP"}, &obs{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := doIndex(&cliFlags{index: oneshot, out: filepath.Join(dir, "bad.mdz")}, &obs{}); err == nil {
-		t.Fatal("-index accepted a one-shot payload")
+	oneshot := writeOneShotFixtureFile(t, dir)
+	if err := doIndex(&cliFlags{index: oneshot, out: filepath.Join(dir, "bad.mdz")}, &obs{}); !errors.Is(err, mdz.ErrNotSeekable) {
+		t.Fatalf("-index of a one-shot payload: err = %v, want ErrNotSeekable", err)
 	}
 
 	// The indexed stream still passes -fsck.
 	if err := doFsck(&cliFlags{fsck: indexed}, &obs{}); err != nil {
 		t.Fatalf("-fsck on indexed stream: %v", err)
+	}
+}
+
+// oneShotFixtureHash is the SHA-256 of the float64 bits (X, Y, Z per
+// snapshot) that the root package's one-shot fixture decoded to when it
+// was written; the root package's TestOneShotFixtureDecodes pins the same.
+const oneShotFixtureHash = "cbf913fbecf1b5a3a8644c0ec4755197597f42460ac722d51d3931cc7dab2604"
+
+// writeOneShotFixtureFile wraps the root package's legacy one-shot fixture
+// in an mdzc file and returns its path.
+func writeOneShotFixtureFile(t *testing.T, dir string) string {
+	t.Helper()
+	stream, err := os.ReadFile(filepath.Join("..", "..", "testdata", "oneshot_mdzf.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte(fileMagic)
+	for _, s := range []string{"fixture", "solid", "synthetic"} {
+		buf = appendString(buf, s)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(stream)))
+	path := filepath.Join(dir, "oneshot.mdz")
+	if err := os.WriteFile(path, append(buf, stream...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// datasetValueHash hashes a trajectory's float64 bits, snapshot by
+// snapshot, X then Y then Z.
+func datasetValueHash(d *dataset.Dataset) string {
+	h := sha256.New()
+	var word [8]byte
+	for _, f := range d.Frames {
+		for _, axis := range [][]float64{f.X, f.Y, f.Z} {
+			for _, v := range axis {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestOneShotFixtureCLI reads a file written before mdzc -c wrote the
+// framed stream: -d restores the recorded values and -fsck passes it.
+func TestOneShotFixtureCLI(t *testing.T) {
+	dir := t.TempDir()
+	in := writeOneShotFixtureFile(t, dir)
+	out := filepath.Join(dir, "restored.mdzd")
+	if err := doDecompress(&cliFlags{decompress: in, out: out}, &obs{}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := dataset.Load(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := datasetValueHash(d); h != oneShotFixtureHash {
+		t.Fatalf("-d restored sha256 %s, want %s", h, oneShotFixtureHash)
+	}
+	if err := doFsck(&cliFlags{fsck: in}, &obs{}); err != nil {
+		t.Fatalf("-fsck: %v", err)
+	}
+}
+
+// TestDefaultOutputIsFramed checks that plain -c output, with no
+// -checkpoint or -seek-index, is a framed MDZ2 stream that every
+// stream command accepts: -fsck, -d -range, -index and -d -salvage.
+func TestDefaultOutputIsFramed(t *testing.T) {
+	dir := t.TempDir()
+	in := writeTrajectory(t, dir, 40)
+	cmp := filepath.Join(dir, "traj.mdz")
+	if err := doCompress(&cliFlags{compress: in, out: cmp, eps: 1e-3, bs: 4, method: "ADP"}, &obs{}); err != nil {
+		t.Fatal(err)
+	}
+	_, stream, err := parseContainer(cmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(stream[:4]) != "MDZ2" {
+		t.Fatalf("payload magic = %q, want MDZ2", stream[:4])
+	}
+	if err := doFsck(&cliFlags{fsck: cmp}, &obs{}); err != nil {
+		t.Fatalf("-fsck: %v", err)
+	}
+	decode := func(f *cliFlags) *dataset.Dataset {
+		t.Helper()
+		if err := validateFlags(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := doDecompress(f, &obs{}); err != nil {
+			t.Fatalf("-d %+v: %v", f, err)
+		}
+		d, err := dataset.Load(f.out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	full := decode(&cliFlags{decompress: cmp, out: filepath.Join(dir, "full.mdzd")})
+	window := decode(&cliFlags{decompress: cmp, out: filepath.Join(dir, "window.mdzd"), rangeSpec: "17:33"})
+	if want := (&dataset.Dataset{Frames: full.Frames[17:33]}); datasetValueHash(window) != datasetValueHash(want) {
+		t.Fatalf("-range 17:33 decoded %d snapshots that differ from the full decode's window", window.M())
+	}
+	salvaged := decode(&cliFlags{decompress: cmp, out: filepath.Join(dir, "salvaged.mdzd"), salvage: true})
+	if datasetValueHash(salvaged) != datasetValueHash(full) {
+		t.Fatal("-salvage of a clean stream differs from the full decode")
+	}
+	indexed := filepath.Join(dir, "indexed.mdz")
+	if err := doIndex(&cliFlags{index: cmp, out: indexed}, &obs{}); err != nil {
+		t.Fatalf("-index: %v", err)
+	}
+	if got := decode(&cliFlags{decompress: indexed, out: filepath.Join(dir, "indexed.mdzd")}); datasetValueHash(got) != datasetValueHash(full) {
+		t.Fatal("the -index output decodes differently")
 	}
 }

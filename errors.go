@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/mdz/mdz/internal/bitstream"
 	"github.com/mdz/mdz/internal/budget"
 	"github.com/mdz/mdz/internal/core"
 )
@@ -16,7 +15,7 @@ import (
 //
 //	ErrCorruptBlock — a block or stream frame failed validation (bad magic,
 //	  CRC mismatch, malformed section, undecodable payload);
-//	ErrTruncated — the input ended before a complete value, block or
+//	ErrTruncated — the input ended before a complete block, frame or
 //	  stream trailer (torn write, partial download);
 //	ErrStateDesync — blocks were presented out of order, or a checkpoint
 //	  disagrees with the decoder's reconstructed state.
@@ -77,8 +76,11 @@ func isCancellation(err error) bool {
 
 // mapBlockErr classifies an error from the block decode path under the
 // package sentinels: out-of-order blocks and state mismatches become
-// ErrStateDesync, short inputs ErrTruncated, everything else
-// ErrCorruptBlock. Errors already carrying a sentinel pass through.
+// ErrStateDesync, everything else ErrCorruptBlock. Errors already carrying
+// a sentinel pass through. What it classifies has passed a CRC (a block
+// footer or a frame payload) or is a whole checkpoint or writer-state
+// blob, so a value cut short inside it is corruption: only a container cut
+// short is ErrTruncated, and the container parsers say so themselves.
 func mapBlockErr(err error) error {
 	switch {
 	case err == nil:
@@ -91,8 +93,6 @@ func mapBlockErr(err error) error {
 		return err
 	case errors.Is(err, core.ErrOrder) || errors.Is(err, core.ErrState):
 		return fmt.Errorf("%w: %w", ErrStateDesync, err)
-	case errors.Is(err, bitstream.ErrShortStream):
-		return fmt.Errorf("%w: %w", ErrTruncated, err)
 	default:
 		return fmt.Errorf("%w: %w", ErrCorruptBlock, err)
 	}

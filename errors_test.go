@@ -3,7 +3,10 @@ package mdz
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"testing"
+
+	"github.com/mdz/mdz/internal/bitstream"
 )
 
 // TestCorruptPathsReturnSentinels feeds every corrupt-input path a
@@ -24,7 +27,7 @@ func TestCorruptPathsReturnSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot, err := Compress(frames, Config{ErrorBound: 1e-3})
+	stream, err := Compress(frames, Config{ErrorBound: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +63,14 @@ func TestCorruptPathsReturnSentinels(t *testing.T) {
 			_, err := NewDecompressor().DecompressBatch(blk2)
 			return err
 		}, nil}, // ErrStateDesync for MT-bearing streams, else decodes
-		{"one-shot: bad magic", func() error {
+		{"Decompress: bad magic", func() error {
 			_, err := Decompress([]byte("NOPE...."))
 			return err
 		}, ErrCorruptBlock},
-		{"one-shot: truncated", func() error {
-			_, err := Decompress(oneShot[:len(oneShot)-9])
+		{"Decompress: truncated", func() error {
+			_, err := Decompress(stream[:len(stream)-9])
 			return err
-		}, nil},
+		}, ErrTruncated},
 		{"stream: bad magic", func() error {
 			_, err := NewReader(bytes.NewReader([]byte("GARBAGE!"))).ReadFrame()
 			return err
@@ -93,6 +96,44 @@ func TestCorruptPathsReturnSentinels(t *testing.T) {
 		}
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCutSectionIsCorrupt cuts a block's x-axis section in half and
+// re-seals the block (section lengths and CRC footer recomputed): the
+// decoder runs out of section bytes mid-value, which inside a block that
+// passed its CRC is corruption, not truncation. The bare block and the same
+// block as a v2 data frame must both say so.
+func TestCutSectionIsCorrupt(t *testing.T) {
+	c, err := NewCompressor(Config{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := c.CompressBatch(makeFrames(6, 80, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bitstream.NewByteReader(blk[4 : len(blk)-4])
+	forged := []byte("MDZS")
+	for axis := 0; axis < 3; axis++ {
+		sec, err := br.ReadSection()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if axis == 0 {
+			sec = sec[:len(sec)/2]
+		}
+		forged = bitstream.AppendSection(forged, sec)
+	}
+	forged = bitstream.AppendUint32(forged, crc32.Checksum(forged[4:], crcTable))
+
+	_, berr := NewDecompressor().DecompressBatch(forged)
+	stream := appendWireFrame([]byte(streamMagicV2), frameData, 0, forged)
+	_, serr := NewReader(bytes.NewReader(stream)).ReadAll()
+	for name, err := range map[string]error{"DecompressBatch": berr, "Reader": serr} {
+		if !errors.Is(err, ErrCorruptBlock) || errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: err = %v, want ErrCorruptBlock and not ErrTruncated", name, err)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package daemon
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -502,6 +505,39 @@ func TestDaemonDecodeEndpoint(t *testing.T) {
 	}
 	if salvaged := decodeWireFrames(t, body); len(salvaged) == 0 {
 		t.Error("salvage decode recovered nothing")
+	}
+}
+
+// TestDaemonDecodeOneShotFixture posts the root package's legacy one-shot
+// ("MDZF") fixture to the stateless decoder: whole, it decodes to the
+// values recorded when it was written; ranged, to their window [7, 11),
+// through the serial fallback since the container has no frame index.
+func TestDaemonDecodeOneShotFixture(t *testing.T) {
+	// The SHA-256 of the fixture's decoded float64 bits, X then Y then Z per
+	// snapshot; the root package's TestOneShotFixtureDecodes pins the same.
+	const wantHash = "cbf913fbecf1b5a3a8644c0ec4755197597f42460ac722d51d3931cc7dab2604"
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "testdata", "oneshot_mdzf.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tc := newTestEnv(t, Options{})
+	all := decodeWireFrames(t, tc.do(http.MethodPost, "/v1/decode", fixture, http.StatusOK))
+	h := sha256.New()
+	var word [8]byte
+	for _, f := range all {
+		for _, axis := range [][]float64{f.X, f.Y, f.Z} {
+			for _, v := range axis {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				h.Write(word[:])
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantHash {
+		t.Fatalf("decoded %d frames to sha256 %s, want %s", len(all), got, wantHash)
+	}
+	window := decodeWireFrames(t, tc.do(http.MethodPost, "/v1/decode?from=7&count=4", fixture, http.StatusOK))
+	if len(window) != 4 || !framesEqual(window, all[7:11]) {
+		t.Fatalf("ranged decode returned %d frames or wrong content", len(window))
 	}
 }
 

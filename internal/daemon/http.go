@@ -386,12 +386,15 @@ func (srv *Server) decodeRange(ctx context.Context, data []byte, from, count int
 
 // readRange decodes the frame window [from, from+count) from container
 // bytes (count < 0 = all remaining). In strict mode with from > 0 it first
-// tries Reader.Seek, which jumps via the stream's frame index (present or
-// scan-rebuilt) without decoding the prefix; any stream that cannot seek —
-// v1, one-shot, or a live container without a trailer yet — falls back to
-// the serial discard transparently. Salvage mode always reads serially so
-// the from/count numbering matches the salvaged frame sequence. Reaching
-// EOF early is not an error: the response simply carries fewer frames.
+// tries Reader.Seek, which jumps via the stream's frame index without
+// decoding the prefix. The index comes from the seek table, else from an
+// index walk of the frame headers; that walk accepts a live container
+// without a trailer, so a live read seeks too, walking from offset 0 on
+// every read. When Seek fails — for the legacy v1 and one-shot containers,
+// which carry no frame index, or on damage — it falls back to the serial
+// discard transparently. Salvage mode always reads serially so the
+// from/count numbering matches the salvaged frame sequence. Reaching EOF
+// early is not an error: the response simply carries fewer frames.
 // Returns the Reader actually used so callers can inspect its stats.
 func readRange(data []byte, opts mdz.ReaderOptions, from, count int) ([]mdz.Frame, *mdz.Reader, error) {
 	if from > 0 && !opts.Resync {

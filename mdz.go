@@ -23,11 +23,15 @@
 //		_ = batch
 //	}
 //
-// One-shot helpers Compress and Decompress handle batching and framing for
-// whole in-memory trajectories.
+// Writer frames the blocks as a recoverable MDZ2 stream on any io.Writer,
+// and Reader reads it back. Compress and Decompress wrap the two for whole
+// in-memory trajectories: Compress writes exactly what a Writer with the
+// same Config writes, and Reader also reads the legacy containers that
+// earlier builds wrote (see stream.go).
 package mdz
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -102,8 +106,8 @@ const (
 	Absolute
 )
 
-// DefaultBufferSize is the default batch size BS used by the one-shot
-// helpers.
+// DefaultBufferSize is the default batch size BS used by Writer and
+// Compress.
 const DefaultBufferSize = 10
 
 // Config configures a Compressor.
@@ -121,8 +125,8 @@ type Config struct {
 	Sequence Sequence
 	// AdaptInterval overrides ADP's re-evaluation period (default 50).
 	AdaptInterval int
-	// BufferSize is the batch size used by the one-shot Compress helper
-	// (default 10). CompressBatch callers control batching themselves.
+	// BufferSize is the batch size used by Writer and Compress (default
+	// 10). CompressBatch callers control batching themselves.
 	BufferSize int
 	// CheckpointInterval makes Writer emit a checkpoint block after every
 	// CheckpointInterval data blocks. Checkpoints carry the decoder state
@@ -191,8 +195,8 @@ type Config struct {
 	// operation that doesn't take its own context (CompressBatch, Compress,
 	// Writer.WriteFrame/Close): once it is cancelled or past its deadline,
 	// in-flight batches abort within a few shard row kernels and return
-	// ctx.Err(). The explicit-context variants (CompressBatchContext,
-	// CompressContext) ignore this field in favour of their argument.
+	// ctx.Err(). CompressBatchContext ignores this field in favour of its
+	// argument.
 	// Cancellation never corrupts compressor state: a cancelled batch can
 	// be retried and produces the same bytes an uncancelled run would.
 	Context context.Context
@@ -489,9 +493,9 @@ type DecompressorOptions struct {
 	// Telemetry enables decode-side instrumentation, read through
 	// Decompressor.Telemetry / Decompressor.TelemetryRegistry.
 	Telemetry bool
-	// Context, when non-nil, is polled by DecompressBatch/Decompress calls
-	// that don't take their own context; the explicit-context variants
-	// override it. See Config.Context for semantics.
+	// Context, when non-nil, is polled by DecompressBatch calls;
+	// DecompressBatchContext overrides it. See Config.Context for
+	// semantics.
 	Context context.Context
 	// MaxDecodeBytes caps the in-flight allocations driven by claimed
 	// lengths in untrusted blocks (output matrices, entropy section
@@ -627,78 +631,32 @@ func Batch(frames []Frame, bs int) [][]Frame {
 	return out
 }
 
-// Compress is a one-shot helper: it batches frames by cfg.BufferSize,
-// compresses each batch, and frames the blocks into a single stream.
+// Compress compresses a whole in-memory trajectory: it writes frames
+// through a Writer configured by cfg and returns the stream, byte for byte
+// what that Writer writes (so CheckpointInterval and SeekIndex apply). No
+// frames give an empty stream. Use a Writer directly to read its
+// Telemetry afterwards.
 func Compress(frames []Frame, cfg Config) ([]byte, error) {
-	c, err := NewCompressor(cfg)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return c.Compress(frames)
-}
-
-// Compress compresses a whole trajectory on this Compressor: it batches
-// frames by Config.BufferSize, compresses each batch, and frames the blocks
-// into a single stream. Like CompressBatch it advances encoder state, so
-// call it on a fresh Compressor (its main advantage over the package-level
-// helper is access to Telemetry afterwards).
-func (c *Compressor) Compress(frames []Frame) ([]byte, error) {
-	return c.CompressContext(c.cfg.Context, frames)
-}
-
-// CompressContext is Compress with explicit cooperative cancellation
-// (overriding Config.Context; nil disables it).
-func (c *Compressor) CompressContext(ctx context.Context, frames []Frame) ([]byte, error) {
-	out := []byte{'M', 'D', 'Z', 'F'}
-	batches := Batch(frames, c.cfg.BufferSize)
-	out = bitstream.AppendUvarint(out, uint64(len(batches)))
-	for _, b := range batches {
-		blk, err := c.CompressBatchContext(ctx, b)
-		if err != nil {
+	for _, f := range frames {
+		if err := w.WriteFrame(f); err != nil {
 			return nil, err
 		}
-		out = bitstream.AppendSection(out, blk)
 	}
-	return out, nil
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// Decompress inverts Compress.
+// Decompress reconstructs a whole trajectory from a stream in any container
+// Reader reads: what Compress or Writer wrote, or a legacy one. An empty
+// stream gives no frames. On failure it returns the frames decoded before
+// the error. Use NewReaderWith for cancellation, a decode budget or salvage.
 func Decompress(stream []byte) ([]Frame, error) {
-	return NewDecompressor().Decompress(stream)
-}
-
-// Decompress reconstructs a whole trajectory produced by Compress on this
-// Decompressor. Like DecompressBatch it advances decoder state, so call it
-// on a fresh Decompressor.
-func (d *Decompressor) Decompress(stream []byte) ([]Frame, error) {
-	return d.DecompressContext(d.ctx, stream)
-}
-
-// DecompressContext is Decompress with explicit cooperative cancellation
-// (overriding DecompressorOptions.Context; nil disables it).
-func (d *Decompressor) DecompressContext(ctx context.Context, stream []byte) ([]Frame, error) {
-	if len(stream) < 4 || string(stream[:4]) != "MDZF" {
-		return nil, fmt.Errorf("%w: not an MDZ stream", ErrCorruptBlock)
-	}
-	br := bitstream.NewByteReader(stream[4:])
-	nb, err := br.ReadUvarint()
-	if err != nil {
-		return nil, mapBlockErr(err)
-	}
-	if nb > 1<<30 {
-		return nil, fmt.Errorf("%w: implausible block count", ErrCorruptBlock)
-	}
-	var frames []Frame
-	for i := uint64(0); i < nb; i++ {
-		blk, err := br.ReadSection()
-		if err != nil {
-			return nil, mapBlockErr(err)
-		}
-		batch, err := d.DecompressBatchContext(ctx, blk)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, batch...)
-	}
-	return frames, nil
+	return NewReader(bytes.NewReader(stream)).ReadAll()
 }

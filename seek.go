@@ -50,13 +50,13 @@ func (r *Reader) Seek(snapshot int) error {
 		return fmt.Errorf("mdz: negative seek target %d", snapshot)
 	}
 	r.err = nil
-	if !r.opened {
+	if r.container == "" {
 		if err := r.open(); err != nil {
 			return r.fail(err)
 		}
 	}
-	if !r.v2 {
-		return r.fail(fmt.Errorf("%w: v1 streams carry no frame index", ErrNotSeekable))
+	if r.container != streamMagicV2 {
+		return r.fail(fmt.Errorf("%w: legacy streams carry no frame index", ErrNotSeekable))
 	}
 	if err := r.ensureIndex(); err != nil {
 		return r.fail(err)
@@ -330,21 +330,21 @@ type frameIndex struct {
 	trailer    []byte
 }
 
-// walkIndex indexes src from its start with a fresh frameWalker. A v1
-// stream has no frames to index.
+// walkIndex indexes src from its start with a fresh frameWalker. A legacy
+// (v1 or one-shot) stream has no frames to index.
 func walkIndex(src io.ReadSeeker, strict bool) (frameIndex, error) {
 	if _, err := src.Seek(0, io.SeekStart); err != nil {
 		return frameIndex{}, err
 	}
 	w := &frameWalker{src: src}
-	v2, err := w.magic()
+	magic, err := w.magic()
 	switch {
 	case err == io.EOF:
 		return frameIndex{}, fmt.Errorf("mdz: empty stream: %w", ErrTruncated)
 	case err != nil:
 		return frameIndex{}, err
-	case !v2:
-		return frameIndex{}, fmt.Errorf("%w: v1 streams carry no frame index", ErrNotSeekable)
+	case magic != streamMagicV2:
+		return frameIndex{}, fmt.Errorf("%w: legacy streams carry no frame index", ErrNotSeekable)
 	}
 	return w.index(strict)
 }

@@ -205,11 +205,6 @@ func TestReadRangeValidation(t *testing.T) {
 	}
 
 	// v1 streams carry no frame index.
-	blk, err := Compress(makeFrames(4, 40, 9), Config{ErrorBound: 1e-3})
-	_ = blk
-	if err != nil {
-		t.Fatal(err)
-	}
 	v1 := buildV1Stream(mustBlock(t, makeFrames(4, 40, 9)))
 	vr := NewReader(bytes.NewReader(v1))
 	if err := vr.Seek(0); !errors.Is(err, ErrNotSeekable) {

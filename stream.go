@@ -28,16 +28,19 @@ import (
 // data blocks) and trailer (total snapshot/block counts, distinguishing
 // clean EOF from truncation).
 //
-// Reader also accepts the legacy v1 container ("MDZW" + length-prefixed
-// blocks) written before the framed format existed. In Resync mode a
-// corrupt frame does not kill the stream: the reader scans forward for the
-// next sync marker, drops frames until decoder state is re-established
-// (immediately if the clean prefix seeded it, else at the next
-// checkpoint), and accounts for everything lost in SalvageStats.
+// v2 is the only container written. Reader also reads two legacy
+// containers, runs of length-prefixed blocks with no recovery metadata: v1
+// ("MDZW") and the one-shot container ("MDZF") that Compress wrote before
+// it wrote v2. In Resync mode a corrupt frame does not kill the stream: the
+// reader scans forward for the next sync marker, drops frames until
+// decoder state is re-established (immediately if the clean prefix seeded
+// it, else at the next checkpoint), and accounts for everything lost in
+// SalvageStats.
 
 const (
-	streamMagic   = "MDZW" // v1: length-prefixed blocks, no recovery metadata
-	streamMagicV2 = "MDZ2" // v2: sync-framed blocks, checkpoints, trailer
+	streamMagic        = "MDZW" // v1: u32 LE length-prefixed blocks
+	streamMagicV2      = "MDZ2" // v2: sync-framed blocks, checkpoints, trailer
+	streamMagicOneShot = "MDZF" // one-shot: uvarint block count, uvarint length-prefixed blocks
 )
 
 // Frame types of the v2 container.
@@ -207,25 +210,38 @@ func (w *frameWalker) need(n int) error {
 	return errFrameTruncated
 }
 
-// magic reads and checks the stream magic, reporting whether the stream is
-// v2 framed rather than the legacy v1 container. An empty source is
-// io.EOF.
-func (w *frameWalker) magic() (v2 bool, err error) {
+// magic reads and checks the stream magic and returns it: the container
+// the stream is in. An empty source is io.EOF.
+func (w *frameWalker) magic() (string, error) {
 	if err := w.need(4); err != nil {
 		if err == errFrameTruncated {
 			err = fmt.Errorf("mdz: stream cut inside the magic: %w", ErrTruncated)
 		}
-		return false, err
+		return "", err
 	}
 	switch magic := string(w.view(4)); magic {
-	case streamMagic:
-	case streamMagicV2:
-		v2 = true
+	case streamMagicV2, streamMagic, streamMagicOneShot:
+		w.discard(4)
+		return magic, nil
 	default:
-		return false, fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)
+		return "", fmt.Errorf("%w: not an MDZ stream (magic %q)", ErrCorruptBlock, magic)
 	}
-	w.discard(4)
-	return v2, nil
+}
+
+// uvarint reads the uvarint at the cursor without consuming it, returning
+// its value and size. Its errors are need's, plus ErrCorruptBlock for a
+// uvarint longer than 64 bits.
+func (w *frameWalker) uvarint() (uint64, int, error) {
+	w.fillTo(binary.MaxVarintLen64) // a short input is judged by the parse
+	k := min(w.buffered(), binary.MaxVarintLen64)
+	v, n := binary.Uvarint(w.view(k))
+	switch {
+	case n > 0:
+		return v, n, nil
+	case n < 0:
+		return 0, 0, fmt.Errorf("%w: overlong uvarint", ErrCorruptBlock)
+	}
+	return 0, 0, w.need(k + 1) // every buffered byte continues the uvarint
 }
 
 // frameParse is one verified v2 frame.
@@ -775,20 +791,21 @@ type SalvageStats struct {
 	FirstError *CorruptBlockError
 }
 
-// Reader decompresses a framed MDZ stream produced by Writer (v2) or by
-// pre-checkpoint writers (v1), yielding frames one at a time. Its embedded
-// frameWalker reads the input; Reader decodes what it yields and accounts
-// for salvage.
+// Reader decompresses an MDZ stream, yielding frames one at a time: the
+// framed v2 stream Writer and Compress produce, or a legacy v1 or one-shot
+// container. Its embedded frameWalker reads the input; Reader decodes what
+// it yields and accounts for salvage.
 type Reader struct {
 	frameWalker
 	d *Decompressor
 
-	queue  []Frame
-	err    error
-	opened bool
-	v2     bool
-	resync bool
-	ctx    context.Context // nil disables cooperative cancellation
+	queue     []Frame
+	err       error
+	container string // the stream's magic; empty until read
+	resync    bool
+	ctx       context.Context // nil disables cooperative cancellation
+
+	oneShotBlocks uint64 // a one-shot container's block count
 
 	await     bool  // resync: drop data frames until the next checkpoint
 	scanning  bool  // inside a corrupt region (suppresses double-counting)
@@ -868,14 +885,22 @@ func (r *Reader) SalvageStats() SalvageStats {
 	return st
 }
 
-// open reads and validates the stream magic, selecting the v1 or v2 frame
-// parser.
+// open reads and validates the stream magic, selecting the frame parser:
+// v2 or legacy. A one-shot container's block count follows its magic.
 func (r *Reader) open() error {
-	v2, err := r.magic()
+	magic, err := r.magic()
 	if err != nil {
 		return err
 	}
-	r.v2, r.opened = v2, true
+	r.container = magic
+	if magic == streamMagicOneShot {
+		count, size, err := r.uvarint()
+		if err != nil {
+			return r.legacyReadErr(err)
+		}
+		r.discard(size)
+		r.oneShotBlocks = count
+	}
 	return nil
 }
 
@@ -884,7 +909,7 @@ func (r *Reader) ReadFrame() (Frame, error) {
 	if r.err != nil {
 		return Frame{}, r.err
 	}
-	if !r.opened {
+	if r.container == "" {
 		if err := r.open(); err != nil {
 			return Frame{}, r.fail(err)
 		}
@@ -896,10 +921,10 @@ func (r *Reader) ReadFrame() (Frame, error) {
 			}
 		}
 		var err error
-		if r.v2 {
+		if r.container == streamMagicV2 {
 			err = r.nextBatchV2()
 		} else {
-			err = r.nextBatchV1()
+			err = r.nextBatchLegacy()
 		}
 		if err != nil {
 			return Frame{}, r.fail(err)
@@ -931,34 +956,46 @@ func (r *Reader) fail(err error) error {
 	return err
 }
 
-// nextBatchV1 reads one legacy length-prefixed block into the queue. The
-// v1 container has no sync markers, so in Resync mode corruption ends the
-// stream after accounting for it.
-func (r *Reader) nextBatchV1() error {
-	if !r.fillTo(4) {
-		if r.srcErr != nil && r.srcErr != io.EOF {
-			return r.srcErr
-		}
-		if r.buffered() == 0 {
-			return io.EOF
-		}
-		return r.v1Corrupt(fmt.Errorf("mdz: stream cut inside a block header: %w", ErrTruncated))
+// nextBatchLegacy reads one block of a legacy container into the queue.
+// Both legacy containers are runs of length-prefixed blocks: v1 prefixes
+// each block with its u32 LE length and ends with the input; the one-shot
+// container leads with a uvarint block count, prefixes each block with its
+// uvarint length and ends after that many blocks. Neither has sync
+// markers, so in Resync mode corruption ends the stream after accounting
+// for it.
+func (r *Reader) nextBatchLegacy() error {
+	if r.container == streamMagicOneShot && uint64(r.blocks) == r.oneShotBlocks {
+		return io.EOF
 	}
-	n := binary.LittleEndian.Uint32(r.view(4))
-	if n == 0 || n > maxFramePayload {
-		return r.v1Corrupt(&CorruptBlockError{
+	var n uint64
+	var size int
+	var err error
+	if r.container == streamMagic {
+		if err = r.need(4); err == nil {
+			n, size = uint64(binary.LittleEndian.Uint32(r.view(4))), 4
+		}
+	} else {
+		n, size, err = r.uvarint()
+	}
+	switch {
+	case err == io.EOF && r.container == streamMagic:
+		return io.EOF // v1 ends with the input
+	case err != nil:
+		return r.legacyReadErr(err)
+	case n == 0 || n > maxFramePayload:
+		return r.legacyCorrupt(&CorruptBlockError{
 			Block: uint32(r.blocks), Offset: r.off,
 			Cause: fmt.Errorf("%w: implausible block length %d", ErrCorruptBlock, n),
 		})
 	}
-	if !r.fillTo(4 + int(n)) {
-		if r.srcErr != nil && r.srcErr != io.EOF {
-			return r.srcErr
+	if err := r.need(size + int(n)); err != nil {
+		if err != errFrameTruncated {
+			return err
 		}
-		return r.v1Corrupt(fmt.Errorf("mdz: stream cut inside block %d: %w", r.blocks, ErrTruncated))
+		return r.legacyCorrupt(fmt.Errorf("mdz: stream cut inside block %d: %w", r.blocks, ErrTruncated))
 	}
 	blockOff := r.off
-	r.discard(4)
+	r.discard(size)
 	blk := r.view(int(n))
 	batch, err := r.d.DecompressBatch(blk)
 	r.discard(int(n))
@@ -969,7 +1006,7 @@ func (r *Reader) nextBatchV1() error {
 		if !r.resync && errors.Is(err, ErrBudgetExceeded) {
 			return err
 		}
-		return r.v1Corrupt(&CorruptBlockError{Block: uint32(r.blocks), Offset: blockOff, Cause: err})
+		return r.legacyCorrupt(&CorruptBlockError{Block: uint32(r.blocks), Offset: blockOff, Cause: err})
 	}
 	r.blocks++
 	r.delivered += int64(len(batch))
@@ -977,9 +1014,22 @@ func (r *Reader) nextBatchV1() error {
 	return nil
 }
 
-// v1Corrupt surfaces a legacy-container failure: typed in strict mode,
+// legacyReadErr surfaces a failed read of a legacy container's block count
+// or length prefix. The stream is cut short when the input ends before it
+// (io.EOF included: no block remains where one is due).
+func (r *Reader) legacyReadErr(err error) error {
+	switch {
+	case err == io.EOF || err == errFrameTruncated:
+		return r.legacyCorrupt(fmt.Errorf("mdz: stream cut before block %d: %w", r.blocks, ErrTruncated))
+	case errors.Is(err, ErrCorruptBlock):
+		return r.legacyCorrupt(&CorruptBlockError{Block: uint32(r.blocks), Offset: r.off, Cause: err})
+	}
+	return err // hard I/O error from the source
+}
+
+// legacyCorrupt surfaces a legacy-container failure: typed in strict mode,
 // recorded-then-EOF in Resync mode (no sync markers to scan for).
-func (r *Reader) v1Corrupt(err error) error {
+func (r *Reader) legacyCorrupt(err error) error {
 	if !r.resync {
 		return err
 	}

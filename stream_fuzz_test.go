@@ -2,6 +2,7 @@ package mdz
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -55,9 +56,18 @@ func FuzzStreamReader(f *testing.F) {
 	if seedBlk, err := os.ReadFile("testdata/seed_block_v1.bin"); err == nil {
 		f.Add(buildV1Stream(seedBlk))
 	}
+	// The legacy one-shot container: the fixture, cut inside a block, a
+	// forged block count of 2^40 over one block, and an overlong length.
+	oneShot := readOneShotFixture(f)
+	f.Add(oneShot)
+	f.Add(oneShot[:len(oneShot)/2])
+	forged := binary.AppendUvarint([]byte(streamMagicOneShot), 1<<40)
+	f.Add(append(binary.AppendUvarint(forged, uint64(len(blk))), blk...))
+	f.Add(append([]byte(streamMagicOneShot+"\x01"), bytes.Repeat([]byte{0xFF}, 11)...))
 	f.Add([]byte{})
 	f.Add([]byte("MD"))
 	f.Add([]byte(streamMagicV2))
+	f.Add([]byte(streamMagicOneShot))
 	f.Add(append([]byte(streamMagicV2), frameSync[:]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

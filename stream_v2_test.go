@@ -123,7 +123,7 @@ func TestV1StreamResyncStops(t *testing.T) {
 // (1-3 byte file) reports ErrTruncated, not a clean EOF.
 func TestPartialMagicIsTruncation(t *testing.T) {
 	for n := 1; n < 4; n++ {
-		for _, magic := range []string{streamMagic, streamMagicV2} {
+		for _, magic := range []string{streamMagic, streamMagicV2, streamMagicOneShot} {
 			_, err := NewReader(bytes.NewReader([]byte(magic[:n]))).ReadFrame()
 			if errors.Is(err, io.EOF) {
 				t.Errorf("%d-byte prefix of %q read as clean EOF", n, magic)
@@ -138,6 +138,11 @@ func TestPartialMagicIsTruncation(t *testing.T) {
 	_, err := NewReader(bytes.NewReader([]byte(streamMagicV2))).ReadFrame()
 	if !errors.Is(err, ErrTruncated) {
 		t.Errorf("bare v2 magic: err=%v, want ErrTruncated", err)
+	}
+	// A bare one-shot magic lacks its block count.
+	_, err = NewReader(bytes.NewReader([]byte(streamMagicOneShot))).ReadFrame()
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("bare one-shot magic: err=%v, want ErrTruncated", err)
 	}
 }
 
